@@ -18,12 +18,15 @@ from . import metrics as metrics_mod
 from . import oracle, spectra, verification
 from .exceptions import InvalidParameterError, NumericFailureError, SizeLimitError
 from .graphs import generalized_core_satellite
-from .io import format_graph
+from .io import GRAPH_FORMATS, format_graph
 from .params import GeneralizedParams
 
 __all__ = ["main"]
 
 GENERATE_NODE_LIMIT = 10**6
+# checked from the parameters before any graph is built; building and
+# writing a graph of this many edges peaks at about 0.4 GB
+GENERATE_EDGE_LIMIT = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -121,12 +124,19 @@ def _reports_agree(
     return True
 
 
+def _check_size(params: GeneralizedParams, node_limit: int) -> None:
+    """Refuse a graph too large to build, from its parameters alone."""
+    if params.n > node_limit:
+        raise InvalidParameterError(f"n={params.n} exceeds the limit {node_limit}")
+    if params.m > GENERATE_EDGE_LIMIT:
+        raise InvalidParameterError(
+            f"m={params.m} exceeds the limit {GENERATE_EDGE_LIMIT}"
+        )
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     params = GeneralizedParams(args.core, args.satellites)
-    if params.n > GENERATE_NODE_LIMIT:
-        raise InvalidParameterError(
-            f"n={params.n} exceeds the generation limit {GENERATE_NODE_LIMIT}"
-        )
+    _check_size(params, GENERATE_NODE_LIMIT)
     g = generalized_core_satellite(params)
     _emit(format_graph(g, args.format), args.out)
     summary = f"n={g.n} m={g.m}\n"
@@ -139,10 +149,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     params = GeneralizedParams(args.core, args.satellites)
-    if params.n > GENERATE_NODE_LIMIT:
-        raise InvalidParameterError(
-            f"n={params.n} exceeds the generation limit {GENERATE_NODE_LIMIT}"
-        )
+    _check_size(params, metrics_mod.DIRECT_NODE_LIMIT)
     g = generalized_core_satellite(params)
     direct = metrics_mod.compute_metrics(g)
     payload = _params_json(params)
@@ -232,6 +239,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.pmax >= 1:
+        # the row with the largest core and p has the most nodes and edges
+        largest = GeneralizedParams(
+            max(args.cores), [(size, args.pmax) for size in args.sizes]
+        )
+        _check_size(largest, metrics_mod.DIRECT_NODE_LIMIT)
     lines = ["c,p,n,m,avg_clustering,transitivity,assortativity"]
     for core in args.cores:
         for p in range(1, args.pmax + 1):
@@ -301,9 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser(
         "generate", parents=[common, family], help="write a graph to a file or stdout"
     )
-    p_gen.add_argument(
-        "--format", choices=sorted(format_names()), default="edgelist"
-    )
+    p_gen.add_argument("--format", choices=sorted(GRAPH_FORMATS), default="edgelist")
     p_gen.set_defaults(func=_cmd_generate)
 
     p_met = sub.add_parser(
@@ -345,12 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser
-
-
-def format_names() -> list[str]:
-    from .io import GRAPH_FORMATS
-
-    return list(GRAPH_FORMATS)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -7,7 +7,9 @@ the package assumes this block layout.
 """
 from __future__ import annotations
 
+import operator
 from collections import deque
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .exceptions import InvalidParameterError
@@ -43,24 +45,27 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InvalidParameterError(f"node count must be a non-negative int, got {n!r}")
-        seen: set[tuple[int, int]] = set()
-        count = 0
+        pairs: list[tuple[int, int]] = []
         for u, v in edges:
             if u == v:
                 raise InvalidParameterError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
-            seen.add((u, v) if u < v else (v, u))
-            count += 1
-        if count != len(seen):
+            pairs.append((u, v) if u < v else (v, u))
+        # linear on the presorted edge lists the generators emit; equal
+        # pairs then sit next to each other
+        pairs.sort()
+        if any(map(operator.eq, pairs, islice(pairs, 1, None))):
             raise InvalidParameterError("duplicate edges are not allowed")
+        # filled in sorted edge order, each row receives its smaller
+        # neighbors ascending, then its larger ones ascending
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for u, v in pairs:
+            rows[u].append(v)
+            rows[v].append(u)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        for u, v in seen:
-            buckets[u].append(v)
-            buckets[v].append(u)
-        object.__setattr__(self, "adj", tuple(tuple(sorted(b)) for b in buckets))
+        object.__setattr__(self, "edges", tuple(pairs))
+        object.__setattr__(self, "adj", tuple(map(tuple, rows)))
         object.__setattr__(self, "_nbr_sets", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -130,22 +135,25 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 def core_satellite(params: CoreSatelliteParams) -> Graph:
     """Core-satellite graph: core clique joined to disjoint satellite cliques."""
-    satellites = disjoint_union(
-        [complete_graph(params.satellite_size)] * params.satellite_count
-    )
-    return join(complete_graph(params.core), satellites)
+    return generalized_core_satellite(params.to_generalized())
 
 
 def generalized_core_satellite(params: GeneralizedParams) -> Graph:
     """Generalized core-satellite graph over canonicalized classes.
 
     Satellite blocks appear in ascending class size, cliques of a class
-    consecutive.
+    consecutive.  Edges are emitted in sorted order: each core node's
+    links to every later node, then each satellite clique.
     """
-    blocks: list[Graph] = []
+    n = params.n
+    edges = [(u, v) for u in range(params.core) for v in range(u + 1, n)]
+    start = params.core
     for cls in params.classes:
-        blocks.extend([complete_graph(cls.size)] * cls.count)
-    return join(complete_graph(params.core), disjoint_union(blocks))
+        for _ in range(cls.count):
+            end = start + cls.size
+            edges.extend((u, v) for u in range(start, end) for v in range(u + 1, end))
+            start = end
+    return Graph(n, edges)
 
 
 def star(b: int) -> Graph:

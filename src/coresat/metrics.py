@@ -1,10 +1,21 @@
 """Clustering, transitivity, assortativity, and subgraph counts.
 
-Direct routines work on any Graph.  The ``analytic_*`` routines evaluate
-closed forms in the core-satellite parameters; every closed form here is
-cross-validated against the direct route by the test suite and the
-``verify`` command.  All counts use exact integer arithmetic; ratios are
-converted to floating point only at the last step.
+Direct routines work on any Graph.  ``compute_metrics`` is the direct
+kernel: one pass over the nodes, in the node-iterator style of triangle
+listing (Schank & Wagner, WEA 2005; Latapy, TCS 2008), with each
+neighbor row held as a Python int bitset.  It yields the degrees, the
+triangles through every node and the edge sums, and every report field
+is derived from those integers.  ``triangle_count``, ``path_counts``,
+``average_clustering``, ``transitivity`` and both assortativity routes
+are views of that one report.  The bitsets take up to n**2 / 8 bytes, so
+the kernel refuses graphs above ``DIRECT_NODE_LIMIT`` nodes; adjacency
+is never held as a dense matrix.
+
+The ``analytic_*`` routines evaluate closed forms in the core-satellite
+parameters; every closed form here is cross-validated against the
+direct route by the test suite and the ``verify`` command.  All counts
+use exact integer arithmetic; ratios are converted to floating point
+only at the last step.
 
 Conventions
 -----------
@@ -18,10 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exceptions import SizeLimitError
 from .graphs import Graph
 from .params import CoreSatelliteParams
 
 __all__ = [
+    "DIRECT_NODE_LIMIT",
     "MetricsReport",
     "local_clustering",
     "average_clustering",
@@ -35,6 +48,10 @@ __all__ = [
     "analytic_core_clustering",
     "analytic_metrics",
 ]
+
+
+# one bitset row of up to n bits per node: at most n**2 bits, 128 MiB, here
+DIRECT_NODE_LIMIT = 2**15
 
 
 @dataclass(frozen=True)
@@ -59,20 +76,68 @@ class MetricsReport:
     assortativity_estrada: float | None
 
 
-def _triangles_per_node(g: Graph) -> list[int]:
-    """Triangles through each node, via common-neighbor counts per edge."""
-    nbrs = g.neighbor_sets()
-    twice = [0] * g.n
-    for u, v in g.edges:
-        common = len(nbrs[u] & nbrs[v])
-        twice[u] += common
-        twice[v] += common
-    return [x // 2 for x in twice]
+def compute_metrics(g: Graph) -> MetricsReport:
+    """All metrics of ``g`` by direct computation, in one pass.
+
+    Each node's neighbor row becomes a Python int bitset; the common
+    neighbors of ``u`` and ``v`` are ``(bits[u] & bits[v]).bit_count()``,
+    and twice the triangles through ``u`` is the sum of that count over
+    the neighbors of ``u``.  The edge sums come from node sums:
+    sum k_u*k_v is half of sum_u k_u * (neighbor degree sum of u),
+    sum (k_u + k_v) is sum k**2 and sum (k_u**2 + k_v**2) is sum k**3.
+    """
+    n, m, adj = g.n, g.m, g.adj
+    if n > DIRECT_NODE_LIMIT:
+        raise SizeLimitError(f"n={n} exceeds the direct metrics limit {DIRECT_NODE_LIMIT}")
+    deg = [len(row) for row in adj]
+    bits = []
+    for row in adj:
+        b = 0
+        for v in row:
+            b |= 1 << v
+        bits.append(b)
+    twice = [
+        sum(map(int.bit_count, map(b.__and__, map(bits.__getitem__, row))))
+        for b, row in zip(bits, adj)
+    ]
+    t = sum(twice) // 6
+    # sum over edges of k_u * k_v
+    se = sum(k * sum(map(deg.__getitem__, row)) for k, row in zip(deg, adj)) // 2
+    ss = sum(k * k for k in deg)  # sum over edges of k_u + k_v
+    sq = sum(k * k * k for k in deg)  # sum over edges of k_u**2 + k_v**2
+    p2 = sum(math.comb(k, 2) for k in deg)
+    p3 = se - ss + m - 3 * t  # sum over edges of (k_u - 1)(k_v - 1), minus 3t
+    s13 = sum(math.comb(k, 3) for k in deg)
+
+    avg = 0.0
+    if n:
+        terms = [2.0 * (x // 2) / (k * (k - 1)) for x, k in zip(twice, deg) if k >= 2]
+        avg = math.fsum(terms) / n
+    r = r_estrada = None
+    if m:
+        den = 2 * m * sq - ss * ss
+        if den:
+            r = (4 * m * se - ss * ss) / den
+        den = m * (3 * s13 + p2) - p2 * p2
+        if den:
+            r_estrada = (m * (p3 + 3 * t) - p2 * p2) / den
+    return MetricsReport(
+        n=n,
+        m=m,
+        triangles=t,
+        p1=m,
+        p2=p2,
+        p3=p3,
+        s13=s13,
+        avg_clustering=avg,
+        transitivity=3 * t / p2 if p2 else 0.0,
+        assortativity=r,
+        assortativity_estrada=r_estrada,
+    )
 
 
 def triangle_count(g: Graph) -> int:
-    nbrs = g.neighbor_sets()
-    return sum(len(nbrs[u] & nbrs[v]) for u, v in g.edges) // 3
+    return compute_metrics(g).triangles
 
 
 def local_clustering(g: Graph, u: int) -> float:
@@ -87,15 +152,7 @@ def local_clustering(g: Graph, u: int) -> float:
 
 def average_clustering(g: Graph) -> float:
     """Arithmetic mean of local clustering over all nodes."""
-    if g.n == 0:
-        return 0.0
-    tri = _triangles_per_node(g)
-    terms = []
-    for u in range(g.n):
-        k = g.degree(u)
-        if k >= 2:
-            terms.append(2.0 * tri[u] / (k * (k - 1)))
-    return math.fsum(terms) / g.n
+    return compute_metrics(g).avg_clustering
 
 
 def path_counts(g: Graph) -> tuple[int, int]:
@@ -105,10 +162,8 @@ def path_counts(g: Graph) -> tuple[int, int]:
     p3 = sum over edges of (k_u - 1)(k_v - 1) minus three times the
     triangle count.
     """
-    deg = g.degrees()
-    p2 = sum(math.comb(k, 2) for k in deg)
-    p3 = sum((deg[u] - 1) * (deg[v] - 1) for u, v in g.edges) - 3 * triangle_count(g)
-    return p2, p3
+    rep = compute_metrics(g)
+    return rep.p2, rep.p3
 
 
 def star_triplet_count(g: Graph) -> int:
@@ -118,33 +173,18 @@ def star_triplet_count(g: Graph) -> int:
 
 def transitivity(g: Graph) -> float:
     """3 * triangles / p2, or 0 when the graph has no 2-edge path."""
-    p2, _ = path_counts(g)
-    if p2 == 0:
-        return 0.0
-    return 3 * triangle_count(g) / p2
-
-
-def _assortativity_terms(g: Graph) -> tuple[int, int]:
-    """Exact integer numerator and denominator of degree assortativity."""
-    deg = g.degrees()
-    m = g.m
-    se = ss = sq = 0
-    for u, v in g.edges:
-        ku, kv = deg[u], deg[v]
-        se += ku * kv
-        ss += ku + kv
-        sq += ku * ku + kv * kv
-    return 4 * m * se - ss * ss, 2 * m * sq - ss * ss
+    return compute_metrics(g).transitivity
 
 
 def assortativity(g: Graph) -> float | None:
-    """Pearson correlation of degrees across edges; None when undefined."""
-    if g.m == 0:
-        return None
-    num, den = _assortativity_terms(g)
-    if den == 0:
-        return None
-    return num / den
+    """Pearson correlation of degrees across edges; None when undefined.
+
+    With edge sums se = sum k_u*k_v, ss = sum (k_u + k_v) and
+    sq = sum (k_u**2 + k_v**2):
+
+        r = (4*m*se - ss**2) / (2*m*sq - ss**2)
+    """
+    return compute_metrics(g).assortativity
 
 
 def assortativity_estrada(g: Graph) -> float | None:
@@ -154,37 +194,10 @@ def assortativity_estrada(g: Graph) -> float | None:
 
         r = (m*(p3 + 3t) - p2**2) / (m*(3*s13 + p2) - p2**2)
 
-    Algebraically identical to the edge-based Pearson form; computed from
-    counts alone as an independent route.
+    Algebraically identical to the edge-based Pearson form, but
+    evaluated from the counts alone.
     """
-    if g.m == 0:
-        return None
-    m = g.m
-    t = triangle_count(g)
-    p2, p3 = path_counts(g)
-    s13 = star_triplet_count(g)
-    den = m * (3 * s13 + p2) - p2 * p2
-    if den == 0:
-        return None
-    return (m * (p3 + 3 * t) - p2 * p2) / den
-
-
-def compute_metrics(g: Graph) -> MetricsReport:
-    """All metrics of ``g`` by direct computation."""
-    p2, p3 = path_counts(g)
-    return MetricsReport(
-        n=g.n,
-        m=g.m,
-        triangles=triangle_count(g),
-        p1=g.m,
-        p2=p2,
-        p3=p3,
-        s13=star_triplet_count(g),
-        avg_clustering=average_clustering(g),
-        transitivity=transitivity(g),
-        assortativity=assortativity(g),
-        assortativity_estrada=assortativity_estrada(g),
-    )
+    return compute_metrics(g).assortativity_estrada
 
 
 # ---------------------------------------------------------------------------

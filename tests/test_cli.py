@@ -6,7 +6,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from coresat.cli import main
+from coresat.cli import GENERATE_EDGE_LIMIT, main
+from coresat.metrics import DIRECT_NODE_LIMIT
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -73,6 +74,34 @@ def test_generate_node_limit(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_edge_limit_is_read_before_building(capsys):
+    # n=100001 is within generate's node limit, m=5,000,050,000 is not;
+    # building that graph would exhaust memory long before any output
+    argv = ["--core", "100000", "--satellites", "1:1"]
+    code, out, err = run(["generate", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: m=5000050000 exceeds the limit {GENERATE_EDGE_LIMIT}\n"
+    code, out, err = run(["metrics", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    # the sweep checks its largest row before computing the first
+    code, out, err = run(["sweep", "--cores", "3,1500", "--sizes", "1", "--pmax", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: m=1125750 exceeds the limit {GENERATE_EDGE_LIMIT}\n"
+
+
+def test_metrics_and_sweep_node_limit(capsys):
+    limit = DIRECT_NODE_LIMIT
+    code, out, err = run(["metrics", "--core", "1", "--satellites", f"1:{limit}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: n={limit + 1} exceeds the limit {limit}\n"
+    code, out, err = run(
+        ["sweep", "--cores", "1,2", "--sizes", "1", "--pmax", str(limit)], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: n={limit + 2} exceeds the limit {limit}\n"
 
 
 def test_metrics_butterfly_json(capsys):

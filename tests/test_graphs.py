@@ -25,6 +25,7 @@ from coresat import (
     star,
     windmill,
 )
+from coresat.verification import GRID, sample_generalized_params
 
 
 def test_graph_basic_validation():
@@ -40,6 +41,46 @@ def test_graph_basic_validation():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(InvalidParameterError):
         Graph(-1, [])
+    # duplicates far apart in the input, in either orientation
+    with pytest.raises(InvalidParameterError, match="duplicate"):
+        Graph(4, [(3, 2), (0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InvalidParameterError, match="self-loop"):
+        Graph(4, [(0, 1), (2, 2)])
+    with pytest.raises(InvalidParameterError, match="out of range"):
+        Graph(4, [(-1, 2)])
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_graph_takes_pairs_in_any_order_and_stores_them_sorted(data):
+    n = data.draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    g = Graph(n, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)])
+    assert g.edges == tuple(sorted(chosen))
+    rows = [[] for _ in range(n)]
+    for u, v in chosen:
+        rows[u].append(v)
+        rows[v].append(u)
+    assert g.adj == tuple(tuple(sorted(row)) for row in rows)
+
+
+def _composed(params: GeneralizedParams) -> Graph:
+    """The generator as a composition of the public graph operations."""
+    blocks = [complete_graph(cls.size) for cls in params.classes for _ in range(cls.count)]
+    return join(complete_graph(params.core), disjoint_union(blocks))
+
+
+def test_generators_match_the_join_of_unions():
+    for p in GRID:
+        expected = _composed(p.to_generalized())
+        g = core_satellite(p)
+        assert (g.edges, g.adj) == (expected.edges, expected.adj), p
+    for p in sample_generalized_params():
+        expected = _composed(p)
+        g = generalized_core_satellite(p)
+        assert (g.edges, g.adj) == (expected.edges, expected.adj), p
 
 
 def test_graph_is_immutable():

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GRID_PARAMS, arbitrary_graphs
 from coresat import (
     CoreSatelliteParams,
     Graph,
+    SizeLimitError,
     analytic_core_clustering,
     analytic_metrics,
     assortativity,
@@ -24,6 +28,8 @@ from coresat import (
     transitivity,
     triangle_count,
 )
+from coresat.metrics import DIRECT_NODE_LIMIT
+from coresat.oracle import exhaustive_subgraph_counts
 
 BUTTERFLY = core_satellite(CoreSatelliteParams(1, 2, 2))
 
@@ -247,3 +253,79 @@ def test_star_triplet_is_degree_sum(g):
     from math import comb
 
     assert star_triplet_count(g) == sum(comb(k, 3) for k in g.degrees())
+
+
+@st.composite
+def regular_graphs(draw, max_nodes: int = 9):
+    """Circulant graphs: every node has the same degree."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    jumps = draw(st.sets(st.integers(1, n // 2))) if n >= 3 else set()
+    edges = {tuple(sorted((u, (u + j) % n))) for u in range(n) for j in jumps}
+    return Graph(n, edges)
+
+
+def _exact_ratios(g):
+    """(avg clustering, assortativity) as exact Fractions."""
+    nbrs = [set(row) for row in g.adj]
+    deg = [len(row) for row in g.adj]
+    avg = Fraction(0)
+    for u, k in enumerate(deg):
+        if k >= 2:
+            links = sum(w in nbrs[v] for v, w in itertools.combinations(g.adj[u], 2))
+            avg += Fraction(links, math.comb(k, 2))
+    if g.n:
+        avg /= g.n
+    r = None
+    if g.m:
+        # Newman's edge-degree Pearson correlation, term by term
+        m = g.m
+        joint = Fraction(sum(deg[u] * deg[v] for u, v in g.edges), m)
+        mean = Fraction(sum(deg[u] + deg[v] for u, v in g.edges), 2 * m)
+        square = Fraction(sum(deg[u] ** 2 + deg[v] ** 2 for u, v in g.edges), 2 * m)
+        if square != mean**2:
+            r = (joint - mean**2) / (square - mean**2)
+    return avg, r
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.just(Graph(0, [])),
+        arbitrary_graphs(max_nodes=9),
+        regular_graphs(),
+    )
+)
+def test_one_pass_kernel_matches_enumeration_and_exact_ratios(g):
+    rep = compute_metrics(g)
+    counts = exhaustive_subgraph_counts(g)
+    assert (rep.n, rep.m, rep.p1) == (g.n, g.m, g.m)
+    assert (rep.triangles, rep.p2, rep.p3, rep.s13) == (
+        counts.triangles,
+        counts.p2,
+        counts.p3,
+        counts.s13,
+    )
+    # every single-metric function is a view of the same report
+    assert triangle_count(g) == rep.triangles
+    assert path_counts(g) == (rep.p2, rep.p3)
+    assert star_triplet_count(g) == rep.s13
+    assert average_clustering(g) == rep.avg_clustering
+    assert transitivity(g) == rep.transitivity
+    assert assortativity(g) == rep.assortativity
+    assert assortativity_estrada(g) == rep.assortativity_estrada
+
+    avg, r = _exact_ratios(g)
+    trans = Fraction(3 * counts.triangles, counts.p2) if counts.p2 else 0
+    assert abs(rep.avg_clustering - avg) <= 1e-12
+    assert abs(rep.transitivity - trans) <= 1e-12
+    if r is None:
+        assert rep.assortativity is None and rep.assortativity_estrada is None
+    else:
+        assert abs(rep.assortativity - r) <= 1e-12
+        assert abs(rep.assortativity_estrada - r) <= 1e-12
+
+
+def test_kernel_refuses_graphs_above_the_node_limit():
+    with pytest.raises(SizeLimitError):
+        compute_metrics(Graph(DIRECT_NODE_LIMIT + 1, []))
+    assert compute_metrics(Graph(DIRECT_NODE_LIMIT, [])).avg_clustering == 0.0
