@@ -124,10 +124,12 @@ def _reports_agree(
     return True
 
 
-def _check_size(params: GeneralizedParams, node_limit: int) -> None:
+def _check_size(params: GeneralizedParams) -> None:
     """Refuse a graph too large to build, from its parameters alone."""
-    if params.n > node_limit:
-        raise InvalidParameterError(f"n={params.n} exceeds the limit {node_limit}")
+    if params.n > GENERATE_NODE_LIMIT:
+        raise InvalidParameterError(
+            f"n={params.n} exceeds the limit {GENERATE_NODE_LIMIT}"
+        )
     if params.m > GENERATE_EDGE_LIMIT:
         raise InvalidParameterError(
             f"m={params.m} exceeds the limit {GENERATE_EDGE_LIMIT}"
@@ -136,7 +138,7 @@ def _check_size(params: GeneralizedParams, node_limit: int) -> None:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     params = GeneralizedParams(args.core, args.satellites)
-    _check_size(params, GENERATE_NODE_LIMIT)
+    _check_size(params)
     g = generalized_core_satellite(params)
     _emit(format_graph(g, args.format), args.out)
     summary = f"n={g.n} m={g.m}\n"
@@ -149,7 +151,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     params = GeneralizedParams(args.core, args.satellites)
-    _check_size(params, metrics_mod.DIRECT_NODE_LIMIT)
+    _check_size(params)
     g = generalized_core_satellite(params)
     direct = metrics_mod.compute_metrics(g)
     payload = _params_json(params)
@@ -244,7 +246,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         largest = GeneralizedParams(
             max(args.cores), [(size, args.pmax) for size in args.sizes]
         )
-        _check_size(largest, metrics_mod.DIRECT_NODE_LIMIT)
+        _check_size(largest)
+        # its bitset rows are the widest too: refuse before the first row
+        metrics_mod.check_direct_size(generalized_core_satellite(largest))
     lines = ["c,p,n,m,avg_clustering,transitivity,assortativity"]
     for core in args.cores:
         for p in range(1, args.pmax + 1):

@@ -7,9 +7,16 @@ neighbor row held as a Python int bitset.  It yields the degrees, the
 triangles through every node and the edge sums, and every report field
 is derived from those integers.  ``triangle_count``, ``path_counts``,
 ``average_clustering``, ``transitivity`` and both assortativity routes
-are views of that one report.  The bitsets take up to n**2 / 8 bytes, so
-the kernel refuses graphs above ``DIRECT_NODE_LIMIT`` nodes; adjacency
-is never held as a dense matrix.
+are views of that one report.  Row u of the bitsets spans bits 0 to
+max(adj[u]), so they take about n**2 / 2 bits on a graph of small
+satellite cliques but only about 2n bits on a star; the kernel checks
+that total against ``DIRECT_BITSET_LIMIT`` before it allocates any row.
+Adjacency is never held as a dense matrix.
+
+The Pearson and the subgraph-count (Estrada) assortativity are two
+expressions over the same kernel integers (p3 is derived from the
+Pearson edge sum), so their agreement is not an independent check;
+``analytic_metrics`` and ``oracle.exhaustive_subgraph_counts`` are.
 
 The ``analytic_*`` routines evaluate closed forms in the core-satellite
 parameters; every closed form here is cross-validated against the
@@ -34,7 +41,7 @@ from .graphs import Graph
 from .params import CoreSatelliteParams
 
 __all__ = [
-    "DIRECT_NODE_LIMIT",
+    "DIRECT_BITSET_LIMIT",
     "MetricsReport",
     "local_clustering",
     "average_clustering",
@@ -44,14 +51,18 @@ __all__ = [
     "star_triplet_count",
     "assortativity",
     "assortativity_estrada",
+    "check_direct_size",
     "compute_metrics",
     "analytic_core_clustering",
     "analytic_metrics",
 ]
 
 
-# one bitset row of up to n bits per node: at most n**2 bits, 128 MiB, here
-DIRECT_NODE_LIMIT = 2**15
+# bits summed over the kernel's bitset rows: 128 MiB of bits, enough
+# for every graph of up to 2**15 nodes
+DIRECT_BITSET_LIMIT = 2**30
+# rows with more neighbors are read from a string of binary digits
+_SHIFT_ROW_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,36 @@ class MetricsReport:
     assortativity_estrada: float | None
 
 
+def check_direct_size(g: Graph) -> None:
+    """Refuse ``g`` if its bitset rows would exceed ``DIRECT_BITSET_LIMIT``.
+
+    Rows are sorted, so row u takes ``adj[u][-1] + 1`` bits and the total
+    is known in O(n), before any row is built.
+    """
+    size = sum(row[-1] + 1 for row in g.adj if row)
+    if size > DIRECT_BITSET_LIMIT:
+        raise SizeLimitError(
+            f"bitset rows of {size} bits exceed the direct metrics limit "
+            f"{DIRECT_BITSET_LIMIT}"
+        )
+
+
+def _bitset(row: list[int]) -> int:
+    """The int with bit v set for every v in the sorted ``row``."""
+    if len(row) <= _SHIFT_ROW_LIMIT:
+        b = 0
+        for v in row:
+            b |= 1 << v
+        return b
+    # one shift per neighbor would copy len(row) * row[-1] bits; the
+    # digit string is linear in the row's width
+    top = row[-1]
+    digits = bytearray(b"0") * (top + 1)
+    for i in map(top.__sub__, row):
+        digits[i] = 49  # "1"
+    return int(digits, 2)
+
+
 def compute_metrics(g: Graph) -> MetricsReport:
     """All metrics of ``g`` by direct computation, in one pass.
 
@@ -86,16 +127,10 @@ def compute_metrics(g: Graph) -> MetricsReport:
     sum k_u*k_v is half of sum_u k_u * (neighbor degree sum of u),
     sum (k_u + k_v) is sum k**2 and sum (k_u**2 + k_v**2) is sum k**3.
     """
+    check_direct_size(g)
     n, m, adj = g.n, g.m, g.adj
-    if n > DIRECT_NODE_LIMIT:
-        raise SizeLimitError(f"n={n} exceeds the direct metrics limit {DIRECT_NODE_LIMIT}")
     deg = [len(row) for row in adj]
-    bits = []
-    for row in adj:
-        b = 0
-        for v in row:
-            b |= 1 << v
-        bits.append(b)
+    bits = list(map(_bitset, adj))
     twice = [
         sum(map(int.bit_count, map(b.__and__, map(bits.__getitem__, row))))
         for b, row in zip(bits, adj)
@@ -194,8 +229,9 @@ def assortativity_estrada(g: Graph) -> float | None:
 
         r = (m*(p3 + 3t) - p2**2) / (m*(3*s13 + p2) - p2**2)
 
-    Algebraically identical to the edge-based Pearson form, but
-    evaluated from the counts alone.
+    Algebraically identical to the edge-based Pearson form and
+    evaluated from the counts; the kernel derives p3 from the Pearson
+    edge sum, so the two routes are not independent of each other.
     """
     return compute_metrics(g).assortativity_estrada
 

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from coresat.cli import GENERATE_EDGE_LIMIT, main
-from coresat.metrics import DIRECT_NODE_LIMIT
+from coresat.metrics import DIRECT_BITSET_LIMIT
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -77,31 +77,50 @@ def test_generate_node_limit(capsys):
 
 
 def test_edge_limit_is_read_before_building(capsys):
-    # n=100001 is within generate's node limit, m=5,000,050,000 is not;
+    # n=100001 is within the node limit, m=5,000,050,000 is not;
     # building that graph would exhaust memory long before any output
     argv = ["--core", "100000", "--satellites", "1:1"]
-    code, out, err = run(["generate", *argv], capsys)
+    for command in ("generate", "metrics"):
+        code, out, err = run([command, *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: m=5000050000 exceeds the limit {GENERATE_EDGE_LIMIT}\n"
+    # n=1501 is small, m=1,125,750 is over the limit
+    code, out, err = run(["metrics", "--core", "1500", "--satellites", "1:1"], capsys)
     assert (code, out) == (2, "")
-    assert err == f"error: m=5000050000 exceeds the limit {GENERATE_EDGE_LIMIT}\n"
-    code, out, err = run(["metrics", *argv], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err == f"error: m=1125750 exceeds the limit {GENERATE_EDGE_LIMIT}\n"
     # the sweep checks its largest row before computing the first
     code, out, err = run(["sweep", "--cores", "3,1500", "--sizes", "1", "--pmax", "1"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: m=1125750 exceeds the limit {GENERATE_EDGE_LIMIT}\n"
 
 
-def test_metrics_and_sweep_node_limit(capsys):
-    limit = DIRECT_NODE_LIMIT
-    code, out, err = run(["metrics", "--core", "1", "--satellites", f"1:{limit}"], capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: n={limit + 1} exceeds the limit {limit}\n"
-    code, out, err = run(
-        ["sweep", "--cores", "1,2", "--sizes", "1", "--pmax", str(limit)], capsys
+def test_metrics_and_sweep_bitset_limit(capsys):
+    # 25000 satellite pairs: n=50001 and m=75000 are within the limits, but
+    # each satellite row reaches its own index, about n**2 / 2 bits in all
+    message = (
+        "error: bitset rows of 1250125001 bits exceed the direct metrics "
+        f"limit {DIRECT_BITSET_LIMIT}\n"
     )
-    assert (code, out) == (2, "")
-    assert err == f"error: n={limit + 2} exceeds the limit {limit}\n"
+    code, out, err = run(["metrics", "--core", "1", "--satellites", "2:25000"], capsys)
+    assert (code, out, err) == (2, "", message)
+    code, out, err = run(["sweep", "--cores", "1", "--sizes", "2", "--pmax", "25000"], capsys)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_metrics_on_a_large_star(capsys):
+    # n=40001 nodes, but the hub's row is the only wide one
+    code, out, err = run(["metrics", "--core", "1", "--satellites", "1:40000"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["n"], payload["m"]) == (40001, 40000)
+    direct = payload["direct"]
+    assert (direct["triangles"], direct["p2"], direct["avg_clustering"]) == (
+        0,
+        40000 * 39999 // 2,
+        0.0,
+    )
+    assert direct["assortativity"] == -1.0
+    assert payload["agreement"] is True
 
 
 def test_metrics_butterfly_json(capsys):

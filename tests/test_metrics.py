@@ -28,7 +28,7 @@ from coresat import (
     transitivity,
     triangle_count,
 )
-from coresat.metrics import DIRECT_NODE_LIMIT
+from coresat.metrics import DIRECT_BITSET_LIMIT, _bitset, check_direct_size
 from coresat.oracle import exhaustive_subgraph_counts
 
 BUTTERFLY = core_satellite(CoreSatelliteParams(1, 2, 2))
@@ -325,7 +325,53 @@ def test_one_pass_kernel_matches_enumeration_and_exact_ratios(g):
         assert abs(rep.assortativity_estrada - r) <= 1e-12
 
 
-def test_kernel_refuses_graphs_above_the_node_limit():
-    with pytest.raises(SizeLimitError):
-        compute_metrics(Graph(DIRECT_NODE_LIMIT + 1, []))
-    assert compute_metrics(Graph(DIRECT_NODE_LIMIT, [])).avg_clustering == 0.0
+def test_kernel_limit_counts_the_bits_it_allocates():
+    # a star on 2**15 + 1 nodes: with its hub at node 0 every leaf row is
+    # one bit wide, with its hub at the last node every leaf row is n bits
+    n = 2**15 + 1
+    hub_first = Graph(n, [(0, v) for v in range(1, n)])
+    hub_last = Graph(n, [(u, n - 1) for u in range(n - 1)])
+    check_direct_size(hub_first)
+    rep = compute_metrics(hub_first)
+    assert (rep.triangles, rep.p2, rep.p3, rep.avg_clustering) == (0, math.comb(n - 1, 2), 0, 0.0)
+    assert rep.assortativity == pytest.approx(-1.0, abs=1e-12)
+    # n - 1 leaf rows of n bits and a hub row of n - 1 bits
+    size = (n - 1) * (n + 1)
+    assert size > DIRECT_BITSET_LIMIT
+    with pytest.raises(SizeLimitError, match=f"{size} bits"):
+        compute_metrics(hub_last)
+    # nodes without edges take no bits at all
+    assert compute_metrics(Graph(10**5, [])).avg_clustering == 0.0
+
+
+@st.composite
+def dense_graphs(draw):
+    """Graphs of 18 to 40 nodes, dense enough for rows over 16 neighbors."""
+    n = draw(st.integers(min_value=18, max_value=40))
+    density = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, [pair for pair in pairs if rng.random() < density])
+
+
+def test_bitset_rows_on_both_sides_of_the_digit_string_switch():
+    for width in range(40):
+        row = list(range(3, 3 + 2 * width, 2))
+        assert _bitset(row) == sum(1 << v for v in row)
+
+
+@settings(max_examples=20)
+@given(dense_graphs())
+def test_kernel_on_wide_rows_matches_set_counts_and_exact_ratios(g):
+    nbrs = [set(row) for row in g.adj]
+    deg = [len(row) for row in g.adj]
+    tri = sum(len(nbrs[u] & nbrs[v]) for u, v in g.edges) // 3
+    p3 = sum((deg[u] - 1) * (deg[v] - 1) for u, v in g.edges) - 3 * tri
+    rep = compute_metrics(g)
+    assert (rep.triangles, rep.p3) == (tri, p3)
+    avg, r = _exact_ratios(g)
+    assert abs(rep.avg_clustering - avg) <= 1e-12
+    if r is None:
+        assert rep.assortativity is None
+    else:
+        assert abs(rep.assortativity - r) <= 1e-12
