@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from itertools import islice
+from itertools import combinations, islice, repeat
 from typing import Iterable, Sequence
 
 from .exceptions import InvalidParameterError
@@ -100,7 +100,7 @@ def complete_graph(p: int) -> Graph:
     """Clique on ``p`` nodes."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise InvalidParameterError(f"complete_graph needs p >= 1, got {p!r}")
-    return Graph(p, [(u, v) for u in range(p) for v in range(u + 1, p)])
+    return Graph(p, combinations(range(p), 2))
 
 
 def empty_graph(p: int) -> Graph:
@@ -146,12 +146,14 @@ def generalized_core_satellite(params: GeneralizedParams) -> Graph:
     links to every later node, then each satellite clique.
     """
     n = params.n
-    edges = [(u, v) for u in range(params.core) for v in range(u + 1, n)]
+    edges: list[tuple[int, int]] = []
+    for u in range(params.core):
+        edges.extend(zip(repeat(u), range(u + 1, n)))
     start = params.core
     for cls in params.classes:
         for _ in range(cls.count):
             end = start + cls.size
-            edges.extend((u, v) for u in range(start, end) for v in range(u + 1, end))
+            edges.extend(combinations(range(start, end), 2))
             start = end
     return Graph(n, edges)
 

@@ -1,17 +1,24 @@
 """Clustering, transitivity, assortativity, and subgraph counts.
 
 Direct routines work on any Graph.  ``compute_metrics`` is the direct
-kernel: one pass over the nodes, in the node-iterator style of triangle
-listing (Schank & Wagner, WEA 2005; Latapy, TCS 2008), with each
-neighbor row held as a Python int bitset.  It yields the degrees, the
-triangles through every node and the edge sums, and every report field
-is derived from those integers.  ``triangle_count``, ``path_counts``,
-``average_clustering``, ``transitivity`` and both assortativity routes
-are views of that one report.  Row u of the bitsets spans bits 0 to
-max(adj[u]), so they take about n**2 / 2 bits on a graph of small
-satellite cliques but only about 2n bits on a star; the kernel checks
-that total against ``DIRECT_BITSET_LIMIT`` before it allocates any row.
-Adjacency is never held as a dense matrix.
+kernel, in the node-iterator style of triangle listing (Schank & Wagner,
+WEA 2005; Latapy, TCS 2008), with neighbor rows held as Python int
+bitsets.  It first splits the nodes into runs of true twins, nodes with
+equal closed neighborhoods.  Every satellite clique of a core-satellite
+graph is such a run, and so is the core: they form an equitable
+partition (Cvetkovic, Rowlinson & Simic, *An Introduction to the Theory
+of Graph Spectra*, 2010).  Twins have the same degree, triangles and
+neighbor degree sum, so the kernel computes them for one representative
+per run, and only representatives get a bitset row.  Only proven twins
+are merged, so the result is exact on any graph; a graph without twins
+gives runs of one node each.  Every report field is derived from those
+integers, expanded to every node of the run.  ``triangle_count``,
+``path_counts``, ``average_clustering``, ``transitivity`` and both
+assortativity routes are views of that one report.  Row u of the
+bitsets spans bits 0 to max(adj[u]).  ``DIRECT_BITSET_LIMIT`` is still
+checked against the total over every row, before any row is built: about
+n**2 / 2 bits on a graph of small satellite cliques but only about 2n
+bits on a star.  Adjacency is never held as a dense matrix.
 
 The Pearson and the subgraph-count (Estrada) assortativity are two
 expressions over the same kernel integers (p3 is derived from the
@@ -33,8 +40,11 @@ Conventions
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, islice, repeat
+from operator import eq, mul, sub
 
 from .exceptions import SizeLimitError
 from .graphs import Graph
@@ -117,37 +127,83 @@ def _bitset(row: list[int]) -> int:
     return int(digits, 2)
 
 
-def compute_metrics(g: Graph) -> MetricsReport:
-    """All metrics of ``g`` by direct computation, in one pass.
+def _twin_classes(adj: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
+    """First nodes and sizes of the runs of consecutive true twins, in O(m).
 
-    Each node's neighbor row becomes a Python int bitset; the common
-    neighbors of ``u`` and ``v`` are ``(bits[u] & bits[v]).bit_count()``,
-    and twice the triangles through ``u`` is the sum of that count over
-    the neighbors of ``u``.  The edge sums come from node sums:
-    sum k_u*k_v is half of sum_u k_u * (neighbor degree sum of u),
-    sum (k_u + k_v) is sum k**2 and sum (k_u**2 + k_v**2) is sum k**3.
+    True twins have equal closed neighborhoods N[u] = N(u) + {u}.  Node v
+    joins the run of v - 1 when their sorted rows are equal once v - 1
+    and v swap places.  That needs row sums that differ by exactly one,
+    which is tested for all nodes before any row is compared.  Only
+    proven twins are merged; a graph without consecutive twins gives n
+    runs of one node.
+    """
+    n = len(adj)
+    sums = list(map(sum, adj))
+    first = bytearray(b"\x01") * n
+    for v in compress(range(1, n), map(eq, map(sub, sums, islice(sums, 1, None)), repeat(1))):
+        a, b = adj[v - 1], adj[v]
+        i = bisect_left(a, v)
+        if (
+            len(a) == len(b)
+            and i < len(a)
+            and a[i] == v
+            and b[i] == v - 1
+            and a[:i] == b[:i]
+            and a[i + 1 :] == b[i + 1 :]
+        ):
+            first[v] = 0
+    firsts = list(compress(range(n), first))
+    return firsts, list(map(sub, chain(islice(firsts, 1, None), (n,)), firsts))
+
+
+def compute_metrics(g: Graph) -> MetricsReport:
+    """All metrics of ``g`` by direct computation, once per twin class.
+
+    ``_twin_classes`` splits the nodes into runs of true twins.  Twins
+    share every per-node value below, so each is computed for a run's
+    first node r only and weighted by the run's size z.  Only r gets a
+    Python int bitset row, and every node v reads its class's row as
+    ``bits[v]``.  A class D next to r lies wholly in N(r), and each of
+    its nodes has as many common neighbors with r as D's first node has,
+    so the sum of ``(bits[r] & bits[v]).bit_count()`` over the neighbors
+    v of r is twice the triangles through r, except that each of r's
+    z - 1 twins reads r's own row and counts k where it shares k - 1.
+    The edge sums come from node sums: sum k_u*k_v is half of
+    sum_u k_u * (neighbor degree sum of u), sum (k_u + k_v) is sum k**2
+    and sum (k_u**2 + k_v**2) is sum k**3.
     """
     check_direct_size(g)
     n, m, adj = g.n, g.m, g.adj
-    deg = [len(row) for row in adj]
-    bits = list(map(_bitset, adj))
+    reps, sizes = _twin_classes(adj)
+    rows = list(map(adj.__getitem__, reps))
+    bits = list(map(_bitset, rows))
+    if len(reps) < n:  # every node reads its representative's row
+        bits = list(chain.from_iterable(map(repeat, bits, sizes)))
+    node_deg = list(map(len, adj))
+    deg = list(map(len, rows))
     twice = [
-        sum(map(int.bit_count, map(b.__and__, map(bits.__getitem__, row))))
-        for b, row in zip(bits, adj)
+        sum(map(int.bit_count, map(b.__and__, map(bits.__getitem__, row)))) - (z - 1)
+        for b, row, z in zip(map(bits.__getitem__, reps), rows, sizes)
     ]
-    t = sum(twice) // 6
+    nds = [sum(map(node_deg.__getitem__, row)) for row in rows]
+    squares = list(map(mul, deg, deg))
+    t = sum(map(mul, sizes, twice)) // 6
     # sum over edges of k_u * k_v
-    se = sum(k * sum(map(deg.__getitem__, row)) for k, row in zip(deg, adj)) // 2
-    ss = sum(k * k for k in deg)  # sum over edges of k_u + k_v
-    sq = sum(k * k * k for k in deg)  # sum over edges of k_u**2 + k_v**2
-    p2 = sum(math.comb(k, 2) for k in deg)
+    se = sum(map(mul, sizes, map(mul, deg, nds))) // 2
+    ss = sum(map(mul, sizes, squares))  # sum over edges of k_u + k_v
+    sq = sum(map(mul, sizes, map(mul, squares, deg)))  # sum over edges of k_u**2 + k_v**2
+    p2 = sum(map(mul, sizes, map(math.comb, deg, repeat(2))))
     p3 = se - ss + m - 3 * t  # sum over edges of (k_u - 1)(k_v - 1), minus 3t
-    s13 = sum(math.comb(k, 3) for k in deg)
+    s13 = sum(map(mul, sizes, map(math.comb, deg, repeat(3))))
 
-    avg = 0.0
-    if n:
-        terms = [2.0 * (x // 2) / (k * (k - 1)) for x, k in zip(twice, deg) if k >= 2]
-        avg = math.fsum(terms) / n
+    # one term per node, as if computed node by node: fsum rounds once
+    terms = [
+        term
+        for x, k, z in zip(twice, deg, sizes)
+        if k >= 2
+        for term in repeat(2.0 * (x // 2) / (k * (k - 1)), z)
+    ]
+    avg = math.fsum(terms) / n if n else 0.0
     r = r_estrada = None
     if m:
         den = 2 * m * sq - ss * ss

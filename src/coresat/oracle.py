@@ -34,9 +34,9 @@ def adjacency_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     if g.n > max_n:
         raise SizeLimitError(f"n={g.n} exceeds dense limit {max_n}")
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
+    us, vs = ends[0::2], ends[1::2]
+    a[us, vs] = a[vs, us] = 1.0
     return a
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import metrics, oracle, spectra
-from .graphs import core_satellite, generalized_core_satellite, is_connected
+from .graphs import Graph, core_satellite, generalized_core_satellite, is_connected
 from .params import CoreSatelliteParams, GeneralizedParams
 
 __all__ = ["CheckResult", "run_checks", "sample_generalized_params", "GRID"]
@@ -36,6 +36,20 @@ class CheckResult:
     detail: str = ""
 
 
+# one case: its parameters, them as GeneralizedParams, its graph and the
+# graph's direct metrics.  A plain tuple: a dataclass here would add about
+# 2 ms to every import of the package.
+_Case = tuple[
+    CoreSatelliteParams | GeneralizedParams, GeneralizedParams, Graph, metrics.MetricsReport
+]
+
+
+def _case(
+    params: CoreSatelliteParams | GeneralizedParams, general: GeneralizedParams, graph: Graph
+) -> _Case:
+    return params, general, graph, metrics.compute_metrics(graph)
+
+
 def sample_generalized_params(
     count: int = 20,
     *,
@@ -56,9 +70,8 @@ def sample_generalized_params(
     return out
 
 
-def _check_counts_and_structure() -> CheckResult:
-    for p in GRID:
-        g = core_satellite(p)
+def _check_counts_and_structure(grid: list[_Case]) -> CheckResult:
+    for p, _, g, _ in grid:
         rep = metrics.analytic_metrics(p)
         if g.n != rep.n or g.m != rep.m:
             return CheckResult(
@@ -70,14 +83,12 @@ def _check_counts_and_structure() -> CheckResult:
             return CheckResult("counts-closed-forms", False, f"{p}: degrees {degs}")
         if not is_connected(g):
             return CheckResult("counts-closed-forms", False, f"{p}: not connected")
-    return CheckResult("counts-closed-forms", True, f"{len(GRID)} graphs")
+    return CheckResult("counts-closed-forms", True, f"{len(grid)} graphs")
 
 
-def _check_clustering_closed_forms(fault: bool) -> CheckResult:
+def _check_clustering_closed_forms(grid: list[_Case], fault: bool) -> CheckResult:
     worst = 0.0
-    for p in GRID:
-        g = core_satellite(p)
-        direct = metrics.compute_metrics(g)
+    for p, _, _, direct in grid:
         closed = metrics.analytic_metrics(p, triangle_sign_fault=fault)
         if closed.triangles != direct.triangles or closed.p2 != direct.p2:
             return CheckResult(
@@ -95,11 +106,9 @@ def _check_clustering_closed_forms(fault: bool) -> CheckResult:
     return CheckResult("clustering-closed-forms", True, f"max gap {worst:.1e}")
 
 
-def _check_assortativity() -> CheckResult:
-    for p in GRID:
-        g = core_satellite(p)
-        r = metrics.assortativity(g)
-        r2 = metrics.assortativity_estrada(g)
+def _check_assortativity(grid: list[_Case]) -> CheckResult:
+    for p, _, _, direct in grid:
+        r, r2 = direct.assortativity, direct.assortativity_estrada
         closed = metrics.analytic_metrics(p).assortativity
         if (r is None) != (r2 is None) or (r is None) != (closed is None):
             return CheckResult("assortativity", False, f"{p}: definedness differs")
@@ -112,16 +121,14 @@ def _check_assortativity() -> CheckResult:
     return CheckResult("assortativity", True, "negative, three routes agree")
 
 
-def _check_enumeration(max_enum_n: int) -> CheckResult:
+def _check_enumeration(grid: list[_Case], max_enum_n: int) -> CheckResult:
     import numpy as np
 
     checked = 0
-    for p in GRID:
+    for p, _, g, rep in grid:
         if p.n > max_enum_n:
             continue
-        g = core_satellite(p)
         counts = oracle.exhaustive_subgraph_counts(g)
-        rep = metrics.compute_metrics(g)
         if (counts.triangles, counts.p2, counts.p3, counts.s13) != (
             rep.triangles,
             rep.p2,
@@ -137,12 +144,11 @@ def _check_enumeration(max_enum_n: int) -> CheckResult:
     return CheckResult("subgraph-enumeration", True, f"{checked} graphs enumerated")
 
 
-def _check_adjacency_spectra(dense_limit: int, tol: float) -> CheckResult:
+def _check_adjacency_spectra(grid: list[_Case], dense_limit: int, tol: float) -> CheckResult:
     worst = 0.0
-    for p in GRID:
+    for p, _, g, _ in grid:
         if p.n > dense_limit:
             continue
-        g = core_satellite(p)
         result = spectra.adjacency_spectrum_cs(p)
         numeric = oracle.eigenvalues_symmetric(oracle.adjacency_matrix(g))
         dev = spectra.max_spectrum_deviation(result, numeric)
@@ -152,12 +158,11 @@ def _check_adjacency_spectra(dense_limit: int, tol: float) -> CheckResult:
     return CheckResult("adjacency-spectra", True, f"max deviation {worst:.1e}")
 
 
-def _check_generalized_spectra(dense_limit: int, tol: float) -> CheckResult:
+def _check_generalized_spectra(sample: list[_Case], dense_limit: int, tol: float) -> CheckResult:
     worst = 0.0
-    for p in sample_generalized_params():
+    for _, p, g, _ in sample:
         if p.n > dense_limit:
             continue
-        g = generalized_core_satellite(p)
         result = spectra.adjacency_spectrum_gcs(p)
         numeric = oracle.eigenvalues_symmetric(oracle.adjacency_matrix(g))
         dev = spectra.max_spectrum_deviation(result, numeric)
@@ -176,17 +181,15 @@ def _check_generalized_spectra(dense_limit: int, tol: float) -> CheckResult:
     return CheckResult("generalized-spectra", True, f"max deviation {worst:.1e}")
 
 
-def _check_laplacian(dense_limit: int, tol: float) -> CheckResult:
+def _check_laplacian(cases: list[_Case], dense_limit: int, tol: float) -> CheckResult:
     worst = 0.0
-    cases = [p.to_generalized() for p in GRID] + sample_generalized_params()
-    for p in cases:
+    for _, p, g, _ in cases:
         if p.n > dense_limit:
             continue
         result = spectra.laplacian_spectrum_gcs(p)
         for value, _ in result.eigenpairs:
             if value != int(value):
                 return CheckResult("laplacian-spectra", False, f"{p}: non-integer {value}")
-        g = generalized_core_satellite(p)
         numeric = oracle.eigenvalues_symmetric(oracle.laplacian_matrix(g))
         dev = spectra.max_spectrum_deviation(result, numeric)
         worst = max(worst, dev)
@@ -198,11 +201,10 @@ def _check_laplacian(dense_limit: int, tol: float) -> CheckResult:
     return CheckResult("laplacian-spectra", True, f"max deviation {worst:.1e}")
 
 
-def _check_bounds_and_eigenvector(tol: float) -> CheckResult:
+def _check_bounds_and_eigenvector(cases: list[_Case], tol: float) -> CheckResult:
     import numpy as np
 
-    cases = [p.to_generalized() for p in GRID] + sample_generalized_params()
-    for p in cases:
+    for _, p, g, _ in cases:
         rho = spectra.spectral_radius(p)
         lower, upper = spectra.spectral_radius_bounds(p)
         if not (lower < rho < upper):
@@ -213,7 +215,6 @@ def _check_bounds_and_eigenvector(tol: float) -> CheckResult:
         if any(not 0.0 < beta < 1.0 for beta in pev.class_values):
             return CheckResult("bounds-eigenvector", False, f"{p}: beta out of (0,1)")
         if p.n <= 200:
-            g = generalized_core_satellite(p)
             a = oracle.adjacency_matrix(g)
             vec = np.array(pev.to_vector(p))
             residual = float(np.max(np.abs(a @ vec - rho * vec)))
@@ -222,9 +223,8 @@ def _check_bounds_and_eigenvector(tol: float) -> CheckResult:
     return CheckResult("bounds-eigenvector", True, f"{len(cases)} parameter sets")
 
 
-def _check_indices() -> CheckResult:
-    cases = [p.to_generalized() for p in GRID] + sample_generalized_params()
-    for p in cases:
+def _check_indices(cases: list[_Case]) -> CheckResult:
+    for _, p, _, _ in cases:
         idx = spectra.spectral_indices(p)
         lap = spectra.laplacian_spectrum_gcs(p)
         values = [v for v, _ in lap.eigenpairs]
@@ -263,16 +263,23 @@ def run_checks(
     max_enum_n: int = 14,
     triangle_sign_fault: bool = False,
 ) -> list[CheckResult]:
-    """Run the full verification battery; order is deterministic."""
+    """Run the full verification battery; order is deterministic.
+
+    Each ``GRID`` and ``sample_generalized_params()`` graph is built once,
+    with its direct metrics, and shared by every check that reads it.
+    """
+    grid = [_case(p, p.to_generalized(), core_satellite(p)) for p in GRID]
+    sample = [_case(p, p, generalized_core_satellite(p)) for p in sample_generalized_params()]
+    both = grid + sample
     return [
-        _check_counts_and_structure(),
-        _check_clustering_closed_forms(triangle_sign_fault),
-        _check_assortativity(),
-        _check_enumeration(min(max_enum_n, oracle.DEFAULT_ENUM_LIMIT)),
-        _check_adjacency_spectra(dense_limit, tol),
-        _check_generalized_spectra(dense_limit, tol),
-        _check_laplacian(dense_limit, tol),
-        _check_bounds_and_eigenvector(tol),
-        _check_indices(),
+        _check_counts_and_structure(grid),
+        _check_clustering_closed_forms(grid, triangle_sign_fault),
+        _check_assortativity(grid),
+        _check_enumeration(grid, min(max_enum_n, oracle.DEFAULT_ENUM_LIMIT)),
+        _check_adjacency_spectra(grid, dense_limit, tol),
+        _check_generalized_spectra(sample, dense_limit, tol),
+        _check_laplacian(both, dense_limit, tol),
+        _check_bounds_and_eigenvector(both, tol),
+        _check_indices(both),
         _check_divergence(),
     ]

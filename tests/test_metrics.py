@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import GRID_PARAMS, arbitrary_graphs
 from coresat import (
     CoreSatelliteParams,
+    GeneralizedParams,
     Graph,
     SizeLimitError,
     analytic_core_clustering,
@@ -21,6 +23,7 @@ from coresat import (
     complete_graph,
     compute_metrics,
     core_satellite,
+    generalized_core_satellite,
     local_clustering,
     path_counts,
     star,
@@ -28,7 +31,7 @@ from coresat import (
     transitivity,
     triangle_count,
 )
-from coresat.metrics import DIRECT_BITSET_LIMIT, _bitset, check_direct_size
+from coresat.metrics import DIRECT_BITSET_LIMIT, _bitset, _twin_classes, check_direct_size
 from coresat.oracle import exhaustive_subgraph_counts
 
 BUTTERFLY = core_satellite(CoreSatelliteParams(1, 2, 2))
@@ -375,3 +378,101 @@ def test_kernel_on_wide_rows_matches_set_counts_and_exact_ratios(g):
         assert rep.assortativity is None
     else:
         assert abs(rep.assortativity - r) <= 1e-12
+
+
+def _relabel(g, perm):
+    """``g`` with node u renamed perm[u]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@st.composite
+def planted_twin_graphs(draw):
+    """Random graphs blown up into groups of true and false twins.
+
+    Each node of a random base graph becomes a group of 1 to 3 nodes: a
+    clique (true twins) or an independent set (false twins), joined to
+    every node of the groups next to it.  Isolated nodes are appended,
+    and the nodes are relabelled at random or left in group order.
+    """
+    base = draw(st.integers(min_value=0, max_value=6))
+    pairs = list(itertools.combinations(range(base), 2))
+    links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    groups, n = [], 0
+    for _ in range(base):
+        size = draw(st.integers(min_value=1, max_value=3))
+        groups.append((range(n, n + size), draw(st.booleans())))
+        n += size
+    edges = [e for nodes, clique in groups if clique for e in itertools.combinations(nodes, 2)]
+    edges += [(u, v) for a, b in links for u in groups[a][0] for v in groups[b][0]]
+    n += draw(st.integers(min_value=0, max_value=2))
+    g = Graph(n, edges)
+    if draw(st.booleans()):
+        g = _relabel(g, draw(st.permutations(range(n))))
+    return g
+
+
+def _closed_rows(g):
+    return [frozenset(row) | {u} for u, row in enumerate(g.adj)]
+
+
+@settings(max_examples=300)
+@given(planted_twin_graphs())
+def test_kernel_on_planted_twins_matches_counts_and_exact_ratios(g):
+    # the runs are exactly the maximal runs of consecutive true twins
+    firsts, sizes = _twin_classes(g.adj)
+    closed = _closed_rows(g)
+    starts = [v for v in range(g.n) if v == 0 or closed[v] != closed[v - 1]]
+    assert firsts == starts
+    assert sum(sizes) == g.n and all(z >= 1 for z in sizes)
+
+    rep = compute_metrics(g)
+    deg = [len(row) for row in g.adj]
+    if g.n <= 9:
+        counts = exhaustive_subgraph_counts(g)
+        tri, p3 = counts.triangles, counts.p3
+        assert (rep.p2, rep.s13) == (counts.p2, counts.s13)
+    else:
+        nbrs = g.neighbor_sets()
+        tri = sum(len(nbrs[u] & nbrs[v]) for u, v in g.edges) // 3
+        p3 = sum((deg[u] - 1) * (deg[v] - 1) for u, v in g.edges) - 3 * tri
+        assert rep.p2 == sum(math.comb(k, 2) for k in deg)
+        assert rep.s13 == sum(math.comb(k, 3) for k in deg)
+    assert (rep.n, rep.m, rep.triangles, rep.p3) == (g.n, g.m, tri, p3)
+
+    avg, r = _exact_ratios(g)
+    trans = Fraction(3 * tri, rep.p2) if rep.p2 else 0
+    assert abs(rep.avg_clustering - avg) <= 1e-12
+    assert abs(rep.transitivity - trans) <= 1e-12
+    if r is None:
+        assert rep.assortativity is None and rep.assortativity_estrada is None
+    else:
+        assert abs(rep.assortativity - r) <= 1e-12
+        assert abs(rep.assortativity_estrada - r) <= 1e-12
+
+
+SWEEP_LARGEST = GeneralizedParams(10, [(3, 100), (5, 100), (7, 100)])
+
+
+def test_sweep_graph_report_survives_relabelling():
+    # relabelled, few twins stay next to each other: 1503 classes in
+    # place of 301, so nearly every node is a class of its own
+    g = generalized_core_satellite(SWEEP_LARGEST)
+    assert g.n == 1510
+    perm = list(range(g.n))
+    random.Random(1510).shuffle(perm)
+    shuffled = _relabel(g, perm)
+    assert len(_twin_classes(shuffled.adj)[0]) == 1503
+    assert compute_metrics(shuffled) == compute_metrics(g)
+
+
+def test_twin_class_counts():
+    # the core and each satellite clique: 1 + 300 classes
+    assert len(_twin_classes(generalized_core_satellite(SWEEP_LARGEST).adj)[0]) == 301
+    for n in (1, 2, 7):
+        assert _twin_classes(complete_graph(n).adj) == ([0], [n])
+    for n in (3, 4, 9):
+        path = Graph(n, [(u, u + 1) for u in range(n - 1)])
+        assert _twin_classes(path.adj) == (list(range(n)), [1] * n)
+    for b in (2, 5):
+        assert len(_twin_classes(star(b).adj)[0]) == b + 1
+    assert _twin_classes(Graph(0, []).adj) == ([], [])

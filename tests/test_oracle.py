@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import arbitrary_graphs
+from conftest import GRID_PARAMS, arbitrary_graphs
 from coresat import (
     CoreSatelliteParams,
     Graph,
@@ -33,6 +33,18 @@ def test_adjacency_matrix_butterfly():
     assert np.all(np.diag(a) == 0)
     assert a.sum() == 2 * g.m
     assert a[1, 2] == 1 and a[3, 4] == 1 and a[1, 3] == 0
+
+
+def test_adjacency_matrix_equals_the_matrix_filled_edge_by_edge():
+    graphs = [core_satellite(p) for p in GRID_PARAMS] + [Graph(0, []), Graph(3, [])]
+    for g in graphs:
+        loop = np.zeros((g.n, g.n))
+        for u, v in g.edges:
+            loop[u, v] = 1.0
+            loop[v, u] = 1.0
+        assert np.array_equal(adjacency_matrix(g), loop), g
+        loop[np.diag_indices(g.n)] = -np.array(g.degrees(), dtype=float)
+        assert np.array_equal(laplacian_matrix(g), -loop), g
 
 
 def test_laplacian_matrix_rows_sum_to_zero():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from coresat import run_checks, sample_generalized_params
+from collections import Counter
+
+from coresat import run_checks, sample_generalized_params, verification
 from coresat.verification import GRID
 
 EXPECTED_ORDER = [
@@ -57,3 +59,28 @@ def test_injected_fault_is_caught():
 def test_tight_tolerance_still_passes():
     results = run_checks(tol=1e-10, max_enum_n=10)
     assert all(r.passed for r in results)
+
+
+def test_each_case_is_built_and_measured_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in (
+        (verification, "core_satellite"),
+        (verification, "generalized_core_satellite"),
+        (verification.metrics, "compute_metrics"),
+    ):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    assert all(r.passed for r in run_checks())
+    sampled = len(sample_generalized_params())
+    assert calls == Counter(
+        core_satellite=len(GRID),
+        generalized_core_satellite=sampled,
+        compute_metrics=len(GRID) + sampled,
+    )
