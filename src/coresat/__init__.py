@@ -38,7 +38,6 @@ from .metrics import (
     compute_metrics,
     local_clustering,
     path_counts,
-    star_triplet_count,
     transitivity,
     triangle_count,
 )
@@ -56,11 +55,8 @@ from .spectra import (
     PrincipalEigenvector,
     SpectralIndices,
     SpectrumResult,
-    adjacency_spectrum_cs,
     adjacency_spectrum_gcs,
     divisor_matrix,
-    expand_eigenpairs,
-    extreme_eigenvalues,
     laplacian_spectrum_gcs,
     max_spectrum_deviation,
     principal_eigenvector,
@@ -89,7 +85,6 @@ __all__ = [
     "SpectrumResult",
     "SubgraphCounts",
     "adjacency_matrix",
-    "adjacency_spectrum_cs",
     "adjacency_spectrum_gcs",
     "agave",
     "analytic_core_clustering",
@@ -106,8 +101,6 @@ __all__ = [
     "eigenvalues_symmetric",
     "empty_graph",
     "exhaustive_subgraph_counts",
-    "expand_eigenpairs",
-    "extreme_eigenvalues",
     "format_dot",
     "format_edgelist",
     "format_graph",
@@ -128,7 +121,6 @@ __all__ = [
     "spectral_radius",
     "spectral_radius_bounds",
     "star",
-    "star_triplet_count",
     "transitivity",
     "triangle_count",
     "windmill",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -54,6 +55,27 @@ def _parse_satellites(text: str) -> list[tuple[int, int]]:
             ) from None
         pairs.append((size, count))
     return pairs
+
+
+def _positive_float(text: str) -> float:
+    """A finite float > 0, such as a comparison tolerance."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -119,7 +141,7 @@ def _reports_agree(
     ):
         if (a is None) != (b is None):
             return False
-        if a is not None and abs(a - b) > tol:
+        if a is not None and not abs(a - b) <= tol:
             return False
     return True
 
@@ -156,13 +178,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     direct = metrics_mod.compute_metrics(g)
     payload = _params_json(params)
     payload["direct"] = _report_json(direct)
-    if params.class_count == 1:
-        closed = metrics_mod.analytic_metrics(params.to_core_satellite())
-        payload["analytic"] = _report_json(closed)
-        agreement = _reports_agree(direct, closed, args.tol)
-    else:
-        payload["analytic"] = None
-        agreement = True
+    closed = metrics_mod.analytic_metrics(params)
+    payload["analytic"] = _report_json(closed)
+    agreement = _reports_agree(direct, closed, args.tol)
     payload["agreement"] = agreement
     payload["tolerance"] = args.tol
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -287,13 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol",
-        type=float,
+        type=_positive_float,
         default=1e-9,
         help="comparison tolerance (default 1e-9)",
     )
     common.add_argument(
         "--dense-limit",
-        type=int,
+        type=_positive_int,
         default=oracle.DEFAULT_DENSE_LIMIT,
         help=f"max n for dense numeric work (default {oracle.DEFAULT_DENSE_LIMIT})",
     )
@@ -347,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--max-n",
-        type=int,
+        type=_positive_int,
         default=14,
         help="largest n for exhaustive-enumeration checks (default 14)",
     )

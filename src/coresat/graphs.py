@@ -89,9 +89,6 @@ class Graph:
             object.__setattr__(self, "_nbr_sets", cached)
         return cached
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets()[u]
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -135,7 +132,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 def core_satellite(params: CoreSatelliteParams) -> Graph:
     """Core-satellite graph: core clique joined to disjoint satellite cliques."""
-    return generalized_core_satellite(params.to_generalized())
+    return generalized_core_satellite(params)
 
 
 def generalized_core_satellite(params: GeneralizedParams) -> Graph:

@@ -25,11 +25,14 @@ expressions over the same kernel integers (p3 is derived from the
 Pearson edge sum), so their agreement is not an independent check;
 ``analytic_metrics`` and ``oracle.exhaustive_subgraph_counts`` are.
 
-The ``analytic_*`` routines evaluate closed forms in the core-satellite
-parameters; every closed form here is cross-validated against the
-direct route by the test suite and the ``verify`` command.  All counts
-use exact integer arithmetic; ratios are converted to floating point
-only at the last step.
+The ``analytic_*`` routines evaluate closed forms over
+``GeneralizedParams``, for any number of satellite classes; every
+closed form here is cross-validated against the direct route and the
+exhaustive oracle by the test suite and the ``verify`` command.  Every
+count is a core term plus one term per class, the subgraph-count route
+of Estrada (Phys. Rev. E 84, 047101, 2011), in exact integer
+arithmetic; ratios are converted to floating point only at the last
+step.
 
 Conventions
 -----------
@@ -48,7 +51,7 @@ from operator import eq, mul, sub
 
 from .exceptions import SizeLimitError
 from .graphs import Graph
-from .params import CoreSatelliteParams
+from .params import GeneralizedParams
 
 __all__ = [
     "DIRECT_BITSET_LIMIT",
@@ -58,7 +61,6 @@ __all__ = [
     "transitivity",
     "triangle_count",
     "path_counts",
-    "star_triplet_count",
     "assortativity",
     "assortativity_estrada",
     "check_direct_size",
@@ -257,11 +259,6 @@ def path_counts(g: Graph) -> tuple[int, int]:
     return rep.p2, rep.p3
 
 
-def star_triplet_count(g: Graph) -> int:
-    """Number of 3-star subgraphs: sum over nodes of C(degree, 3)."""
-    return sum(math.comb(k, 3) for k in g.degrees())
-
-
 def transitivity(g: Graph) -> float:
     """3 * triangles / p2, or 0 when the graph has no 2-edge path."""
     return compute_metrics(g).transitivity
@@ -293,88 +290,86 @@ def assortativity_estrada(g: Graph) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# closed forms in (c, s, eta)
+# closed forms over GeneralizedParams
 # ---------------------------------------------------------------------------
 
-def _closed_counts(
-    params: CoreSatelliteParams, *, triangle_sign_fault: bool = False
-) -> tuple[int, int, int, int, int, int]:
-    """(n, m, triangles, p2, p3, s13) from closed forms.
+def _core_triangles(params: GeneralizedParams, sign_fault: bool = False) -> int:
+    """Triangles through one core node.
 
-    ``triangle_sign_fault`` flips the subtracted core-overcount term of
-    the triangle formula to an addition.  That variant is wrong; it
-    exists only as a negative control for the verification pipeline.
+    Its n - 1 neighbors are all the other nodes, and the only
+    non-adjacent pairs among them are satellite nodes in different
+    cliques.  With S = sum eta_i*s_i and Q = sum eta_i*s_i**2 there are
+    (S**2 - Q) / 2 such pairs.  ``sign_fault`` adds Q instead of
+    subtracting it: the negative control of ``analytic_metrics``.
     """
-    c, s, eta = params.core, params.satellite_size, params.satellite_count
-    n = params.n
-    m = eta * math.comb(c + s, 2) - (eta - 1) * math.comb(c, 2)
-    sign = 1 if triangle_sign_fault else -1
-    tri = eta * math.comb(c + s, 3) + sign * (eta - 1) * math.comb(c, 3)
-    p2 = c * math.comb(n - 1, 2) + eta * s * math.comb(c + s - 1, 2)
-    s13 = c * math.comb(n - 1, 3) + eta * s * math.comb(c + s - 1, 3)
-    # per-edge-class expansion of sum (k_u - 1)(k_v - 1)
-    p3 = (
-        math.comb(c, 2) * (n - 2) ** 2
-        + c * eta * s * (n - 2) * (c + s - 2)
-        + eta * math.comb(s, 2) * (c + s - 2) ** 2
-        - 3 * tri
-    )
-    return n, m, tri, p2, p3, s13
+    s = params.satellite_nodes
+    q = sum(cls.count * cls.size * cls.size for cls in params.classes)
+    return math.comb(params.n - 1, 2) - (s * s + (q if sign_fault else -q)) // 2
 
 
-def _core_clustering_fraction(params: CoreSatelliteParams) -> Fraction:
-    c, s, eta = params.core, params.satellite_size, params.satellite_count
-    num = eta * (c + s - 1) * (c + s - 2) - (c - 1) * (c - 2) * (eta - 1)
-    den = (eta * s + c - 1) * (eta * s + c - 2)
-    if den == 0:  # n <= 2: core degree <= 1, convention value
+def _average_clustering_fraction(
+    params: GeneralizedParams, *, triangle_sign_fault: bool = False
+) -> Fraction:
+    """Exact average clustering.
+
+    A core node has clustering t_core / C(n-1, 2).  A satellite node's
+    neighborhood (its clique plus the core) is itself a clique, so its
+    clustering is 1, unless its degree c+s_i-1 is below 2, where the
+    convention value 0 applies.
+    """
+    c, n = params.core, params.n
+    pairs = math.comb(n - 1, 2)
+    if pairs == 0:  # n <= 2: every degree is at most 1
         return Fraction(0)
-    return Fraction(num, den)
+    closed = sum(cls.count * cls.size for cls in params.classes if c + cls.size >= 3)
+    return Fraction(c * _core_triangles(params, triangle_sign_fault) + closed * pairs, n * pairs)
 
 
-def analytic_core_clustering(params: CoreSatelliteParams) -> float:
+def analytic_core_clustering(params: GeneralizedParams) -> float:
     """Local clustering of a core node, closed form.
 
-    Core degree n-1, with triangles through the node counted per edge
-    class; returns the convention value 0 when n <= 2.
+    Returns the convention value 0 when n <= 2 (core degree at most 1).
     """
-    return float(_core_clustering_fraction(params))
-
-
-def _average_clustering_fraction(params: CoreSatelliteParams) -> Fraction:
-    c, s, eta = params.core, params.satellite_size, params.satellite_count
-    # a satellite node's neighborhood (its clique plus the core) is itself
-    # a clique, so its clustering is 1 -- unless its degree c+s-1 is < 2,
-    # where the convention value 0 applies
-    sat = Fraction(1) if c + s >= 3 else Fraction(0)
-    return (c * _core_clustering_fraction(params) + eta * s * sat) / params.n
+    pairs = math.comb(params.n - 1, 2)
+    return _core_triangles(params) / pairs if pairs else 0.0
 
 
 def analytic_metrics(
-    params: CoreSatelliteParams, *, triangle_sign_fault: bool = False
+    params: GeneralizedParams, *, triangle_sign_fault: bool = False
 ) -> MetricsReport:
     """MetricsReport evaluated from closed forms alone.
 
-    Exactness: counts are exact integers; ratios are exact rationals
-    converted to float once.  ``triangle_sign_fault`` is the negative
-    control described in ``_closed_counts``.
+    The c core nodes have degree n - 1 and t_core triangles each
+    (``_core_triangles``).  A node of class i has degree d_i = c+s_i-1
+    and its neighbors form a clique, so it lies on C(d_i, 2) triangles;
+    summed over all nodes, every triangle is counted three times.
+    Every count is the core term plus one term per class, in exact
+    integers; each ratio is one exact rational, rounded to float once
+    (int / int rounds correctly).
+
+    ``triangle_sign_fault`` flips the sign of Q in t_core.  The result
+    is wrong on purpose: it is the negative control of the verification
+    pipeline, and it reaches both the triangle count and the average
+    clustering through that one term.
     """
-    n, m, tri, p2, p3, s13 = _closed_counts(
-        params, triangle_sign_fault=triangle_sign_fault
-    )
-    avg = _average_clustering_fraction(params)
-    if triangle_sign_fault:
-        # keep the faulted triangle count flowing into the average too:
-        # core clustering rewritten over the faulted per-node count
-        c, s, eta = params.core, params.satellite_size, params.satellite_count
-        den = (n - 1) * (n - 2)
-        if den > 0:
-            core_tri_twice = eta * (c + s - 1) * (c + s - 2) + (eta - 1) * (c - 1) * (c - 2)
-            sat = Fraction(1) if c + s >= 3 else Fraction(0)
-            avg = (c * Fraction(core_tri_twice, den) + eta * s * sat) / n
-    trans = Fraction(3 * tri, p2) if p2 else Fraction(0)
+    c, n, m = params.core, params.n, params.m
+    sat_paths = 0  # 2-paths centered on satellite nodes, all closed
+    s13 = c * math.comb(n - 1, 3)
+    # sum of (k_u - 1)(k_v - 1) over edges, core-core edges first
+    edge_sum = math.comb(c, 2) * (n - 2) ** 2
+    for cls in params.classes:
+        nodes, d = cls.count * cls.size, c + cls.size - 1
+        sat_paths += nodes * math.comb(d, 2)
+        s13 += nodes * math.comb(d, 3)
+        # the class's core-satellite edges, then its clique edges
+        edge_sum += (c * nodes * (n - 2) + cls.count * math.comb(cls.size, 2) * (d - 1)) * (d - 1)
+    p2 = c * math.comb(n - 1, 2) + sat_paths
+    tri = (c * _core_triangles(params, triangle_sign_fault) + sat_paths) // 3
+    p3 = edge_sum - 3 * tri
     num = m * (p3 + 3 * tri) - p2 * p2
     den = m * (3 * s13 + p2) - p2 * p2
     r = num / den if den != 0 else None
+    avg = _average_clustering_fraction(params, triangle_sign_fault=triangle_sign_fault)
     return MetricsReport(
         n=n,
         m=m,
@@ -384,7 +379,7 @@ def analytic_metrics(
         p3=p3,
         s13=s13,
         avg_clustering=float(avg),
-        transitivity=float(trans),
+        transitivity=3 * tri / p2 if p2 else 0.0,
         assortativity=r,
         assortativity_estrada=r,
     )

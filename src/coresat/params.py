@@ -1,9 +1,11 @@
 """Parameter records for core-satellite graph families.
 
-A core-satellite graph joins a core clique on ``core`` nodes to
-``satellite_count`` disjoint copies of a clique on ``satellite_size``
-nodes.  The generalized family allows several satellite classes with
-distinct clique sizes.
+A generalized core-satellite graph joins a core clique on ``core`` nodes
+to disjoint satellite cliques, grouped into classes of equal clique
+size.  ``GeneralizedParams`` is the one parameter type every generator,
+closed form and spectrum takes.  ``CoreSatelliteParams`` only builds
+the single-class case from (c, s, eta): ``core`` nodes joined to
+``satellite_count`` copies of a clique on ``satellite_size`` nodes.
 """
 from __future__ import annotations
 
@@ -17,39 +19,6 @@ __all__ = [
     "SatelliteClass",
     "GeneralizedParams",
 ]
-
-
-@dataclass(frozen=True)
-class CoreSatelliteParams:
-    """Parameters (c, s, eta) of a single-class core-satellite graph."""
-
-    core: int
-    satellite_size: int
-    satellite_count: int
-
-    def __post_init__(self) -> None:
-        for name in ("core", "satellite_size", "satellite_count"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidParameterError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise InvalidParameterError(f"{name} must be >= 1, got {value}")
-
-    @property
-    def n(self) -> int:
-        """Number of nodes, core + satellite_count * satellite_size."""
-        return self.core + self.satellite_count * self.satellite_size
-
-    @property
-    def m(self) -> int:
-        """Number of edges: eta * C(c+s, 2) - (eta-1) * C(c, 2)."""
-        c, s, eta = self.core, self.satellite_size, self.satellite_count
-        return eta * math.comb(c + s, 2) - (eta - 1) * math.comb(c, 2)
-
-    def to_generalized(self) -> "GeneralizedParams":
-        return GeneralizedParams(
-            self.core, ((self.satellite_size, self.satellite_count),)
-        )
 
 
 @dataclass(frozen=True)
@@ -135,3 +104,18 @@ class GeneralizedParams:
             )
         cls = self.classes[0]
         return CoreSatelliteParams(self.core, cls.size, cls.count)
+
+
+class CoreSatelliteParams(GeneralizedParams):
+    """Parameters (c, s, eta) of a single-class core-satellite graph."""
+
+    def __init__(self, core: int, satellite_size: int, satellite_count: int) -> None:
+        super().__init__(core, ((satellite_size, satellite_count),))
+
+    @property
+    def satellite_size(self) -> int:
+        return self.classes[0].size
+
+    @property
+    def satellite_count(self) -> int:
+        return self.classes[0].count

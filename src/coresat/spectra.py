@@ -1,13 +1,15 @@
 """Closed-form adjacency and Laplacian spectra of core-satellite graphs.
 
-The adjacency spectrum of a single-class graph has four pieces: -1 from
-contrasts inside the core and inside each satellite clique, s-1 from
-contrasts across satellite copies, and an extreme pair from a 2x2
-quotient.  The generalized family replaces the extreme pair with the
-t+1 eigenvalues of a (t+1)x(t+1) quotient over the partition
-{core, class 1, ..., class t}, which is equitable by construction.
-That quotient is evaluated as a symmetric matrix eigenproblem, never by
-expanding polynomial coefficients.
+The partition {core, class 1, ..., class t} is equitable, so the
+adjacency spectrum has three pieces: -1 from contrasts inside the core
+and inside each satellite clique, s_i-1 from contrasts across the
+copies of class i, and the t+1 eigenvalues of the (t+1)x(t+1) quotient
+over the partition.  A single class is the 2x2 case, with roots
+((c+s-2) +- sqrt((c-s)**2 + 4*eta*c*s)) / 2.  The quotient is evaluated
+as a symmetric matrix eigenproblem, never by expanding polynomial
+coefficients, and a root within 1e-10 of an integer is snapped to it:
+one satellite collapses the family to a complete graph, whose roots
+n-1 and -1 come out exact.
 
 Laplacian spectra are integer-valued throughout.
 """
@@ -20,22 +22,19 @@ import numpy as np
 
 from .exceptions import InvalidParameterError
 from .oracle import eigenvalues_symmetric
-from .params import CoreSatelliteParams, GeneralizedParams
+from .params import GeneralizedParams
 
 __all__ = [
     "SpectrumResult",
     "PrincipalEigenvector",
     "SpectralIndices",
-    "adjacency_spectrum_cs",
     "adjacency_spectrum_gcs",
     "divisor_matrix",
-    "extreme_eigenvalues",
     "spectral_radius",
     "spectral_radius_bounds",
     "principal_eigenvector",
     "laplacian_spectrum_gcs",
     "spectral_indices",
-    "expand_eigenpairs",
     "max_spectrum_deviation",
 ]
 
@@ -118,55 +117,6 @@ def _snap_integers(values: np.ndarray) -> list[float]:
     return out
 
 
-def extreme_eigenvalues(params: CoreSatelliteParams) -> tuple[float, float]:
-    """The simple extreme adjacency eigenvalues of the single-class family.
-
-    Roots of x**2 - (c+s-2)x + (c-1)(s-1) - eta*c*s, the characteristic
-    polynomial of the 2x2 quotient.
-    """
-    c, s, eta = params.core, params.satellite_size, params.satellite_count
-    disc = math.sqrt((c - s) ** 2 + 4 * eta * c * s)
-    hi = ((c + s - 2) + disc) / 2
-    lo = ((c + s - 2) - disc) / 2
-    return hi, lo
-
-
-def adjacency_spectrum_cs(params: CoreSatelliteParams) -> SpectrumResult:
-    """Adjacency spectrum of the single-class family, closed form.
-
-    A single satellite collapses the family to a complete graph; that
-    case returns the complete-graph spectrum flagged degenerate.
-    """
-    c, s, eta = params.core, params.satellite_size, params.satellite_count
-    n = params.n
-    if eta == 1:
-        return SpectrumResult(
-            eigenpairs=_merge_pairs([(float(n - 1), 1), (-1.0, n - 1)]),
-            source="analytic",
-            matrix="adjacency",
-            degenerate=True,
-            notes=("complete graph: all-ones principal direction; contrasts at -1",),
-        )
-    hi, lo = extreme_eigenvalues(params)
-    pairs = [
-        (hi, 1),
-        (float(s - 1), eta - 1),
-        (-1.0, c + eta * (s - 1) - 1),
-        (lo, 1),
-    ]
-    notes = (
-        "extreme pair: constant on the core and constant on all satellite nodes",
-        "value s-1: signed contrasts across satellite copies, zero on the core",
-        "value -1: contrasts inside the core clique and inside satellite cliques",
-    )
-    return SpectrumResult(
-        eigenpairs=_merge_pairs(pairs),
-        source="analytic",
-        matrix="adjacency",
-        notes=notes,
-    )
-
-
 def divisor_matrix(params: GeneralizedParams) -> np.ndarray:
     """Symmetrized quotient matrix over {core, class 1, ..., class t}.
 
@@ -187,22 +137,24 @@ def divisor_matrix(params: GeneralizedParams) -> np.ndarray:
     return b
 
 
+def _quotient_roots(params: GeneralizedParams) -> list[float]:
+    """The t+1 quotient eigenvalues, descending, snapped to integers."""
+    return _snap_integers(eigenvalues_symmetric(divisor_matrix(params)))
+
+
 def adjacency_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
     """Adjacency spectrum of the generalized family.
 
     Structural eigenvalues are exact integers; the t+1 remaining simple
-    eigenvalues come from the symmetrized quotient.  A single class
-    reduces to the single-class closed form, eigenvalue for eigenvalue.
+    eigenvalues come from the symmetrized quotient.  A single satellite
+    gives a complete graph, flagged degenerate.
     """
-    if params.class_count == 1:
-        return adjacency_spectrum_cs(params.to_core_satellite())
     c = params.core
     minus_one_mult = c + sum(cls.count * (cls.size - 1) for cls in params.classes) - 1
     pairs: list[tuple[float, int]] = [(-1.0, minus_one_mult)]
     for cls in params.classes:
         pairs.append((float(cls.size - 1), cls.count - 1))
-    roots = _snap_integers(eigenvalues_symmetric(divisor_matrix(params)))
-    pairs.extend((root, 1) for root in roots)
+    pairs.extend((root, 1) for root in _quotient_roots(params))
     notes = (
         "quotient eigenvalues: constant on the core and on each satellite class",
         "value s_i-1: contrasts across copies inside class i, zero elsewhere",
@@ -212,19 +164,18 @@ def adjacency_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
         eigenpairs=_merge_pairs(pairs),
         source="analytic",
         matrix="adjacency",
+        degenerate=params.satellite_total == 1,
         notes=notes,
     )
 
 
+# not in __all__: benchmarks/tracing.py still wraps this name
+adjacency_spectrum_cs = adjacency_spectrum_gcs
+
+
 def spectral_radius(params: GeneralizedParams) -> float:
-    """Largest adjacency eigenvalue."""
-    if params.class_count == 1:
-        cs = params.to_core_satellite()
-        if cs.satellite_count == 1:
-            return float(cs.n - 1)
-        return extreme_eigenvalues(cs)[0]
-    roots = eigenvalues_symmetric(divisor_matrix(params))
-    return float(roots[0])
+    """Largest adjacency eigenvalue: the top quotient root."""
+    return _quotient_roots(params)[0]
 
 
 def spectral_radius_bounds(params: GeneralizedParams) -> tuple[int, int]:
@@ -293,13 +244,6 @@ def spectral_indices(params: GeneralizedParams) -> SpectralIndices:
         sync_index=params.core / params.n,
         algebraic_connectivity=float(params.core),
     )
-
-
-def expand_eigenpairs(pairs) -> list[float]:
-    out: list[float] = []
-    for value, mult in pairs:
-        out.extend([float(value)] * mult)
-    return out
 
 
 def max_spectrum_deviation(result: SpectrumResult, numeric_descending) -> float:

@@ -21,7 +21,6 @@ from conftest import ACCEPTANCE_LINES, GRID_PARAMS
 from coresat import (
     CoreSatelliteParams,
     adjacency_matrix,
-    adjacency_spectrum_cs,
     adjacency_spectrum_gcs,
     analytic_metrics,
     assortativity,
@@ -101,7 +100,7 @@ def test_c1_butterfly_golden():
         ok &= abs(rep.transitivity - 3 / 5) <= 1e-12
         ok &= abs(rep.assortativity - (-0.5)) <= 1e-12
 
-    adjacency = adjacency_spectrum_cs(BUTTERFLY)
+    adjacency = adjacency_spectrum_gcs(BUTTERFLY)
     root = math.sqrt(17.0)
     expected = [((1 + root) / 2, 1), (1.0, 1), (-1.0, 2), ((1 - root) / 2, 1)]
     ok &= len(adjacency.eigenpairs) == 4
@@ -111,7 +110,7 @@ def test_c1_butterfly_golden():
     adev = max_spectrum_deviation(
         adjacency, eigenvalues_symmetric(adjacency_matrix(g))
     )
-    laplacian = laplacian_spectrum_gcs(BUTTERFLY.to_generalized())
+    laplacian = laplacian_spectrum_gcs(BUTTERFLY)
     ok &= laplacian.expanded() == [5.0, 3.0, 3.0, 1.0, 0.0]
     ldev = max_spectrum_deviation(
         laplacian, eigenvalues_symmetric(laplacian_matrix(g))
@@ -252,7 +251,7 @@ def test_c5_adjacency_spectra_grid():
     worst = 0.0
     for p in GRID_PARAMS:
         c, s, eta = p.core, p.satellite_size, p.satellite_count
-        result = adjacency_spectrum_cs(p)
+        result = adjacency_spectrum_gcs(p)
         numeric = eigenvalues_symmetric(adjacency_matrix(core_satellite(p)))
         dev = max_spectrum_deviation(result, numeric)
         worst = max(worst, dev)
@@ -325,7 +324,7 @@ def test_c7_laplacian_spectra():
     start = time.perf_counter()
     ok = True
     worst = 0.0
-    cases = [p.to_generalized() for p in GRID_PARAMS] + sample_generalized_params()
+    cases = GRID_PARAMS + sample_generalized_params()
     for p in cases:
         result = laplacian_spectrum_gcs(p)
         ok &= all(v == int(v) for v, _ in result.eigenpairs)
@@ -343,7 +342,7 @@ def test_c7_laplacian_spectra():
     # satellites have at least one internal edge, three for lone nodes
     # (the clique eigenvalue c+s then has multiplicity zero)
     for p in GRID_PARAMS:
-        count = len(laplacian_spectrum_gcs(p.to_generalized()).eigenpairs)
+        count = len(laplacian_spectrum_gcs(p).eigenpairs)
         ok &= count == (4 if p.satellite_size >= 2 else 3)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from coresat import metrics as metrics_mod
 from coresat.cli import GENERATE_EDGE_LIMIT, main
 from coresat.metrics import DIRECT_BITSET_LIMIT
 
@@ -154,13 +156,53 @@ def test_metrics_complete_graph_null_assortativity(capsys):
     assert payload["agreement"] is True
 
 
-def test_metrics_multiclass_has_no_analytic_block(capsys):
-    code, out, _ = run(["metrics", "--core", "2", "--satellites", "1:1,2:1"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    jsonschema.validate(payload, load_schema("metrics.schema.json"))
-    assert payload["analytic"] is None
-    assert payload["agreement"] is True
+def test_metrics_multiclass_compares_an_analytic_block(capsys):
+    for spec in ("1:1,2:1", "3:2,5:1"):
+        code, out, _ = run(["metrics", "--core", "4", "--satellites", spec], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, load_schema("metrics.schema.json"))
+        assert payload["analytic"] == payload["direct"]
+        assert payload["agreement"] is True
+    assert payload["direct"]["triangles"] == 146
+
+
+def test_metrics_disagreement_exits_1(capsys, monkeypatch):
+    """A closed form one triangle off is reported, for any class list."""
+    real = metrics_mod.analytic_metrics
+
+    def one_off(params, **kwargs):
+        return dataclasses.replace(real(params, **kwargs), triangles=real(params).triangles + 1)
+
+    monkeypatch.setattr(metrics_mod, "analytic_metrics", one_off)
+    code, out, err = run(["metrics", "--core", "4", "--satellites", "3:2,5:1"], capsys)
+    assert code == 1
+    assert json.loads(out)["agreement"] is False
+    assert "disagree" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "x"])
+def test_tol_must_be_finite_and_positive(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--core", "4", "--satellites", "3:2", "--tol", value])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_dense_limit_must_be_positive(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--core", "2", "--satellites", "1:1,2:1", "--dense-limit", value])
+    assert exc.value.code == 2
+    assert "--dense-limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_n_must_be_positive(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-n", value])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
 
 
 def test_metrics_output_deterministic(tmp_path, capsys):

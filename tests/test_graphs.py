@@ -74,7 +74,7 @@ def _composed(params: GeneralizedParams) -> Graph:
 
 def test_generators_match_the_join_of_unions():
     for p in GRID:
-        expected = _composed(p.to_generalized())
+        expected = _composed(p)
         g = core_satellite(p)
         assert (g.edges, g.adj) == (expected.edges, expected.adj), p
     for p in sample_generalized_params():
@@ -153,9 +153,12 @@ def test_grid_counts_and_degrees():
 
 def test_generalized_single_class_matches_core_satellite():
     for p in (CoreSatelliteParams(1, 2, 2), CoreSatelliteParams(3, 2, 4)):
-        direct = core_satellite(p)
-        via_general = generalized_core_satellite(p.to_generalized())
-        assert direct.edges == via_general.edges
+        general = GeneralizedParams(p.core, [(p.satellite_size, p.satellite_count)])
+        assert (p.classes, p.n, p.m) == (general.classes, general.n, general.m)
+        assert general.to_core_satellite() == p
+        assert core_satellite(p).edges == generalized_core_satellite(general).edges
+        with pytest.raises(AttributeError):
+            p.satellite_size = 5
 
 
 def test_generalized_block_layout():

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GRID_PARAMS, arbitrary_graphs
@@ -27,11 +27,16 @@ from coresat import (
     local_clustering,
     path_counts,
     star,
-    star_triplet_count,
     transitivity,
     triangle_count,
 )
-from coresat.metrics import DIRECT_BITSET_LIMIT, _bitset, _twin_classes, check_direct_size
+from coresat.metrics import (
+    DIRECT_BITSET_LIMIT,
+    _average_clustering_fraction,
+    _bitset,
+    _twin_classes,
+    check_direct_size,
+)
 from coresat.oracle import exhaustive_subgraph_counts
 
 BUTTERFLY = core_satellite(CoreSatelliteParams(1, 2, 2))
@@ -132,6 +137,52 @@ def test_closed_forms_match_direct_on_grid():
         assert abs(closed.assortativity - direct.assortativity) <= 1e-12, p
 
 
+@st.composite
+def generalized_params(draw):
+    """1 to 5 satellite classes; c = 1, s_i = 1 and one satellite included."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
+    counts = st.integers(1, 4)
+    return GeneralizedParams(
+        draw(st.integers(1, 5)), [(size, draw(counts)) for size in sizes]
+    )
+
+
+_COUNT_FIELDS = ("n", "m", "triangles", "p1", "p2", "p3", "s13")
+
+
+@settings(max_examples=150)
+@given(generalized_params())
+@example(GeneralizedParams(1, [(1, 1)]))  # n = 2, a single edge
+@example(GeneralizedParams(1, [(1, 2)]))  # the path on 3 nodes
+@example(GeneralizedParams(2, [(1, 1)]))  # a triangle
+@example(GeneralizedParams(3, [(4, 1)]))  # one satellite: complete
+@example(GeneralizedParams(1, [(1, 3), (2, 1)]))
+def test_generalized_closed_forms_match_direct_enumeration_and_exact_ratios(p):
+    g = generalized_core_satellite(p)
+    closed = analytic_metrics(p)
+    direct = compute_metrics(g)
+    counts = [getattr(closed, f) for f in _COUNT_FIELDS]
+    assert counts == [getattr(direct, f) for f in _COUNT_FIELDS]
+    if p.n <= 9:
+        enum = exhaustive_subgraph_counts(g)
+        assert counts[2:] == [enum.triangles, g.m, enum.p2, enum.p3, enum.s13]
+
+    avg, r = _exact_ratios(g)
+    assert _average_clustering_fraction(p) == avg
+    trans = Fraction(3 * closed.triangles, closed.p2) if closed.p2 else 0
+    assert abs(closed.avg_clustering - avg) <= 1e-12
+    assert abs(closed.transitivity - trans) <= 1e-12
+    if r is None:
+        assert closed.assortativity is None and closed.assortativity_estrada is None
+    else:
+        assert abs(closed.assortativity - r) <= 1e-12
+        assert abs(closed.assortativity_estrada - r) <= 1e-12
+
+    faulted = analytic_metrics(p, triangle_sign_fault=True)
+    if p.satellite_total >= 2:
+        assert faulted.triangles != closed.triangles
+
+
 def test_assortativity_negative_on_grid():
     for p in GRID_PARAMS:
         r = assortativity(core_satellite(p))
@@ -168,11 +219,13 @@ def test_triangle_sign_fault_changes_counts():
     good = analytic_metrics(p)
     bad = analytic_metrics(p, triangle_sign_fault=True)
     assert good.triangles == 7
-    assert bad.triangles == 9
+    # S = Q = 2: t_core = C(4, 2) - (S**2 - Q)/2 = 5, faulted 5 - Q = 3
+    assert bad.triangles == (3 * 3 + 2 * math.comb(3, 2)) // 3 == 5
     assert bad.avg_clustering != good.avg_clustering
-    # invisible where the core has no triangles to overcount
+    # visible on a core with no triangles of its own too
     small = CoreSatelliteParams(1, 2, 2)
-    assert analytic_metrics(small, triangle_sign_fault=True).triangles == 2
+    assert analytic_metrics(small).triangles == 2
+    assert analytic_metrics(small, triangle_sign_fault=True).triangles == -1
 
 
 def test_divergence_endpoints_closed_forms():
@@ -253,9 +306,7 @@ def test_clustering_bounds(g):
 @settings(max_examples=80)
 @given(arbitrary_graphs(max_nodes=7))
 def test_star_triplet_is_degree_sum(g):
-    from math import comb
-
-    assert star_triplet_count(g) == sum(comb(k, 3) for k in g.degrees())
+    assert compute_metrics(g).s13 == sum(math.comb(k, 3) for k in g.degrees())
 
 
 @st.composite
@@ -311,7 +362,6 @@ def test_one_pass_kernel_matches_enumeration_and_exact_ratios(g):
     # every single-metric function is a view of the same report
     assert triangle_count(g) == rep.triangles
     assert path_counts(g) == (rep.p2, rep.p3)
-    assert star_triplet_count(g) == rep.s13
     assert average_clustering(g) == rep.avg_clustering
     assert transitivity(g) == rep.transitivity
     assert assortativity(g) == rep.assortativity

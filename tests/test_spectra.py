@@ -11,13 +11,11 @@ from coresat import (
     GeneralizedParams,
     InvalidParameterError,
     adjacency_matrix,
-    adjacency_spectrum_cs,
     adjacency_spectrum_gcs,
     analytic_metrics,
     core_satellite,
     divisor_matrix,
     eigenvalues_symmetric,
-    extreme_eigenvalues,
     generalized_core_satellite,
     laplacian_matrix,
     laplacian_spectrum_gcs,
@@ -34,26 +32,41 @@ BUTTERFLY = CoreSatelliteParams(1, 2, 2)
 MIXED = GeneralizedParams(2, [(1, 1), (2, 1)])
 
 
+def _quadratic_roots(p: CoreSatelliteParams) -> tuple[float, float]:
+    """Roots of x**2 - (c+s-2)x + (c-1)(s-1) - eta*c*s, the 2x2 quotient's
+    characteristic polynomial, by the quadratic formula."""
+    c, s, eta = p.core, p.satellite_size, p.satellite_count
+    disc = math.sqrt((c - s) ** 2 + 4 * eta * c * s)
+    return ((c + s - 2) + disc) / 2, ((c + s - 2) - disc) / 2
+
+
+def _extreme_pair(p: GeneralizedParams) -> tuple[float, float]:
+    values = [v for v, _ in adjacency_spectrum_gcs(p).eigenpairs]
+    return values[0], values[-1]
+
+
 def test_extreme_eigenvalues_butterfly():
-    hi, lo = extreme_eigenvalues(BUTTERFLY)
+    hi, lo = _extreme_pair(BUTTERFLY)
     root = math.sqrt(17)
     assert hi == pytest.approx((1 + root) / 2, abs=1e-15)
     assert lo == pytest.approx((1 - root) / 2, abs=1e-15)
+    assert spectral_radius(BUTTERFLY) == hi
 
 
 def test_adjacency_spectrum_butterfly():
-    result = adjacency_spectrum_cs(BUTTERFLY)
+    result = adjacency_spectrum_gcs(BUTTERFLY)
     assert result.size == 5
     assert not result.degenerate
     values = [v for v, _ in result.eigenpairs]
     mults = [m for _, m in result.eigenpairs]
-    hi, lo = extreme_eigenvalues(BUTTERFLY)
-    assert values == [hi, 1.0, -1.0, lo]
+    hi, lo = _quadratic_roots(BUTTERFLY)
+    assert values == pytest.approx([hi, 1.0, -1.0, lo], abs=1e-15)
+    assert values[1:3] == [1.0, -1.0]
     assert mults == [1, 1, 2, 1]
 
 
 def test_adjacency_spectrum_complete_split():
-    result = adjacency_spectrum_cs(CoreSatelliteParams(3, 1, 2))
+    result = adjacency_spectrum_gcs(CoreSatelliteParams(3, 1, 2))
     root = math.sqrt(7)
     expected = [(1 + root, 1), (0.0, 1), (-1.0, 2), (1 - root, 1)]
     for (got_v, got_m), (want_v, want_m) in zip(result.eigenpairs, expected):
@@ -62,27 +75,30 @@ def test_adjacency_spectrum_complete_split():
 
 
 def test_adjacency_spectrum_star_exact():
-    result = adjacency_spectrum_cs(CoreSatelliteParams(1, 1, 4))
+    result = adjacency_spectrum_gcs(CoreSatelliteParams(1, 1, 4))
     assert result.eigenpairs == ((2.0, 1), (0.0, 3), (-2.0, 1))
 
 
 def test_adjacency_spectrum_degenerate_single_satellite():
-    result = adjacency_spectrum_cs(CoreSatelliteParams(2, 3, 1))
-    assert result.degenerate
-    assert result.eigenpairs == ((4.0, 1), (-1.0, 4))
+    for p in (CoreSatelliteParams(2, 3, 1), GeneralizedParams(2, [(3, 1)])):
+        result = adjacency_spectrum_gcs(p)
+        assert result.degenerate
+        assert result.eigenpairs == ((4.0, 1), (-1.0, 4))
+        assert spectral_radius(p) == 4.0
+    assert not adjacency_spectrum_gcs(CoreSatelliteParams(2, 3, 2)).degenerate
 
 
 def test_eigenvalue_ordering_strict_on_grid():
     for p in GRID_PARAMS:
         c, s = p.core, p.satellite_size
-        hi, lo = extreme_eigenvalues(p)
+        hi, lo = _extreme_pair(p)
         assert hi > c + s - 1 >= s - 1 >= 0 > -1 > lo, p
 
 
 def test_adjacency_matches_oracle_on_grid():
     worst = 0.0
     for p in GRID_PARAMS:
-        result = adjacency_spectrum_cs(p)
+        result = adjacency_spectrum_gcs(p)
         numeric = eigenvalues_symmetric(adjacency_matrix(core_satellite(p)))
         worst = max(worst, max_spectrum_deviation(result, numeric))
     assert worst <= 1e-9
@@ -126,9 +142,14 @@ def test_generalized_spectrum_mixed_example():
     assert max_spectrum_deviation(result, numeric) <= 1e-9
 
 
-def test_generalized_single_class_delegates():
-    gcs = adjacency_spectrum_gcs(GeneralizedParams(1, [(2, 2)]))
-    assert gcs == adjacency_spectrum_cs(BUTTERFLY)
+def test_single_class_quotient_roots_match_the_quadratic():
+    # a single class is the 2x2 case of the quotient
+    for p in GRID_PARAMS:
+        hi, lo = _extreme_pair(p)
+        want_hi, want_lo = _quadratic_roots(p)
+        assert hi == pytest.approx(want_hi, rel=0, abs=4e-15), p
+        assert lo == pytest.approx(want_lo, rel=0, abs=4e-15), p
+        assert spectral_radius(p) == hi
 
 
 def test_generalized_matches_oracle_on_samples():
@@ -154,7 +175,7 @@ def test_snap_integers_window():
 
 
 def test_laplacian_butterfly_golden():
-    result = laplacian_spectrum_gcs(BUTTERFLY.to_generalized())
+    result = laplacian_spectrum_gcs(BUTTERFLY)
     assert result.eigenpairs == ((5.0, 1), (3.0, 2), (1.0, 1), (0.0, 1))
     assert not result.degenerate
 
@@ -183,7 +204,7 @@ def test_laplacian_degenerate_single_satellite():
 
 
 def test_laplacian_matches_oracle_and_is_integer():
-    for p in (BUTTERFLY.to_generalized(), MIXED, GeneralizedParams(3, [(2, 2), (4, 3)])):
+    for p in (BUTTERFLY, MIXED, GeneralizedParams(3, [(2, 2), (4, 3)])):
         result = laplacian_spectrum_gcs(p)
         assert all(v == int(v) for v, _ in result.eigenpairs)
         numeric = eigenvalues_symmetric(
@@ -194,7 +215,7 @@ def test_laplacian_matches_oracle_and_is_integer():
 
 def test_algebraic_connectivity_equals_core_on_grid():
     for p in GRID_PARAMS:
-        values = [v for v, _ in laplacian_spectrum_gcs(p.to_generalized()).eigenpairs]
+        values = [v for v, _ in laplacian_spectrum_gcs(p).eigenpairs]
         assert values[-1] == 0.0
         assert values[-2] == float(p.core), p
 
@@ -208,20 +229,19 @@ def test_spectral_radius_bounds_examples():
 
 def test_bounds_enclose_radius_on_grid():
     for p in GRID_PARAMS:
-        gp = p.to_generalized()
-        rho = spectral_radius(gp)
-        lower, upper = spectral_radius_bounds(gp)
+        rho = spectral_radius(p)
+        lower, upper = spectral_radius_bounds(p)
         assert lower < rho < upper, p
-        assert rho >= math.sqrt(gp.n - 1) - 1e-12, p
+        assert rho >= math.sqrt(p.n - 1) - 1e-12, p
 
 
 def test_principal_eigenvector_butterfly():
-    pev = principal_eigenvector(BUTTERFLY.to_generalized())
+    pev = principal_eigenvector(BUTTERFLY)
     beta = 2.0 / (math.sqrt(17.0) - 1.0)
     assert pev.core_value == 1.0
     assert pev.class_values[0] == pytest.approx(beta, abs=1e-14)
     assert 0.0 < pev.class_values[0] < 1.0
-    vec = np.array(pev.to_vector(BUTTERFLY.to_generalized()))
+    vec = np.array(pev.to_vector(BUTTERFLY))
     a = adjacency_matrix(core_satellite(BUTTERFLY))
     residual = np.max(np.abs(a @ vec - pev.eigenvalue * vec))
     assert residual <= 1e-8 * pev.eigenvalue
@@ -263,7 +283,7 @@ def test_trace_identities_exact_integers():
 
 
 def test_spectral_indices_butterfly():
-    idx = spectral_indices(BUTTERFLY.to_generalized())
+    idx = spectral_indices(BUTTERFLY)
     rho = (1 + math.sqrt(17)) / 2
     assert idx.spectral_radius == pytest.approx(rho, abs=1e-14)
     assert idx.infection_threshold == pytest.approx(1 / rho, abs=1e-14)
@@ -272,7 +292,7 @@ def test_spectral_indices_butterfly():
 
 
 def test_spectrum_result_expansion():
-    result = adjacency_spectrum_cs(BUTTERFLY)
+    result = adjacency_spectrum_gcs(BUTTERFLY)
     expanded = result.expanded()
     assert len(expanded) == 5
     assert expanded == sorted(expanded, reverse=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 from coresat import run_checks, sample_generalized_params, verification
@@ -48,12 +49,34 @@ def test_full_battery_passes():
 
 def test_injected_fault_is_caught():
     results = run_checks(triangle_sign_fault=True)
-    by_name = {r.name: r for r in results}
-    assert not by_name["clustering-closed-forms"].passed
     # the fault only touches the closed-form triangle count; independent
     # checks still pass
-    assert by_name["adjacency-spectra"].passed
-    assert by_name["subgraph-enumeration"].passed
+    assert [r.name for r in results if not r.passed] == ["clustering-closed-forms"]
+
+
+def test_nan_tolerance_fails_the_spectrum_checks():
+    by_name = {r.name: r for r in run_checks(tol=float("nan"))}
+    for name in ("adjacency-spectra", "generalized-spectra", "laplacian-spectra"):
+        assert not by_name[name].passed, name
+
+
+def test_closed_form_checks_cover_the_sampled_multiclass_graphs(monkeypatch):
+    real = verification.metrics.analytic_metrics
+
+    def off_on_multiclass(params, **kwargs):
+        rep = real(params, **kwargs)
+        if params.class_count == 1:
+            return rep
+        return dataclasses.replace(
+            rep, m=rep.m + 1, triangles=rep.triangles + 1, assortativity=rep.assortativity + 1e-9
+        )
+
+    monkeypatch.setattr(verification.metrics, "analytic_metrics", off_on_multiclass)
+    by_name = {r.name: r for r in run_checks()}
+    first = sample_generalized_params()[0]
+    for name in ("counts-closed-forms", "clustering-closed-forms", "assortativity"):
+        assert not by_name[name].passed, name
+        assert by_name[name].detail.startswith(f"{first}:"), name
 
 
 def test_tight_tolerance_still_passes():
