@@ -26,7 +26,7 @@ __all__ = ["main"]
 
 GENERATE_NODE_LIMIT = 10**6
 # checked from the parameters before any graph is built; building and
-# writing a graph of this many edges peaks at about 0.4 GB
+# writing a graph of this many edges peaks at about 0.3 GB
 GENERATE_EDGE_LIMIT = 10**6
 
 
@@ -302,20 +302,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # one parent per shared flag, so each subcommand takes only what it reads
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
         "--tol",
         type=_positive_float,
         default=1e-9,
         help="comparison tolerance (default 1e-9)",
     )
-    common.add_argument(
+    dense = argparse.ArgumentParser(add_help=False)
+    dense.add_argument(
         "--dense-limit",
         type=_positive_int,
         default=oracle.DEFAULT_DENSE_LIMIT,
         help=f"max n for dense numeric work (default {oracle.DEFAULT_DENSE_LIMIT})",
     )
-    common.add_argument("-o", "--out", default=None, help="output file (default stdout)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--out", default=None, help="output file (default stdout)")
 
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--core", type=int, required=True, help="core clique size")
@@ -334,18 +337,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser(
-        "generate", parents=[common, family], help="write a graph to a file or stdout"
+        "generate", parents=[out, family], help="write a graph to a file or stdout"
     )
     p_gen.add_argument("--format", choices=sorted(GRAPH_FORMATS), default="edgelist")
     p_gen.set_defaults(func=_cmd_generate)
 
     p_met = sub.add_parser(
-        "metrics", parents=[common, family], help="metrics as JSON, direct and analytic"
+        "metrics", parents=[tol, out, family], help="metrics as JSON, direct and analytic"
     )
     p_met.set_defaults(func=_cmd_metrics)
 
     p_spec = sub.add_parser(
-        "spectrum", parents=[common, family], help="adjacency/Laplacian spectra as JSON"
+        "spectrum", parents=[tol, dense, out, family], help="adjacency/Laplacian spectra as JSON"
     )
     p_spec.add_argument(
         "--method", choices=["analytic", "numeric", "both"], default="both"
@@ -353,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="CSV of metrics over a replication sweep"
+        "sweep", parents=[out], help="CSV of metrics over a replication sweep"
     )
     p_sweep.add_argument("--cores", type=_parse_int_list, default=[3, 5, 10])
     p_sweep.add_argument("--sizes", type=_parse_int_list, default=[3, 5, 7])
@@ -361,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ver = sub.add_parser(
-        "verify", parents=[common], help="run the self-verification battery"
+        "verify", parents=[tol, dense, out], help="run the self-verification battery"
     )
     p_ver.add_argument(
         "--max-n",

@@ -1,9 +1,10 @@
 """Simple undirected graphs and the core-satellite generators.
 
-Nodes are the integers ``0..n-1``.  Core-satellite graphs place the core
-clique on ``0..c-1`` and each satellite clique on a consecutive block
-after it, classes in ascending size order; every formula and spectrum in
-the package assumes this block layout.
+Nodes are the integers ``0..n-1``.  A graph is its sorted neighbor rows;
+the edge list is derived from them on demand.  Core-satellite graphs
+place the core clique on ``0..c-1`` and each satellite clique on a
+consecutive block after it, classes in ascending size order; every
+formula and spectrum in the package assumes this block layout.
 """
 from __future__ import annotations
 
@@ -33,61 +34,58 @@ __all__ = [
 
 
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph, stored as sorted neighbor rows.
 
-    Edges are stored sorted as ``(u, v)`` pairs with ``u < v``; per-node
-    neighbor lists are sorted.  Instances never change after construction
-    and are safe to share across concurrent readers.
+    ``adj[u]`` is the ascending tuple of the neighbors of ``u``; the rows
+    are the graph's only data.  ``edges`` is a view of them, built on
+    first use: the ``(u, v)`` pairs with ``u < v`` in sorted order.
+    Instances never change after construction and are safe to share
+    across concurrent readers.
     """
 
-    __slots__ = ("n", "edges", "adj", "_nbr_sets")
+    __slots__ = ("n", "m", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InvalidParameterError(f"node count must be a non-negative int, got {n!r}")
-        pairs: list[tuple[int, int]] = []
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise InvalidParameterError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
-            pairs.append((u, v) if u < v else (v, u))
-        # linear on the presorted edge lists the generators emit; equal
-        # pairs then sit next to each other
-        pairs.sort()
-        if any(map(operator.eq, pairs, islice(pairs, 1, None))):
-            raise InvalidParameterError("duplicate edges are not allowed")
-        # filled in sorted edge order, each row receives its smaller
-        # neighbors ascending, then its larger ones ascending
-        rows: list[list[int]] = [[] for _ in range(n)]
-        for u, v in pairs:
             rows[u].append(v)
             rows[v].append(u)
+        # linear on the presorted edge lists the generators emit; a
+        # repeated edge then leaves two equal neighbors side by side
+        for row in rows:
+            row.sort()
+            if any(map(operator.eq, row, islice(row, 1, None))):
+                raise InvalidParameterError("duplicate edges are not allowed")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(pairs))
+        object.__setattr__(self, "m", sum(map(len, rows)) // 2)
         object.__setattr__(self, "adj", tuple(map(tuple, rows)))
-        object.__setattr__(self, "_nbr_sets", None)
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Graph instances are immutable")
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted ``(u, v)`` pairs with ``u < v``, built once on first use."""
+        cached = self._edges
+        if cached is None:
+            cached = tuple(
+                (u, v) for u, row in enumerate(self.adj) for v in row if v > u
+            )
+            object.__setattr__(self, "_edges", cached)
+        return cached
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adj)
-
-    def neighbor_sets(self) -> tuple[frozenset, ...]:
-        """Per-node neighbor sets, built once on first use."""
-        cached = self._nbr_sets
-        if cached is None:
-            cached = tuple(frozenset(nbrs) for nbrs in self.adj)
-            object.__setattr__(self, "_nbr_sets", cached)
-        return cached
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

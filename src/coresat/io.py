@@ -21,8 +21,9 @@ def format_edgelist(g: Graph) -> str:
 def format_matrix_market(g: Graph) -> str:
     """Coordinate pattern symmetric form, 1-based, strictly lower triangle."""
     lines = ["%%MatrixMarket matrix coordinate pattern symmetric", f"{g.n} {g.n} {g.m}"]
-    # stored entry for edge (u, v), u < v, is row v+1, col u+1
-    lines.extend(f"{v + 1} {u + 1}" for v, u in sorted((v, u) for u, v in g.edges))
+    # stored entry for edge (u, v), u < v, is row v+1, col u+1; the
+    # sorted rows already give them in (row, col) order
+    lines.extend(f"{v + 1} {u + 1}" for v, row in enumerate(g.adj) for u in row if u < v)
     return "\n".join(lines) + "\n"
 
 

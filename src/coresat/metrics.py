@@ -238,8 +238,8 @@ def local_clustering(g: Graph, u: int) -> float:
     k = g.degree(u)
     if k <= 1:
         return 0.0
-    nbrs = g.neighbor_sets()
-    links = sum(len(nbrs[u] & nbrs[v]) for v in g.adj[u]) // 2
+    nbrs = set(g.adj[u])
+    links = sum(len(nbrs.intersection(g.adj[v])) for v in g.adj[u]) // 2
     return 2.0 * links / (k * (k - 1))
 
 

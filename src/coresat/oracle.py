@@ -34,9 +34,9 @@ def adjacency_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     if g.n > max_n:
         raise SizeLimitError(f"n={g.n} exceeds dense limit {max_n}")
     a = np.zeros((g.n, g.n))
-    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
-    us, vs = ends[0::2], ends[1::2]
-    a[us, vs] = a[vs, us] = 1.0
+    rows = np.repeat(np.arange(g.n), g.degrees())
+    cols = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.intp, count=2 * g.m)
+    a[rows, cols] = 1.0
     return a
 
 
@@ -85,7 +85,7 @@ def exhaustive_subgraph_counts(g: Graph, max_n: int = DEFAULT_ENUM_LIMIT) -> Sub
     """
     if g.n > max_n:
         raise SizeLimitError(f"n={g.n} exceeds enumeration limit {max_n}")
-    nbrs = g.neighbor_sets()
+    nbrs = tuple(map(frozenset, g.adj))
 
     def connected(a: int, b: int) -> bool:
         return b in nbrs[a]

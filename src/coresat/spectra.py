@@ -46,18 +46,12 @@ class SpectrumResult:
     """Eigenvalues of one matrix, as (value, multiplicity) pairs.
 
     Pairs are sorted by descending value and multiplicities sum to n.
-    ``source`` is "analytic" or "numeric"; ``matrix`` is "adjacency" or
-    "laplacian".  ``degenerate`` marks the complete-graph collapse at a
-    single satellite.  ``notes`` optionally describes eigenvector
-    structure in words; repeated eigenvalues have no canonical basis, so
-    no numeric eigenvectors are reported for them.
+    ``degenerate`` marks the complete-graph collapse at a single
+    satellite.
     """
 
     eigenpairs: tuple[tuple[float, int], ...]
-    source: str
-    matrix: str
     degenerate: bool = False
-    notes: tuple[str, ...] = ()
 
     @property
     def size(self) -> int:
@@ -155,17 +149,9 @@ def adjacency_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
     for cls in params.classes:
         pairs.append((float(cls.size - 1), cls.count - 1))
     pairs.extend((root, 1) for root in _quotient_roots(params))
-    notes = (
-        "quotient eigenvalues: constant on the core and on each satellite class",
-        "value s_i-1: contrasts across copies inside class i, zero elsewhere",
-        "value -1: contrasts inside the core clique and inside satellite cliques",
-    )
     return SpectrumResult(
         eigenpairs=_merge_pairs(pairs),
-        source="analytic",
-        matrix="adjacency",
         degenerate=params.satellite_total == 1,
-        notes=notes,
     )
 
 
@@ -215,18 +201,9 @@ def laplacian_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
         pairs.append((float(c + cls.size), cls.count * (cls.size - 1)))
     pairs.append((float(c), params.satellite_total - 1))
     pairs.append((0.0, 1))
-    notes = (
-        "value n: contrasts between the core and everything else",
-        "value c+s_i: contrasts inside satellite cliques of class i",
-        "value c: contrasts across satellite copies",
-        "value 0: the all-ones vector",
-    )
     return SpectrumResult(
         eigenpairs=_merge_pairs(pairs),
-        source="analytic",
-        matrix="laplacian",
         degenerate=params.satellite_total == 1,
-        notes=notes,
     )
 
 

@@ -186,7 +186,7 @@ def _check_laplacian(cases: list[_Case], dense_limit: int, tol: float) -> CheckR
     return CheckResult("laplacian-spectra", True, f"max deviation {worst:.1e}")
 
 
-def _check_bounds_and_eigenvector(cases: list[_Case], tol: float) -> CheckResult:
+def _check_bounds_and_eigenvector(cases: list[_Case]) -> CheckResult:
     import numpy as np
 
     for p, g, _ in cases:
@@ -264,7 +264,7 @@ def run_checks(
         _check_adjacency("adjacency-spectra", grid, dense_limit, tol),
         _check_adjacency("generalized-spectra", sample, dense_limit, tol),
         _check_laplacian(both, dense_limit, tol),
-        _check_bounds_and_eigenvector(both, tol),
+        _check_bounds_and_eigenvector(both),
         _check_indices(both),
         _check_divergence(),
     ]

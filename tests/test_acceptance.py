@@ -10,6 +10,7 @@ that minimum and its values.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -373,8 +374,9 @@ def sweep_csv(tmp_path_factory):
     )
     elapsed = time.perf_counter() - start
     assert code == 0
-    rows = target.read_text(encoding="ascii").splitlines()
-    return rows, elapsed
+    data = target.read_bytes()
+    rows = data.decode("ascii").splitlines()
+    return rows, elapsed, hashlib.sha256(data).hexdigest()
 
 
 def _parse_sweep(rows: list[str]) -> dict[int, list[tuple[int, float, float, float]]]:
@@ -391,7 +393,7 @@ def _parse_sweep(rows: list[str]) -> dict[int, list[tuple[int, float, float, flo
 
 
 def test_c8_sweep_shape_and_trends(sweep_csv):
-    rows, elapsed = sweep_csv
+    rows, elapsed, _ = sweep_csv
     ok = rows[0] == "c,p,n,m,avg_clustering,transitivity,assortativity"
     ok &= len(rows) == 301
     series = _parse_sweep(rows)
@@ -416,7 +418,7 @@ def test_c8_avg_clustering_nondecreasing(sweep_csv):
     # not nondecreasing in p: per core the measured average clustering
     # falls to one minimum and rises after it; the wide c=10 core dips
     # from p=1 to p=2.  The CSV prints 12 significant digits.
-    rows, _ = sweep_csv
+    rows, _, _ = sweep_csv
     series = _parse_sweep(rows)
     ok = True
     minima = {}
@@ -442,6 +444,17 @@ def test_c8_avg_clustering_nondecreasing(sweep_csv):
     )
     record("C8 avg-clustering-nondecreasing", ok, detail)
     assert ok, detail
+
+
+# sha256 of the default sweep's CSV, unchanged since the first release
+SWEEP_SHA256 = "aa1712916bb007f5435ccee6527054f9109d36198d0a9f8e04f4a3de923b5743"
+
+
+def test_c8_sweep_bytes_unchanged(sweep_csv):
+    _, _, digest = sweep_csv
+    ok = digest == SWEEP_SHA256
+    record("C8 sweep-bytes", ok, f"sha256 {digest[:8]}")
+    assert ok, digest
 
 
 def test_c9_negative_control(capsys):

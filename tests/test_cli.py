@@ -205,6 +205,23 @@ def test_max_n_must_be_positive(value, capsys):
     assert "--max-n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["generate", "--core", "2", "--satellites", "2:2"], ["--tol", "1e-9"]),
+        (["generate", "--core", "2", "--satellites", "2:2"], ["--dense-limit", "10"]),
+        (["metrics", "--core", "2", "--satellites", "2:2"], ["--dense-limit", "10"]),
+        (["sweep", "--pmax", "1"], ["--tol", "1e-9"]),
+        (["sweep", "--pmax", "1"], ["--dense-limit", "10"]),
+    ],
+)
+def test_subcommands_refuse_flags_they_do_not_read(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
 def test_metrics_output_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -59,6 +59,10 @@ def test_graph_takes_pairs_in_any_order_and_stores_them_sorted(data):
     flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
     g = Graph(n, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)])
     assert g.edges == tuple(sorted(chosen))
+    assert g.m == len(chosen)
+    for u, v in chosen:
+        with pytest.raises(InvalidParameterError, match="duplicate"):
+            Graph(n, [*chosen, (v, u)])
     rows = [[] for _ in range(n)]
     for u, v in chosen:
         rows[u].append(v)
