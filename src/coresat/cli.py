@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import metrics as metrics_mod
@@ -106,44 +107,10 @@ def _params_json(params: GeneralizedParams) -> dict:
 
 def _report_json(rep: metrics_mod.MetricsReport) -> dict:
     return {
-        "triangles": rep.triangles,
-        "p1": rep.p1,
-        "p2": rep.p2,
-        "p3": rep.p3,
-        "s13": rep.s13,
-        "avg_clustering": _round12(rep.avg_clustering),
-        "transitivity": _round12(rep.transitivity),
-        "assortativity": None if rep.assortativity is None else _round12(rep.assortativity),
-        "assortativity_estrada": None
-        if rep.assortativity_estrada is None
-        else _round12(rep.assortativity_estrada),
+        key: _round12(value) if isinstance(value, float) else value
+        for key, value in asdict(rep).items()
+        if key not in ("n", "m")
     }
-
-
-def _reports_agree(
-    direct: metrics_mod.MetricsReport, closed: metrics_mod.MetricsReport, tol: float
-) -> bool:
-    if (direct.n, direct.m, direct.triangles, direct.p1, direct.p2, direct.p3, direct.s13) != (
-        closed.n,
-        closed.m,
-        closed.triangles,
-        closed.p1,
-        closed.p2,
-        closed.p3,
-        closed.s13,
-    ):
-        return False
-    for a, b in (
-        (direct.avg_clustering, closed.avg_clustering),
-        (direct.transitivity, closed.transitivity),
-        (direct.assortativity, closed.assortativity),
-        (direct.assortativity_estrada, closed.assortativity_estrada),
-    ):
-        if (a is None) != (b is None):
-            return False
-        if a is not None and not abs(a - b) <= tol:
-            return False
-    return True
 
 
 def _check_size(params: GeneralizedParams) -> None:
@@ -180,7 +147,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     payload["direct"] = _report_json(direct)
     closed = metrics_mod.analytic_metrics(params)
     payload["analytic"] = _report_json(closed)
-    agreement = _reports_agree(direct, closed, args.tol)
+    agreement = direct.gap(closed) <= args.tol
     payload["agreement"] = agreement
     payload["tolerance"] = args.tol
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -190,54 +157,34 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spectrum_block(
-    analytic: spectra.SpectrumResult | None,
-    numeric,
-    tol: float,
-) -> tuple[dict, bool]:
-    block: dict = {"analytic": None, "numeric": None, "max_abs_deviation": None}
-    ok = True
-    if analytic is not None:
-        block["analytic"] = [
-            [_round12(value), mult] for value, mult in analytic.eigenpairs
-        ]
-    if numeric is not None:
-        block["numeric"] = [_round12(float(v)) for v in numeric]
-    if analytic is not None and numeric is not None:
-        deviation = spectra.max_spectrum_deviation(analytic, numeric)
-        block["max_abs_deviation"] = _round12(deviation)
-        ok = deviation <= tol
-    return block, ok
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = GeneralizedParams(args.core, args.satellites)
     payload = _params_json(params)
     payload["method"] = args.method
     payload["tolerance"] = args.tol
 
-    adjacency_analytic = laplacian_analytic = None
-    adjacency_numeric = laplacian_numeric = None
-    if args.method in ("analytic", "both"):
-        adjacency_analytic = spectra.adjacency_spectrum_gcs(params)
-        laplacian_analytic = spectra.laplacian_spectrum_gcs(params)
-    if args.method in ("numeric", "both"):
+    g = None
+    if args.method != "analytic":
+        # refused from the parameters, before the graph is built
+        oracle.check_dense_size(params.n, args.dense_limit)
         g = generalized_core_satellite(params)
-        adjacency_numeric = oracle.eigenvalues_symmetric(
-            oracle.adjacency_matrix(g, args.dense_limit)
-        )
-        laplacian_numeric = oracle.eigenvalues_symmetric(
-            oracle.laplacian_matrix(g, args.dense_limit)
-        )
-
-    adjacency_block, adjacency_ok = _spectrum_block(
-        adjacency_analytic, adjacency_numeric, args.tol
-    )
-    laplacian_block, laplacian_ok = _spectrum_block(
-        laplacian_analytic, laplacian_numeric, args.tol
-    )
-    payload["adjacency"] = adjacency_block
-    payload["laplacian"] = laplacian_block
+    ok = True
+    for name, closed_form, matrix in (
+        ("adjacency", spectra.adjacency_spectrum_gcs, oracle.adjacency_matrix),
+        ("laplacian", spectra.laplacian_spectrum_gcs, oracle.laplacian_matrix),
+    ):
+        block: dict = {"analytic": None, "numeric": None, "max_abs_deviation": None}
+        if args.method != "numeric":
+            analytic = closed_form(params)
+            block["analytic"] = [[_round12(value), mult] for value, mult in analytic.eigenpairs]
+        if g is not None:
+            numeric = oracle.eigenvalues_symmetric(matrix(g, args.dense_limit))
+            block["numeric"] = [_round12(float(v)) for v in numeric]
+        if args.method == "both":
+            deviation = spectra.max_spectrum_deviation(analytic, numeric)
+            block["max_abs_deviation"] = _round12(deviation)
+            ok = ok and deviation <= args.tol
+        payload[name] = block
 
     indices = spectra.spectral_indices(params)
     payload["spectral_radius"] = _round12(indices.spectral_radius)
@@ -252,7 +199,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     payload["degenerate"] = params.satellite_total == 1
 
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    if not (adjacency_ok and laplacian_ok):
+    if not ok:
         sys.stderr.write("spectrum: analytic and numeric spectra disagree\n")
         return 1
     return 0

@@ -38,12 +38,13 @@ class Graph:
 
     ``adj[u]`` is the ascending tuple of the neighbors of ``u``; the rows
     are the graph's only data.  ``edges`` is a view of them, built on
-    first use: the ``(u, v)`` pairs with ``u < v`` in sorted order.
+    each use and not kept: the ``(u, v)`` pairs with ``u < v`` in sorted
+    order.
     Instances never change after construction and are safe to share
     across concurrent readers.
     """
 
-    __slots__ = ("n", "m", "adj", "_edges")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -65,21 +66,14 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", sum(map(len, rows)) // 2)
         object.__setattr__(self, "adj", tuple(map(tuple, rows)))
-        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Graph instances are immutable")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Sorted ``(u, v)`` pairs with ``u < v``, built once on first use."""
-        cached = self._edges
-        if cached is None:
-            cached = tuple(
-                (u, v) for u, row in enumerate(self.adj) for v in row if v > u
-            )
-            object.__setattr__(self, "_edges", cached)
-        return cached
+        """Sorted ``(u, v)`` pairs with ``u < v``, built anew on each use."""
+        return tuple((u, v) for u, row in enumerate(self.adj) for v in row if v > u)
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])

@@ -1,7 +1,8 @@
 """Graph serialization: edge list, Matrix Market pattern, DOT.
 
 All writers are deterministic: the same graph always yields the same
-bytes.
+bytes.  They read the sorted neighbor rows directly, so no edge list is
+built beside them.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ __all__ = ["format_edgelist", "format_matrix_market", "format_dot", "format_grap
 def format_edgelist(g: Graph) -> str:
     """`u v` per line, u < v, 0-based, preceded by a `# n=.. m=..` comment."""
     lines = [f"# n={g.n} m={g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, row in enumerate(g.adj) for v in row if u < v)
     return "\n".join(lines) + "\n"
 
 
@@ -30,7 +31,7 @@ def format_matrix_market(g: Graph) -> str:
 def format_dot(g: Graph) -> str:
     lines = ["graph {"]
     lines.extend(f"  {u};" for u in range(g.n) if not g.adj[u])
-    lines.extend(f"  {u} -- {v};" for u, v in g.edges)
+    lines.extend(f"  {u} -- {v};" for u, row in enumerate(g.adj) for v in row if u < v)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
 from operator import eq, mul, sub
@@ -97,6 +97,21 @@ class MetricsReport:
     transitivity: float
     assortativity: float | None
     assortativity_estrada: float | None
+
+    def gap(self, other: MetricsReport) -> float:
+        """Largest absolute difference between the ratios of two reports.
+
+        ``inf`` when n, m, any count, or whether a ratio is defined
+        differs: counts are exact, so only ratios have a tolerance.
+        """
+        worst = 0.0
+        for field in fields(self):
+            a, b = getattr(self, field.name), getattr(other, field.name)
+            if isinstance(a, float) and isinstance(b, float):
+                worst = max(worst, abs(a - b))
+            elif a != b:
+                return math.inf
+        return worst
 
 
 def check_direct_size(g: Graph) -> None:

@@ -19,6 +19,7 @@ __all__ = [
     "DEFAULT_DENSE_LIMIT",
     "DEFAULT_ENUM_LIMIT",
     "SubgraphCounts",
+    "check_dense_size",
     "adjacency_matrix",
     "laplacian_matrix",
     "eigenvalues_symmetric",
@@ -29,10 +30,15 @@ DEFAULT_DENSE_LIMIT = 2000
 DEFAULT_ENUM_LIMIT = 50
 
 
+def check_dense_size(n: int, max_n: int) -> None:
+    """Refuse a dense n-by-n matrix when n exceeds ``max_n``."""
+    if n > max_n:
+        raise SizeLimitError(f"n={n} exceeds dense limit {max_n}")
+
+
 def adjacency_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense 0/1 adjacency matrix as float64."""
-    if g.n > max_n:
-        raise SizeLimitError(f"n={g.n} exceeds dense limit {max_n}")
+    check_dense_size(g.n, max_n)
     a = np.zeros((g.n, g.n))
     rows = np.repeat(np.arange(g.n), g.degrees())
     cols = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.intp, count=2 * g.m)

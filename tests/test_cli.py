@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from coresat import cli
 from coresat import metrics as metrics_mod
 from coresat.cli import GENERATE_EDGE_LIMIT, main
 from coresat.metrics import DIRECT_BITSET_LIMIT
@@ -94,6 +97,17 @@ def test_edge_limit_is_read_before_building(capsys):
     code, out, err = run(["sweep", "--cores", "3,1500", "--sizes", "1", "--pmax", "1"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: m=1125750 exceeds the limit {GENERATE_EDGE_LIMIT}\n"
+
+
+@pytest.mark.parametrize("method", ["numeric", "both"])
+def test_spectrum_dense_limit_is_read_before_building(method, capsys, monkeypatch):
+    def refuse(params):
+        raise AssertionError(f"built a graph for {params}")
+
+    monkeypatch.setattr(cli, "generalized_core_satellite", refuse)
+    argv = ["spectrum", "--core", "300", "--satellites", "1:20000", "--dense-limit", "50"]
+    code, out, err = run([*argv, "--method", method], capsys)
+    assert (code, out, err) == (2, "", "error: n=20300 exceeds dense limit 50\n")
 
 
 def test_metrics_and_sweep_bitset_limit(capsys):
@@ -358,3 +372,39 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# sha256 of `metrics` stdout, unchanged since the generalized closed forms
+METRICS_SHA256 = {
+    ("5", "5:9"): "3efd64da6ac3dc6ae71bd21baab1eb0f165db6d0353ab30aa8182ed53104902d",
+    ("6", "2:12,4:10,6:8"): "525b689f314de5a83ba5e1d5246d56cd75ee2bf1f6ff35086a422a44335c5f72",
+    ("8", "2:20,4:30,6:25"): "1d67809306437d57e19c0c3169b1e9b1fe27f1b88f7ca943aa5f514bb2222bc9",
+    ("20", "6:130"): "f07afe0bbc87352f09e95b394ebb4087a56133e2fbd892ec43229a5d8dc83a12",
+    ("10", "3:100,5:100,7:100"): "a1914a317ceaed956f15929c795bdf8fff363cf27173955a3854db7784217fa3",
+    ("1", "2:2"): "4614d4898a70ea645eb0e80b96d65f999ed3e83f8d39e761de9e568fda83092b",
+    ("1", "1:1"): "54cb203c811623f604e998e6bb9fc3158fd7a7e052cb8cf93a8d9bc09ae731dd",
+}
+
+
+@pytest.mark.parametrize("core, satellites", sorted(METRICS_SHA256))
+def test_metrics_bytes_unchanged(core, satellites, capsys):
+    code, out, _ = run(["metrics", "--core", core, "--satellites", satellites], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == METRICS_SHA256[core, satellites]
+
+
+# sha256 of `verify` stdout with the dense eigensolver's deviations masked:
+# those last digits depend on the LAPACK build
+VERIFY_SHA256 = {
+    (): "aaeae740854c105926bbc7bf450d3f1ce566062fabcecdecc13adf2a89f72fc9",
+    ("--fault-triangle-sign",): "b629309ff818d5a9fd42629ab99ca667b18bd67fb089adb4531db96d5bfcbedc",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(VERIFY_SHA256))
+def test_verify_bytes_unchanged(flags, capsys):
+    code, out, _ = run(["verify", *flags], capsys)
+    assert code == (1 if flags else 0)
+    masked, count = re.subn(r"max deviation \S+", "max deviation *", out)
+    assert count == 3
+    assert hashlib.sha256(masked.encode("ascii")).hexdigest() == VERIFY_SHA256[flags]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -181,6 +182,21 @@ def test_generalized_closed_forms_match_direct_enumeration_and_exact_ratios(p):
     faulted = analytic_metrics(p, triangle_sign_fault=True)
     if p.satellite_total >= 2:
         assert faulted.triangles != closed.triangles
+
+
+def test_gap_is_infinite_on_any_count_or_definedness_and_else_the_largest_ratio_gap():
+    rep = compute_metrics(BUTTERFLY)
+    assert rep.gap(rep) == 0.0
+    assert rep.gap(analytic_metrics(CoreSatelliteParams(1, 2, 2))) <= 1e-15
+    for field in _COUNT_FIELDS:
+        assert rep.gap(dataclasses.replace(rep, **{field: getattr(rep, field) + 1})) == math.inf
+    undefined = dataclasses.replace(rep, assortativity=None)
+    assert rep.gap(undefined) == undefined.gap(rep) == math.inf
+    assert undefined.gap(undefined) == 0.0
+    off = dataclasses.replace(
+        rep, transitivity=rep.transitivity + 0.25, assortativity=rep.assortativity - 0.5
+    )
+    assert rep.gap(off) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_assortativity_negative_on_grid():

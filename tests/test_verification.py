@@ -98,6 +98,7 @@ def test_each_case_is_built_and_measured_once(monkeypatch):
         (verification, "core_satellite"),
         (verification, "generalized_core_satellite"),
         (verification.metrics, "compute_metrics"),
+        (verification.metrics, "analytic_metrics"),
     ):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     assert all(r.passed for r in run_checks())
@@ -106,4 +107,6 @@ def test_each_case_is_built_and_measured_once(monkeypatch):
         core_satellite=len(GRID),
         generalized_core_satellite=sampled,
         compute_metrics=len(GRID) + sampled,
+        # one per case, and the divergence series: eta = 1000, then 2..1000
+        analytic_metrics=len(GRID) + sampled + 1000,
     )
