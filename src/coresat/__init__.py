@@ -1,11 +1,11 @@
 """Core-satellite graphs: generators, metrics, spectra, verification.
 
 A core-satellite graph joins a core clique to disjoint satellite
-cliques.  This package generates the family (and its generalized
-multi-class form), evaluates clustering, transitivity, assortativity and
-subgraph counts both directly and from closed forms, assembles adjacency
-and Laplacian spectra analytically, and cross-validates every closed
-form against brute-force numeric oracles.
+cliques, in one or several classes of clique size.  This package
+generates the family, evaluates clustering, transitivity, assortativity
+and subgraph counts both directly and from closed forms, assembles
+adjacency and Laplacian spectra analytically, and cross-validates every
+closed form against brute-force numeric oracles.
 """
 from .exceptions import (
     InvalidParameterError,
@@ -17,7 +17,6 @@ from .graphs import (
     agave,
     complete_graph,
     complete_split,
-    core_satellite,
     disjoint_union,
     empty_graph,
     friendship,
@@ -50,7 +49,7 @@ from .oracle import (
     exhaustive_subgraph_counts,
     laplacian_matrix,
 )
-from .params import CoreSatelliteParams, GeneralizedParams, SatelliteClass
+from .params import GeneralizedParams, SatelliteClass
 from .spectra import (
     PrincipalEigenvector,
     SpectralIndices,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult",
-    "CoreSatelliteParams",
     "DEFAULT_DENSE_LIMIT",
     "DEFAULT_ENUM_LIMIT",
     "GeneralizedParams",
@@ -95,7 +93,6 @@ __all__ = [
     "complete_graph",
     "complete_split",
     "compute_metrics",
-    "core_satellite",
     "disjoint_union",
     "divisor_matrix",
     "eigenvalues_symmetric",

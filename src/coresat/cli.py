@@ -206,14 +206,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.pmax >= 1:
-        # the row with the largest core and p has the most nodes and edges
-        largest = GeneralizedParams(
-            max(args.cores), [(size, args.pmax) for size in args.sizes]
-        )
-        _check_size(largest)
-        # its bitset rows are the widest too: refuse before the first row
-        metrics_mod.check_direct_size(generalized_core_satellite(largest))
+    # the row with the largest core and p has the most nodes and edges
+    largest = GeneralizedParams(
+        max(args.cores), [(size, args.pmax) for size in args.sizes]
+    )
+    _check_size(largest)
+    # its bitset rows are the widest too: refuse before the first row
+    metrics_mod.check_direct_size(generalized_core_satellite(largest))
     lines = ["c,p,n,m,avg_clustering,transitivity,assortativity"]
     for core in args.cores:
         for p in range(1, args.pmax + 1):
@@ -307,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--cores", type=_parse_int_list, default=[3, 5, 10])
     p_sweep.add_argument("--sizes", type=_parse_int_list, default=[3, 5, 7])
-    p_sweep.add_argument("--pmax", type=int, default=100)
+    p_sweep.add_argument("--pmax", type=_positive_int, default=100)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ver = sub.add_parser(

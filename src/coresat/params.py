@@ -3,9 +3,9 @@
 A generalized core-satellite graph joins a core clique on ``core`` nodes
 to disjoint satellite cliques, grouped into classes of equal clique
 size.  ``GeneralizedParams`` is the one parameter type every generator,
-closed form and spectrum takes.  ``CoreSatelliteParams`` only builds
-the single-class case from (c, s, eta): ``core`` nodes joined to
-``satellite_count`` copies of a clique on ``satellite_size`` nodes.
+closed form and spectrum takes.  The paper's single-class graph (c, s,
+eta) is ``GeneralizedParams(c, [(s, eta)])``: ``c`` core nodes joined to
+``eta`` copies of a clique on ``s`` nodes.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .exceptions import InvalidParameterError
 
 __all__ = [
-    "CoreSatelliteParams",
     "SatelliteClass",
     "GeneralizedParams",
 ]
@@ -96,26 +95,10 @@ class GeneralizedParams:
             edges += cls.count * (math.comb(cls.size, 2) + self.core * cls.size)
         return edges
 
-    def to_core_satellite(self) -> CoreSatelliteParams:
-        """Single-class parameters; error if more than one class."""
+    # benchmark hook: benchmarks/workloads.py (the analytic workload)
+    # calls it on one-class parameters
+    def to_core_satellite(self) -> GeneralizedParams:
+        """These parameters, checked to have exactly one class."""
         if len(self.classes) != 1:
-            raise InvalidParameterError(
-                "only single-class parameters convert to CoreSatelliteParams"
-            )
-        cls = self.classes[0]
-        return CoreSatelliteParams(self.core, cls.size, cls.count)
-
-
-class CoreSatelliteParams(GeneralizedParams):
-    """Parameters (c, s, eta) of a single-class core-satellite graph."""
-
-    def __init__(self, core: int, satellite_size: int, satellite_count: int) -> None:
-        super().__init__(core, ((satellite_size, satellite_count),))
-
-    @property
-    def satellite_size(self) -> int:
-        return self.classes[0].size
-
-    @property
-    def satellite_count(self) -> int:
-        return self.classes[0].count
+            raise InvalidParameterError("only single-class parameters convert")
+        return self

@@ -6,11 +6,11 @@ from collections import deque
 import pytest
 from hypothesis import strategies as st
 
-from coresat import CoreSatelliteParams, Graph
+from coresat import GeneralizedParams, Graph
 
 # the standard verification grid: c, s in 1..5, eta in 2..6
 GRID_PARAMS = [
-    CoreSatelliteParams(c, s, eta)
+    GeneralizedParams(c, [(s, eta)])
     for c in range(1, 6)
     for s in range(1, 6)
     for eta in range(2, 7)

@@ -20,7 +20,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, GRID_PARAMS
 from coresat import (
-    CoreSatelliteParams,
+    GeneralizedParams,
     adjacency_matrix,
     adjacency_spectrum_gcs,
     analytic_metrics,
@@ -29,7 +29,6 @@ from coresat import (
     average_clustering,
     complete_graph,
     compute_metrics,
-    core_satellite,
     eigenvalues_symmetric,
     generalized_core_satellite,
     laplacian_matrix,
@@ -44,7 +43,7 @@ from coresat import (
 from coresat.cli import main
 from coresat.metrics import _average_clustering_fraction
 
-BUTTERFLY = CoreSatelliteParams(1, 2, 2)
+BUTTERFLY = GeneralizedParams(1, [(2, 2)])
 SWEEP_SIZES = (3, 5, 7)
 
 
@@ -93,7 +92,7 @@ def _valley(values: list, *, strict: bool) -> int | None:
 
 def test_c1_butterfly_golden():
     start = time.perf_counter()
-    direct = compute_metrics(core_satellite(BUTTERFLY))
+    direct = compute_metrics(generalized_core_satellite(BUTTERFLY))
     closed = analytic_metrics(BUTTERFLY)
     ok = True
     for rep in (direct, closed):
@@ -107,7 +106,7 @@ def test_c1_butterfly_golden():
     ok &= len(adjacency.eigenpairs) == 4
     for (got_v, got_m), (want_v, want_m) in zip(adjacency.eigenpairs, expected):
         ok &= abs(got_v - want_v) <= 1e-12 and got_m == want_m
-    g = core_satellite(BUTTERFLY)
+    g = generalized_core_satellite(BUTTERFLY)
     adev = max_spectrum_deviation(
         adjacency, eigenvalues_symmetric(adjacency_matrix(g))
     )
@@ -132,7 +131,7 @@ def test_c2_clustering_closed_forms_grid():
     ok = True
     worst = 0.0
     for p in GRID_PARAMS:
-        direct = compute_metrics(core_satellite(p))
+        direct = compute_metrics(generalized_core_satellite(p))
         closed = analytic_metrics(p)
         ok &= closed.triangles == direct.triangles
         ok &= closed.p2 == direct.p2
@@ -150,7 +149,8 @@ def test_c2_clustering_closed_forms_grid():
     naive = 1 - Fraction(1 * 2 * 2 * 2 * 2, 5 * 4 * 3)
     direct_value = Fraction(13, 15)
     ok &= naive == Fraction(11, 15)
-    ok &= abs(average_clustering(core_satellite(BUTTERFLY)) - float(direct_value)) <= 1e-12
+    butterfly_avg = average_clustering(generalized_core_satellite(BUTTERFLY))
+    ok &= abs(butterfly_avg - float(direct_value)) <= 1e-12
     ok &= naive != direct_value
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
@@ -164,7 +164,7 @@ def test_c2_clustering_closed_forms_grid():
 
 def test_c3_divergence_endpoints():
     start = time.perf_counter()
-    rep = analytic_metrics(CoreSatelliteParams(2, 3, 1000))
+    rep = analytic_metrics(GeneralizedParams(2, [(3, 1000)]))
     ok = rep.avg_clustering > 0.999 and rep.transitivity < 0.01
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
@@ -181,7 +181,7 @@ def test_c3_transitivity_monotone():
     ok = True
     prev = None
     for eta in range(2, 1001):
-        value = analytic_metrics(CoreSatelliteParams(2, 3, eta)).transitivity
+        value = analytic_metrics(GeneralizedParams(2, [(3, eta)])).transitivity
         if prev is not None:
             ok &= value < prev
         prev = value
@@ -197,7 +197,7 @@ def test_c3_avg_clustering_monotone():
     # exact rationals against the independent derivation
     etas = range(2, 1001)
     exact = [
-        _average_clustering_fraction(CoreSatelliteParams(2, 3, eta)) for eta in etas
+        _average_clustering_fraction(GeneralizedParams(2, [(3, eta)])) for eta in etas
     ]
     formula = [1 - _clustering_deficit(2, [(3, eta)]) for eta in etas]
     k = _valley(exact, strict=True)
@@ -208,7 +208,9 @@ def test_c3_avg_clustering_monotone():
     ok &= exact[-1] > Fraction(999, 1000)
     gap = max(
         abs(
-            compute_metrics(core_satellite(CoreSatelliteParams(2, 3, eta))).avg_clustering
+            compute_metrics(
+                generalized_core_satellite(GeneralizedParams(2, [(3, eta)]))
+            ).avg_clustering
             - float(exact[eta - 2])
         )
         for eta in (2, 3, 4)
@@ -227,7 +229,7 @@ def test_c4_disassortativity():
     ok = True
     worst = 0.0
     for p in GRID_PARAMS:
-        g = core_satellite(p)
+        g = generalized_core_satellite(p)
         r = assortativity(g)
         r2 = assortativity_estrada(g)
         ok &= r is not None and r < 0
@@ -251,9 +253,9 @@ def test_c5_adjacency_spectra_grid():
     ok = True
     worst = 0.0
     for p in GRID_PARAMS:
-        c, s, eta = p.core, p.satellite_size, p.satellite_count
+        c, s, eta = p.core, p.classes[0].size, p.classes[0].count
         result = adjacency_spectrum_gcs(p)
-        numeric = eigenvalues_symmetric(adjacency_matrix(core_satellite(p)))
+        numeric = eigenvalues_symmetric(adjacency_matrix(generalized_core_satellite(p)))
         dev = max_spectrum_deviation(result, numeric)
         worst = max(worst, dev)
         ok &= dev <= 1e-9
@@ -344,7 +346,7 @@ def test_c7_laplacian_spectra():
     # (the clique eigenvalue c+s then has multiplicity zero)
     for p in GRID_PARAMS:
         count = len(laplacian_spectrum_gcs(p).eigenpairs)
-        ok &= count == (4 if p.satellite_size >= 2 else 3)
+        ok &= count == (4 if p.classes[0].size >= 2 else 3)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
     record(

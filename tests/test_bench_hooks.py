@@ -10,7 +10,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from coresat import GeneralizedParams, analytic_metrics, compute_metrics, core_satellite
+from coresat import GeneralizedParams, analytic_metrics, compute_metrics, graphs, spectra
+from coresat.graphs import core_satellite
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -38,3 +39,10 @@ def test_single_class_hook_of_the_analytic_workload_runs():
     params = GeneralizedParams(3, [(2, 2)]).to_core_satellite()
     closed, direct = analytic_metrics(params), compute_metrics(core_satellite(params))
     assert (closed.triangles, closed.p3) == (direct.triangles, direct.p3)
+
+
+def test_hooks_stay_aliases_of_the_one_code_path():
+    assert graphs.core_satellite is graphs.generalized_core_satellite
+    assert spectra.adjacency_spectrum_cs is spectra.adjacency_spectrum_gcs
+    params = GeneralizedParams(3, [(2, 2)])
+    assert params.to_core_satellite() is params

@@ -352,6 +352,24 @@ def test_verify_catches_injected_fault(capsys):
     assert any(line.startswith("clustering-closed-forms") for line in failing)
 
 
+def test_verify_says_when_a_check_skipped_every_case(capsys):
+    code, out, _ = run(["verify", "--max-n", "1", "--dense-limit", "1"], capsys)
+    assert code == 0
+    skipped = {
+        line.split()[0]: line.split("  ")[-1]
+        for line in out.splitlines()
+        if "skipped" in line
+    }
+    assert skipped == {
+        "subgraph-enumeration": "0 graphs enumerated (all 125 cases skipped)",
+        "adjacency-spectra": "max deviation 0.0e+00 (all 125 cases skipped)",
+        "generalized-spectra": "max deviation 0.0e+00 (all 20 cases skipped)",
+        "laplacian-spectra": "max deviation 0.0e+00 (all 145 cases skipped)",
+    }
+    # the benchmark reads each figure back as a float
+    assert [float(x) for x in re.findall(r"max deviation (\S+)", out)] == [0.0] * 3
+
+
 def test_invalid_parameters_exit_2(capsys):
     code, _, err = run(["metrics", "--core", "0", "--satellites", "2:2"], capsys)
     assert code == 2
@@ -372,6 +390,12 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    for value in ("0", "-3"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--pmax", value])
+        assert exc.value.code == 2
+        assert "--pmax" in capsys.readouterr().err
 
 
 # sha256 of `metrics` stdout, unchanged since the generalized closed forms
@@ -397,7 +421,7 @@ def test_metrics_bytes_unchanged(core, satellites, capsys):
 # those last digits depend on the LAPACK build
 VERIFY_SHA256 = {
     (): "aaeae740854c105926bbc7bf450d3f1ce566062fabcecdecc13adf2a89f72fc9",
-    ("--fault-triangle-sign",): "b629309ff818d5a9fd42629ab99ca667b18bd67fb089adb4531db96d5bfcbedc",
+    ("--fault-triangle-sign",): "7bf5ef00adb498e42ec8f2003b61a91af4fc69759ec2b5434f22f1e9e2d632fb",
 }
 
 

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import GRID_PARAMS, bfs_distances
 from coresat import (
-    CoreSatelliteParams,
     GeneralizedParams,
     Graph,
     InvalidParameterError,
+    SatelliteClass,
     agave,
     complete_graph,
     complete_split,
-    core_satellite,
     disjoint_union,
     empty_graph,
     friendship,
@@ -79,7 +78,7 @@ def _composed(params: GeneralizedParams) -> Graph:
 def test_generators_match_the_join_of_unions():
     for p in GRID:
         expected = _composed(p)
-        g = core_satellite(p)
+        g = generalized_core_satellite(p)
         assert (g.edges, g.adj) == (expected.edges, expected.adj), p
     for p in sample_generalized_params():
         expected = _composed(p)
@@ -126,43 +125,54 @@ def test_disjoint_union_blocks():
 
 
 def test_butterfly_structure():
-    g = core_satellite(CoreSatelliteParams(1, 2, 2))
+    g = generalized_core_satellite(GeneralizedParams(1, [(2, 2)]))
     assert g.n == 5
     assert g.edges == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4))
 
 
 def test_special_cases_reduce():
-    assert star(4).edges == core_satellite(CoreSatelliteParams(1, 1, 4)).edges
-    assert windmill(3, 4).edges == core_satellite(CoreSatelliteParams(1, 4, 3)).edges
+    def one_class(c, s, eta):
+        return generalized_core_satellite(GeneralizedParams(c, [(s, eta)])).edges
+
+    assert star(4).edges == one_class(1, 1, 4)
+    assert windmill(3, 4).edges == one_class(1, 4, 3)
     assert friendship(5).edges == windmill(5, 2).edges
     assert agave(3).edges == complete_split(2, 3).edges
-    assert complete_split(3, 2).edges == core_satellite(CoreSatelliteParams(3, 1, 2)).edges
+    assert complete_split(3, 2).edges == one_class(3, 1, 2)
 
 
 def test_complete_split_example_counts():
-    g = core_satellite(CoreSatelliteParams(3, 1, 2))
+    g = generalized_core_satellite(GeneralizedParams(3, [(1, 2)]))
     assert g.n == 5 and g.m == 9
 
 
 def test_grid_counts_and_degrees():
     for p in GRID_PARAMS:
-        g = core_satellite(p)
+        g = generalized_core_satellite(p)
         assert g.n == p.n
         assert g.m == p.m
         degs = set(g.degrees())
-        assert degs == {p.n - 1, p.core + p.satellite_size - 1}
+        assert degs == {p.n - 1, p.core + p.classes[0].size - 1}
         assert g.degrees().count(p.n - 1) >= p.core
         assert is_connected(g)
 
 
-def test_generalized_single_class_matches_core_satellite():
-    for p in (CoreSatelliteParams(1, 2, 2), CoreSatelliteParams(3, 2, 4)):
-        general = GeneralizedParams(p.core, [(p.satellite_size, p.satellite_count)])
-        assert (p.classes, p.n, p.m) == (general.classes, general.n, general.m)
-        assert general.to_core_satellite() == p
-        assert core_satellite(p).edges == generalized_core_satellite(general).edges
-        with pytest.raises(AttributeError):
-            p.satellite_size = 5
+def test_one_class_params_are_equal_however_built():
+    # one graph, one value: equal parameters must also hash alike
+    ways = [
+        GeneralizedParams(3, [(3, 4)]),
+        GeneralizedParams(3, [(3, 1), (3, 3)]),
+        GeneralizedParams(3, [SatelliteClass(3, 4)]),
+        GeneralizedParams(3, [SatelliteClass(3, 1), (3, 3)]),
+        GeneralizedParams(3, [(3, 4)]).to_core_satellite(),
+    ]
+    assert all(p == ways[0] for p in ways)
+    assert len(set(ways)) == 1
+    assert len({generalized_core_satellite(p).edges for p in ways}) == 1
+    with pytest.raises(AttributeError):
+        ways[0].core = 5
+    with pytest.raises(InvalidParameterError):
+        GeneralizedParams(2, [(1, 1), (2, 1)]).to_core_satellite()
 
 
 def test_generalized_block_layout():
@@ -195,32 +205,28 @@ def test_generalized_edge_count_formula():
 
 def test_parameter_validation():
     with pytest.raises(InvalidParameterError):
-        CoreSatelliteParams(0, 1, 1)
+        GeneralizedParams(0, [(1, 1)])
     with pytest.raises(InvalidParameterError):
-        CoreSatelliteParams(1, 0, 1)
-    with pytest.raises(InvalidParameterError):
-        CoreSatelliteParams(1, 1, 0)
-    with pytest.raises(InvalidParameterError):
-        GeneralizedParams(1, [])
+        GeneralizedParams(1, [(0, 1)])
     with pytest.raises(InvalidParameterError):
         GeneralizedParams(1, [(1, 0)])
     with pytest.raises(InvalidParameterError):
-        GeneralizedParams(2, [(1, 1), (2, 1)]).to_core_satellite()
+        GeneralizedParams(1, [])
 
 
 def test_diameter_two_with_multiple_satellites():
     cases = [
-        CoreSatelliteParams(1, 2, 2),
-        CoreSatelliteParams(2, 3, 2),
-        CoreSatelliteParams(5, 1, 6),
-        CoreSatelliteParams(1, 1, 5),
+        GeneralizedParams(1, [(2, 2)]),
+        GeneralizedParams(2, [(3, 2)]),
+        GeneralizedParams(5, [(1, 6)]),
+        GeneralizedParams(1, [(1, 5)]),
     ]
     for p in cases:
-        g = core_satellite(p)
+        g = generalized_core_satellite(p)
         ecc = max(max(bfs_distances(g, u)) for u in range(g.n))
         assert ecc == 2, p
 
 
 def test_satellite_count_one_gives_complete_graph():
-    g = core_satellite(CoreSatelliteParams(2, 3, 1))
+    g = generalized_core_satellite(GeneralizedParams(2, [(3, 1)]))
     assert g.m == math.comb(5, 2)

@@ -3,17 +3,17 @@ from __future__ import annotations
 import pytest
 
 from coresat import (
-    CoreSatelliteParams,
+    GeneralizedParams,
     Graph,
     InvalidParameterError,
-    core_satellite,
     format_dot,
     format_edgelist,
     format_graph,
     format_matrix_market,
+    generalized_core_satellite,
 )
 
-BUTTERFLY = core_satellite(CoreSatelliteParams(1, 2, 2))
+BUTTERFLY = generalized_core_satellite(GeneralizedParams(1, [(2, 2)]))
 
 
 def test_edgelist_exact():
@@ -67,7 +67,7 @@ def test_format_graph_dispatch_and_determinism():
 
 
 def test_matrix_market_entries_strictly_lower():
-    text = format_matrix_market(core_satellite(CoreSatelliteParams(2, 2, 3)))
+    text = format_matrix_market(generalized_core_satellite(GeneralizedParams(2, [(2, 3)])))
     lines = text.strip().split("\n")
     n_row, n_col, nnz = map(int, lines[1].split())
     assert n_row == n_col == 8

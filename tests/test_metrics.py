@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from conftest import GRID_PARAMS, arbitrary_graphs
 from coresat import (
-    CoreSatelliteParams,
     GeneralizedParams,
     Graph,
     SizeLimitError,
@@ -23,7 +22,6 @@ from coresat import (
     average_clustering,
     complete_graph,
     compute_metrics,
-    core_satellite,
     generalized_core_satellite,
     local_clustering,
     path_counts,
@@ -40,7 +38,7 @@ from coresat.metrics import (
 )
 from coresat.oracle import exhaustive_subgraph_counts
 
-BUTTERFLY = core_satellite(CoreSatelliteParams(1, 2, 2))
+BUTTERFLY = generalized_core_satellite(GeneralizedParams(1, [(2, 2)]))
 
 
 def test_butterfly_direct_golden_values():
@@ -54,7 +52,7 @@ def test_butterfly_direct_golden_values():
 
 
 def test_butterfly_analytic_matches():
-    rep = analytic_metrics(CoreSatelliteParams(1, 2, 2))
+    rep = analytic_metrics(GeneralizedParams(1, [(2, 2)]))
     assert (rep.m, rep.triangles, rep.p2, rep.p3, rep.s13) == (6, 2, 10, 8, 4)
     assert rep.avg_clustering == pytest.approx(13 / 15, abs=1e-15)
     assert rep.transitivity == pytest.approx(0.6, abs=1e-15)
@@ -71,10 +69,10 @@ def test_local_clustering_conventions():
 
 
 def test_core_clustering_closed_form_examples():
-    assert analytic_core_clustering(CoreSatelliteParams(1, 2, 2)) == pytest.approx(1 / 3)
-    assert analytic_core_clustering(CoreSatelliteParams(3, 1, 2)) == pytest.approx(5 / 6)
+    assert analytic_core_clustering(GeneralizedParams(1, [(2, 2)])) == pytest.approx(1 / 3)
+    assert analytic_core_clustering(GeneralizedParams(3, [(1, 2)])) == pytest.approx(5 / 6)
     # n = 2: degree-1 convention value
-    assert analytic_core_clustering(CoreSatelliteParams(1, 1, 1)) == 0.0
+    assert analytic_core_clustering(GeneralizedParams(1, [(1, 1)])) == 0.0
 
 
 def test_star_metrics():
@@ -84,7 +82,7 @@ def test_star_metrics():
     assert assortativity(g) == pytest.approx(-1.0)
     assert assortativity_estrada(g) == pytest.approx(-1.0)
     # closed forms agree with the convention for degree-1 satellites
-    rep = analytic_metrics(CoreSatelliteParams(1, 1, 4))
+    rep = analytic_metrics(GeneralizedParams(1, [(1, 4)]))
     assert rep.avg_clustering == 0.0
     assert rep.transitivity == 0.0
     assert rep.assortativity == pytest.approx(-1.0)
@@ -96,7 +94,7 @@ def test_complete_graph_metrics():
     assert transitivity(g) == pytest.approx(1.0)
     assert assortativity(g) is None
     assert assortativity_estrada(g) is None
-    rep = analytic_metrics(CoreSatelliteParams(2, 3, 1))
+    rep = analytic_metrics(GeneralizedParams(2, [(3, 1)]))
     assert rep.avg_clustering == 1.0
     assert rep.transitivity == pytest.approx(1.0)
     assert rep.assortativity is None
@@ -118,14 +116,14 @@ def test_path_graph_counts():
 
 
 def test_complete_split_triangle_count():
-    rep = compute_metrics(core_satellite(CoreSatelliteParams(3, 1, 2)))
+    rep = compute_metrics(generalized_core_satellite(GeneralizedParams(3, [(1, 2)])))
     assert rep.m == 9
     assert rep.triangles == 7
 
 
 def test_closed_forms_match_direct_on_grid():
     for p in GRID_PARAMS:
-        direct = compute_metrics(core_satellite(p))
+        direct = compute_metrics(generalized_core_satellite(p))
         closed = analytic_metrics(p)
         assert (closed.n, closed.m) == (direct.n, direct.m), p
         assert closed.triangles == direct.triangles, p
@@ -187,7 +185,7 @@ def test_generalized_closed_forms_match_direct_enumeration_and_exact_ratios(p):
 def test_gap_is_infinite_on_any_count_or_definedness_and_else_the_largest_ratio_gap():
     rep = compute_metrics(BUTTERFLY)
     assert rep.gap(rep) == 0.0
-    assert rep.gap(analytic_metrics(CoreSatelliteParams(1, 2, 2))) <= 1e-15
+    assert rep.gap(analytic_metrics(GeneralizedParams(1, [(2, 2)]))) <= 1e-15
     for field in _COUNT_FIELDS:
         assert rep.gap(dataclasses.replace(rep, **{field: getattr(rep, field) + 1})) == math.inf
     undefined = dataclasses.replace(rep, assortativity=None)
@@ -201,7 +199,7 @@ def test_gap_is_infinite_on_any_count_or_definedness_and_else_the_largest_ratio_
 
 def test_assortativity_negative_on_grid():
     for p in GRID_PARAMS:
-        r = assortativity(core_satellite(p))
+        r = assortativity(generalized_core_satellite(p))
         assert r is not None and r < 0, p
 
 
@@ -220,7 +218,7 @@ def test_naive_average_clustering_variant_rejected():
 def test_corrected_average_clustering_identity():
     # for c+s >= 3 the gated form equals 1 - c*eta*s^2*(eta-1)/(n(n-1)(n-2))
     for p in GRID_PARAMS:
-        c, s, eta = p.core, p.satellite_size, p.satellite_count
+        c, s, eta = p.core, p.classes[0].size, p.classes[0].count
         if c + s < 3:
             continue
         n = p.n
@@ -231,7 +229,7 @@ def test_corrected_average_clustering_identity():
 
 
 def test_triangle_sign_fault_changes_counts():
-    p = CoreSatelliteParams(3, 1, 2)
+    p = GeneralizedParams(3, [(1, 2)])
     good = analytic_metrics(p)
     bad = analytic_metrics(p, triangle_sign_fault=True)
     assert good.triangles == 7
@@ -239,13 +237,13 @@ def test_triangle_sign_fault_changes_counts():
     assert bad.triangles == (3 * 3 + 2 * math.comb(3, 2)) // 3 == 5
     assert bad.avg_clustering != good.avg_clustering
     # visible on a core with no triangles of its own too
-    small = CoreSatelliteParams(1, 2, 2)
+    small = GeneralizedParams(1, [(2, 2)])
     assert analytic_metrics(small).triangles == 2
     assert analytic_metrics(small, triangle_sign_fault=True).triangles == -1
 
 
 def test_divergence_endpoints_closed_forms():
-    rep = analytic_metrics(CoreSatelliteParams(2, 3, 1000))
+    rep = analytic_metrics(GeneralizedParams(2, [(3, 1000)]))
     assert rep.avg_clustering > 0.999
     assert rep.transitivity < 0.01
 
@@ -254,7 +252,7 @@ def test_transitivity_strictly_decreasing_in_count():
     for c, s in ((1, 2), (2, 3), (3, 1), (5, 5)):
         prev = None
         for eta in range(2, 101):
-            t = analytic_metrics(CoreSatelliteParams(c, s, eta)).transitivity
+            t = analytic_metrics(GeneralizedParams(c, [(s, eta)])).transitivity
             if prev is not None:
                 assert t < prev, (c, s, eta)
             prev = t
@@ -266,7 +264,7 @@ def test_avg_clustering_increases_for_single_core():
     for s in (2, 3, 5):
         prev = None
         for eta in range(2, 101):
-            value = analytic_metrics(CoreSatelliteParams(1, s, eta)).avg_clustering
+            value = analytic_metrics(GeneralizedParams(1, [(s, eta)])).avg_clustering
             if prev is not None:
                 assert value > prev, (s, eta)
             prev = value
@@ -276,10 +274,10 @@ def test_avg_clustering_dip_for_wider_core():
     # true behavior of the corrected closed form: a strict dip at the
     # start for c=2, s=3, matching direct computation exactly
     values = {
-        eta: analytic_metrics(CoreSatelliteParams(2, 3, eta)).avg_clustering
+        eta: analytic_metrics(GeneralizedParams(2, [(3, eta)])).avg_clustering
         for eta in (2, 3, 4)
     }
-    direct3 = average_clustering(core_satellite(CoreSatelliteParams(2, 3, 3)))
+    direct3 = average_clustering(generalized_core_satellite(GeneralizedParams(2, [(3, 3)])))
     assert values[3] == pytest.approx(direct3, abs=1e-12)
     assert values[2] > values[3] < values[4]
     assert values[2] == pytest.approx(25 / 28, abs=1e-15)

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 
 from conftest import GRID_PARAMS, arbitrary_graphs
 from coresat import (
-    CoreSatelliteParams,
+    GeneralizedParams,
     Graph,
     SizeLimitError,
     adjacency_matrix,
     complete_graph,
-    core_satellite,
     eigenvalues_symmetric,
     exhaustive_subgraph_counts,
+    generalized_core_satellite,
     laplacian_matrix,
     path_counts,
     star,
@@ -24,7 +24,7 @@ from coresat import (
 
 
 def test_adjacency_matrix_butterfly():
-    g = core_satellite(CoreSatelliteParams(1, 2, 2))
+    g = generalized_core_satellite(GeneralizedParams(1, [(2, 2)]))
     a = adjacency_matrix(g)
     assert a.shape == (5, 5)
     assert a.dtype == np.float64
@@ -35,7 +35,7 @@ def test_adjacency_matrix_butterfly():
 
 
 def test_adjacency_matrix_equals_the_matrix_filled_edge_by_edge():
-    graphs = [core_satellite(p) for p in GRID_PARAMS] + [Graph(0, []), Graph(3, [])]
+    graphs = [generalized_core_satellite(p) for p in GRID_PARAMS] + [Graph(0, []), Graph(3, [])]
     for g in graphs:
         loop = np.zeros((g.n, g.n))
         for u, v in g.edges:
@@ -47,7 +47,7 @@ def test_adjacency_matrix_equals_the_matrix_filled_edge_by_edge():
 
 
 def test_laplacian_matrix_rows_sum_to_zero():
-    g = core_satellite(CoreSatelliteParams(2, 2, 3))
+    g = generalized_core_satellite(GeneralizedParams(2, [(2, 3)]))
     lap = laplacian_matrix(g)
     assert np.all(lap.sum(axis=1) == 0)
     assert np.all(np.diag(lap) == g.degrees())
@@ -95,7 +95,7 @@ def test_eigenvalue_trace_identities(g):
 
 
 def test_exhaustive_counts_on_named_graphs():
-    butterfly = core_satellite(CoreSatelliteParams(1, 2, 2))
+    butterfly = generalized_core_satellite(GeneralizedParams(1, [(2, 2)]))
     counts = exhaustive_subgraph_counts(butterfly)
     assert counts.triangles == 2
     assert counts.p2 == 10

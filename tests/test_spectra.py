@@ -7,13 +7,11 @@ import pytest
 
 from conftest import GRID_PARAMS
 from coresat import (
-    CoreSatelliteParams,
     GeneralizedParams,
     InvalidParameterError,
     adjacency_matrix,
     adjacency_spectrum_gcs,
     analytic_metrics,
-    core_satellite,
     divisor_matrix,
     eigenvalues_symmetric,
     generalized_core_satellite,
@@ -28,14 +26,14 @@ from coresat import (
 )
 from coresat.spectra import _snap_integers
 
-BUTTERFLY = CoreSatelliteParams(1, 2, 2)
+BUTTERFLY = GeneralizedParams(1, [(2, 2)])
 MIXED = GeneralizedParams(2, [(1, 1), (2, 1)])
 
 
-def _quadratic_roots(p: CoreSatelliteParams) -> tuple[float, float]:
+def _quadratic_roots(p: GeneralizedParams) -> tuple[float, float]:
     """Roots of x**2 - (c+s-2)x + (c-1)(s-1) - eta*c*s, the 2x2 quotient's
     characteristic polynomial, by the quadratic formula."""
-    c, s, eta = p.core, p.satellite_size, p.satellite_count
+    c, s, eta = p.core, p.classes[0].size, p.classes[0].count
     disc = math.sqrt((c - s) ** 2 + 4 * eta * c * s)
     return ((c + s - 2) + disc) / 2, ((c + s - 2) - disc) / 2
 
@@ -66,7 +64,7 @@ def test_adjacency_spectrum_butterfly():
 
 
 def test_adjacency_spectrum_complete_split():
-    result = adjacency_spectrum_gcs(CoreSatelliteParams(3, 1, 2))
+    result = adjacency_spectrum_gcs(GeneralizedParams(3, [(1, 2)]))
     root = math.sqrt(7)
     expected = [(1 + root, 1), (0.0, 1), (-1.0, 2), (1 - root, 1)]
     for (got_v, got_m), (want_v, want_m) in zip(result.eigenpairs, expected):
@@ -75,22 +73,22 @@ def test_adjacency_spectrum_complete_split():
 
 
 def test_adjacency_spectrum_star_exact():
-    result = adjacency_spectrum_gcs(CoreSatelliteParams(1, 1, 4))
+    result = adjacency_spectrum_gcs(GeneralizedParams(1, [(1, 4)]))
     assert result.eigenpairs == ((2.0, 1), (0.0, 3), (-2.0, 1))
 
 
 def test_adjacency_spectrum_degenerate_single_satellite():
-    for p in (CoreSatelliteParams(2, 3, 1), GeneralizedParams(2, [(3, 1)])):
-        result = adjacency_spectrum_gcs(p)
-        assert result.degenerate
-        assert result.eigenpairs == ((4.0, 1), (-1.0, 4))
-        assert spectral_radius(p) == 4.0
-    assert not adjacency_spectrum_gcs(CoreSatelliteParams(2, 3, 2)).degenerate
+    p = GeneralizedParams(2, [(3, 1)])
+    result = adjacency_spectrum_gcs(p)
+    assert result.degenerate
+    assert result.eigenpairs == ((4.0, 1), (-1.0, 4))
+    assert spectral_radius(p) == 4.0
+    assert not adjacency_spectrum_gcs(GeneralizedParams(2, [(3, 2)])).degenerate
 
 
 def test_eigenvalue_ordering_strict_on_grid():
     for p in GRID_PARAMS:
-        c, s = p.core, p.satellite_size
+        c, s = p.core, p.classes[0].size
         hi, lo = _extreme_pair(p)
         assert hi > c + s - 1 >= s - 1 >= 0 > -1 > lo, p
 
@@ -99,7 +97,7 @@ def test_adjacency_matches_oracle_on_grid():
     worst = 0.0
     for p in GRID_PARAMS:
         result = adjacency_spectrum_gcs(p)
-        numeric = eigenvalues_symmetric(adjacency_matrix(core_satellite(p)))
+        numeric = eigenvalues_symmetric(adjacency_matrix(generalized_core_satellite(p)))
         worst = max(worst, max_spectrum_deviation(result, numeric))
     assert worst <= 1e-9
 
@@ -242,7 +240,7 @@ def test_principal_eigenvector_butterfly():
     assert pev.class_values[0] == pytest.approx(beta, abs=1e-14)
     assert 0.0 < pev.class_values[0] < 1.0
     vec = np.array(pev.to_vector(BUTTERFLY))
-    a = adjacency_matrix(core_satellite(BUTTERFLY))
+    a = adjacency_matrix(generalized_core_satellite(BUTTERFLY))
     residual = np.max(np.abs(a @ vec - pev.eigenvalue * vec))
     assert residual <= 1e-8 * pev.eigenvalue
 
@@ -262,7 +260,7 @@ def test_trace_identities_exact_integers():
     # power sums of the closed-form spectrum, in exact integer
     # arithmetic: sum = 0, sum of squares = 2m, sum of cubes = 6t
     for p in GRID_PARAMS:
-        c, s, eta = p.core, p.satellite_size, p.satellite_count
+        c, s, eta = p.core, p.classes[0].size, p.classes[0].count
         rep = analytic_metrics(p)
         a = c + s - 2
         d = (c - s) ** 2 + 4 * eta * c * s

@@ -22,7 +22,7 @@ EXPECTED_ORDER = [
 
 def test_grid_shape():
     assert len(GRID) == 125
-    assert all(p.satellite_count >= 2 for p in GRID)
+    assert all(p.classes[0].count >= 2 for p in GRID)
 
 
 def test_sampled_params_are_deterministic_and_canonical():
