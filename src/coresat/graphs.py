@@ -7,13 +7,17 @@ one satellite class or several; the named families (star, windmill,
 friendship, agave, complete split) are one-class calls of it.  It places
 the core clique on ``0..c-1`` and each satellite clique on a
 consecutive block after it, classes in ascending size order; every
-formula and spectrum in the package assumes this block layout.
+formula and spectrum in the package assumes this block layout.  The
+layout fixes every row, so the generator writes the rows directly, with
+no edge list.  ``Graph(n, edges)`` validates any other graph's edges;
+the graph operations build through it, and composed they are the
+independent route the generator is tested against.
 """
 from __future__ import annotations
 
 import operator
 from collections import deque
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 from .exceptions import InvalidParameterError
@@ -35,6 +39,10 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """Immutable simple undirected graph, stored as sorted neighbor rows.
 
@@ -49,25 +57,35 @@ class Graph:
     __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _is_int(n) or n < 0:
             raise InvalidParameterError(f"node count must be a non-negative int, got {n!r}")
         rows: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"an edge is a pair of nodes, got {edge!r}") from None
+            if not (_is_int(u) and _is_int(v)):
+                raise InvalidParameterError(f"edge endpoints must be ints, got {edge!r}")
             if u == v:
                 raise InvalidParameterError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
             rows[u].append(v)
             rows[v].append(u)
-        # linear on the presorted edge lists the generators emit; a
-        # repeated edge then leaves two equal neighbors side by side
+        # a repeated edge leaves two equal neighbors side by side
         for row in rows:
             row.sort()
             if any(map(operator.eq, row, islice(row, 1, None))):
                 raise InvalidParameterError("duplicate edges are not allowed")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", sum(map(len, rows)) // 2)
-        object.__setattr__(self, "adj", tuple(map(tuple, rows)))
+        self._store(tuple(map(tuple, rows)))
+
+    def _store(self, adj: tuple[tuple[int, ...], ...]) -> Graph:
+        """Set the rows, which the caller has sorted and checked; ``m`` is counted from them."""
+        object.__setattr__(self, "n", len(adj))
+        object.__setattr__(self, "m", sum(map(len, adj)) // 2)
+        object.__setattr__(self, "adj", adj)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Graph instances are immutable")
@@ -89,14 +107,14 @@ class Graph:
 
 def complete_graph(p: int) -> Graph:
     """Clique on ``p`` nodes."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+    if not _is_int(p) or p < 1:
         raise InvalidParameterError(f"complete_graph needs p >= 1, got {p!r}")
     return Graph(p, combinations(range(p), 2))
 
 
 def empty_graph(p: int) -> Graph:
     """``p`` isolated nodes."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+    if not _is_int(p) or p < 0:
         raise InvalidParameterError(f"empty_graph needs p >= 0, got {p!r}")
     return Graph(p, [])
 
@@ -128,20 +146,22 @@ def generalized_core_satellite(params: GeneralizedParams) -> Graph:
     """Generalized core-satellite graph over canonicalized classes.
 
     Satellite blocks appear in ascending class size, cliques of a class
-    consecutive.  Edges are emitted in sorted order: each core node's
-    links to every later node, then each satellite clique.
+    consecutive.  The sorted rows are written directly: core node ``u``
+    is adjacent to every other node, and a node of the satellite block
+    ``[a, b)`` to the core and to the rest of its block.  The rows are
+    slices of one tuple of the node ints, and the nodes of one-node
+    blocks (a star's leaves) all share the core's row.
     """
-    n = params.n
-    edges: list[tuple[int, int]] = []
-    for u in range(params.core):
-        edges.extend(zip(repeat(u), range(u + 1, n)))
+    nodes = tuple(range(params.n))
+    core = nodes[: params.core]
+    rows = [nodes[:u] + nodes[u + 1 :] for u in range(params.core)]
     start = params.core
     for cls in params.classes:
         for _ in range(cls.count):
-            end = start + cls.size
-            edges.extend(combinations(range(start, end), 2))
-            start = end
-    return Graph(n, edges)
+            block = nodes[start : start + cls.size]
+            rows.extend(core + block[:j] + block[j + 1 :] for j in range(cls.size))
+            start += cls.size
+    return Graph.__new__(Graph)._store(tuple(rows))
 
 
 # not in __all__: benchmarks/tracing.py wraps this name in verification,

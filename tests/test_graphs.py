@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,16 @@ def test_graph_basic_validation():
         Graph(4, [(0, 1), (2, 2)])
     with pytest.raises(InvalidParameterError, match="out of range"):
         Graph(4, [(-1, 2)])
+    # endpoints are ints, not bools or numpy ints, and an edge is a pair
+    for edge, message in [
+        ((True, 2), "must be ints"),
+        ((np.int64(0), np.int64(70)), "must be ints"),
+        ((0.5, 1), "must be ints"),
+        (("0", 1), "must be ints"),
+        ((0, 1, 2), "pair of nodes"),
+    ]:
+        with pytest.raises(InvalidParameterError, match=message):
+            Graph(100, [(3, 4), edge])
 
 
 @settings(max_examples=60)
@@ -75,15 +86,38 @@ def _composed(params: GeneralizedParams) -> Graph:
     return join(complete_graph(params.core), disjoint_union(blocks))
 
 
+_DRAWN_PARAMS = st.builds(
+    GeneralizedParams,
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5)), min_size=1, max_size=4),
+)
+
+
 def test_generators_match_the_join_of_unions():
-    for p in GRID:
+    def check(p: GeneralizedParams, g: Graph) -> None:
         expected = _composed(p)
-        g = generalized_core_satellite(p)
         assert (g.edges, g.adj) == (expected.edges, expected.adj), p
-    for p in sample_generalized_params():
-        expected = _composed(p)
-        g = generalized_core_satellite(p)
-        assert (g.edges, g.adj) == (expected.edges, expected.adj), p
+        # the rows also survive a round trip through the validating constructor
+        assert Graph(g.n, g.edges).adj == g.adj, p
+        assert g.m == p.m, p
+
+    for p in (*GRID, *sample_generalized_params(), GeneralizedParams(1, [(1, 1)])):
+        check(p, generalized_core_satellite(p))
+    for p, g in [
+        (GeneralizedParams(1, [(1, 7)]), star(7)),
+        (GeneralizedParams(1, [(4, 3)]), windmill(3, 4)),
+        (GeneralizedParams(1, [(2, 5)]), friendship(5)),
+        (GeneralizedParams(2, [(1, 6)]), agave(6)),
+        (GeneralizedParams(4, [(1, 3)]), complete_split(4, 3)),
+    ]:
+        check(p, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_DRAWN_PARAMS)
+    def drawn(p):
+        check(p, generalized_core_satellite(p))
+
+    drawn()
 
 
 def test_graph_is_immutable():
