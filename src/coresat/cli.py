@@ -148,9 +148,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     payload["direct"] = _report_json(direct)
     closed = metrics_mod.analytic_metrics(params)
     payload["analytic"] = _report_json(closed)
-    agreement = direct.gap(closed) <= args.tol
+    agreement = direct == closed
     payload["agreement"] = agreement
-    payload["tolerance"] = args.tol
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if not agreement:
         sys.stderr.write("metrics: analytic and direct values disagree\n")
@@ -290,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_generate)
 
     p_met = sub.add_parser(
-        "metrics", parents=[tol, out, family], help="metrics as JSON, direct and analytic"
+        "metrics", parents=[out, family], help="metrics as JSON, direct and analytic"
     )
     p_met.set_defaults(func=_cmd_metrics)
 

@@ -31,8 +31,8 @@ closed form here is cross-validated against the direct route and the
 exhaustive oracle by the test suite and the ``verify`` command.  Every
 count is a core term plus one term per class, the subgraph-count route
 of Estrada (Phys. Rev. E 84, 047101, 2011), in exact integer
-arithmetic; ratios are converted to floating point only at the last
-step.
+arithmetic.  On both routes every ratio is one exact rational, rounded
+to float once, so the two reports compare with ``==``.
 
 Conventions
 -----------
@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
 from operator import eq, mul, sub
 
-from .exceptions import SizeLimitError
-from .graphs import Graph
+from .exceptions import InvalidParameterError, SizeLimitError
+from .graphs import Graph, _is_int
 from .params import GeneralizedParams
 
 __all__ = [
@@ -82,8 +82,9 @@ class MetricsReport:
     """One bundle of graph metrics.
 
     ``p1``/``p2``/``p3`` count paths with 1, 2, 3 edges; ``s13`` counts
-     3-star subgraphs.  ``assortativity`` and ``assortativity_estrada``
-    are ``None`` when undefined.
+    3-star subgraphs.  ``assortativity`` and ``assortativity_estrada``
+    are ``None`` when undefined.  Every ratio is its exact value rounded
+    once, so a direct and a closed-form report compare with ``==``.
     """
 
     n: int
@@ -97,21 +98,6 @@ class MetricsReport:
     transitivity: float
     assortativity: float | None
     assortativity_estrada: float | None
-
-    def gap(self, other: MetricsReport) -> float:
-        """Largest absolute difference between the ratios of two reports.
-
-        ``inf`` when n, m, any count, or whether a ratio is defined
-        differs: counts are exact, so only ratios have a tolerance.
-        """
-        worst = 0.0
-        for field in fields(self):
-            a, b = getattr(self, field.name), getattr(other, field.name)
-            if isinstance(a, float) and isinstance(b, float):
-                worst = max(worst, abs(a - b))
-            elif a != b:
-                return math.inf
-        return worst
 
 
 def check_direct_size(g: Graph) -> None:
@@ -173,6 +159,13 @@ def _twin_classes(adj: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int
     return firsts, list(map(sub, chain(islice(firsts, 1, None), (n,)), firsts))
 
 
+def _count_ratios(m: int, t: int, p2: int, p3: int, s13: int) -> tuple[float, float | None]:
+    """Transitivity and the subgraph-count assortativity (``None`` if undefined)."""
+    den = m * (3 * s13 + p2) - p2 * p2
+    r = (m * (p3 + 3 * t) - p2 * p2) / den if den else None
+    return (3 * t / p2 if p2 else 0.0), r
+
+
 def compute_metrics(g: Graph) -> MetricsReport:
     """All metrics of ``g`` by direct computation, once per twin class.
 
@@ -187,7 +180,9 @@ def compute_metrics(g: Graph) -> MetricsReport:
     z - 1 twins reads r's own row and counts k where it shares k - 1.
     The edge sums come from node sums: sum k_u*k_v is half of
     sum_u k_u * (neighbor degree sum of u), sum (k_u + k_v) is sum k**2
-    and sum (k_u**2 + k_v**2) is sum k**3.
+    and sum (k_u**2 + k_v**2) is sum k**3.  With T_k the triangles
+    through the nodes of degree k, the average clustering is the
+    ``Fraction`` (sum over k of T_k / C(k, 2)) / n, rounded once.
     """
     check_direct_size(g)
     n, m, adj = g.n, g.m, g.adj
@@ -213,22 +208,14 @@ def compute_metrics(g: Graph) -> MetricsReport:
     p3 = se - ss + m - 3 * t  # sum over edges of (k_u - 1)(k_v - 1), minus 3t
     s13 = sum(map(mul, sizes, map(math.comb, deg, repeat(3))))
 
-    # one term per node, as if computed node by node: fsum rounds once
-    terms = [
-        term
-        for x, k, z in zip(twice, deg, sizes)
-        if k >= 2
-        for term in repeat(2.0 * (x // 2) / (k * (k - 1)), z)
-    ]
-    avg = math.fsum(terms) / n if n else 0.0
-    r = r_estrada = None
-    if m:
-        den = 2 * m * sq - ss * ss
-        if den:
-            r = (4 * m * se - ss * ss) / den
-        den = m * (3 * s13 + p2) - p2 * p2
-        if den:
-            r_estrada = (m * (p3 + 3 * t) - p2 * p2) / den
+    # triangles through the nodes of each degree k >= 2
+    by_degree: dict[int, int] = {}
+    for x, k, z in zip(twice, deg, sizes):
+        if k >= 2:
+            by_degree[k] = by_degree.get(k, 0) + z * (x // 2)
+    total = sum(Fraction(tk, math.comb(k, 2)) for k, tk in by_degree.items())
+    transitivity, r_estrada = _count_ratios(m, t, p2, p3, s13)
+    den = 2 * m * sq - ss * ss
     return MetricsReport(
         n=n,
         m=m,
@@ -237,9 +224,9 @@ def compute_metrics(g: Graph) -> MetricsReport:
         p2=p2,
         p3=p3,
         s13=s13,
-        avg_clustering=avg,
-        transitivity=3 * t / p2 if p2 else 0.0,
-        assortativity=r,
+        avg_clustering=float(total / n) if n else 0.0,
+        transitivity=transitivity,
+        assortativity=(4 * m * se - ss * ss) / den if den else None,
         assortativity_estrada=r_estrada,
     )
 
@@ -250,6 +237,8 @@ def triangle_count(g: Graph) -> int:
 
 def local_clustering(g: Graph, u: int) -> float:
     """Fraction of the pairs of neighbors of ``u`` that are adjacent."""
+    if not (_is_int(u) and 0 <= u < g.n):
+        raise InvalidParameterError(f"no node {u!r} in a graph of {g.n} nodes")
     k = g.degree(u)
     if k <= 1:
         return 0.0
@@ -381,9 +370,7 @@ def analytic_metrics(
     p2 = c * math.comb(n - 1, 2) + sat_paths
     tri = (c * _core_triangles(params, triangle_sign_fault) + sat_paths) // 3
     p3 = edge_sum - 3 * tri
-    num = m * (p3 + 3 * tri) - p2 * p2
-    den = m * (3 * s13 + p2) - p2 * p2
-    r = num / den if den != 0 else None
+    transitivity, r = _count_ratios(m, tri, p2, p3, s13)
     avg = _average_clustering_fraction(params, triangle_sign_fault=triangle_sign_fault)
     return MetricsReport(
         n=n,
@@ -394,7 +381,7 @@ def analytic_metrics(
         p3=p3,
         s13=s13,
         avg_clustering=float(avg),
-        transitivity=3 * tri / p2 if p2 else 0.0,
+        transitivity=transitivity,
         assortativity=r,
         assortativity_estrada=r,
     )

@@ -55,11 +55,13 @@ class GeneralizedParams:
         if core < 1:
             raise InvalidParameterError(f"core must be >= 1, got {core}")
         merged: dict[int, int] = {}
-        for entry in classes:
-            if isinstance(entry, SatelliteClass):
-                size, count = entry.size, entry.count
-            else:
-                size, count = entry
+        try:  # ``classes``, or one of its entries, may not be iterable
+            pairs = [(e.size, e.count) if isinstance(e, SatelliteClass) else tuple(e) for e in classes]
+        except TypeError:
+            pairs = None
+        if pairs is None or any(len(pair) != 2 for pair in pairs):
+            raise InvalidParameterError(f"a satellite class is a (size, count) pair, got {classes!r}")
+        for size, count in pairs:
             cls = SatelliteClass(size, count)  # validates
             merged[cls.size] = merged.get(cls.size, 0) + cls.count
         if not merged:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -22,6 +23,28 @@ BUTTERFLY_EDGELIST = "# n=5 m=6\n0 1\n0 2\n0 3\n0 4\n1 2\n3 4\n"
 def load_schema(name: str) -> dict:
     with open(SCHEMA_DIR / name, encoding="ascii") as handle:
         return json.load(handle)
+
+
+def _object_schemas(node):
+    """Every sub-schema of ``node`` that lists required keys."""
+    if isinstance(node, dict):
+        if "required" in node:
+            yield node
+        for child in node.values():
+            yield from _object_schemas(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _object_schemas(child)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SCHEMA_DIR.glob("*.json")))
+def test_schemas_are_valid_and_require_only_known_keys(name):
+    schema = load_schema(name)
+    jsonschema.Draft202012Validator.check_schema(schema)
+    objects = list(_object_schemas(schema))
+    assert objects
+    for node in objects:
+        assert set(node["required"]) <= set(node["properties"]), node["required"]
 
 
 def run(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -157,7 +180,7 @@ def test_metrics_butterfly_json(capsys):
     assert direct["assortativity_estrada"] == -0.5
     assert payload["analytic"] == direct
     assert payload["agreement"] is True
-    assert payload["tolerance"] == 1e-9
+    assert "tolerance" not in payload
 
 
 def test_metrics_complete_graph_null_assortativity(capsys):
@@ -182,25 +205,32 @@ def test_metrics_multiclass_compares_an_analytic_block(capsys):
 
 
 def test_metrics_disagreement_exits_1(capsys, monkeypatch):
-    """A closed form one triangle off is reported, for any class list."""
+    """A closed form one triangle or one ulp off is reported, for any class list."""
     real = metrics_mod.analytic_metrics
+    for field, change in (
+        ("triangles", lambda x: x + 1),
+        ("avg_clustering", lambda x: math.nextafter(x, 0.0)),
+    ):
 
-    def one_off(params, **kwargs):
-        return dataclasses.replace(real(params, **kwargs), triangles=real(params).triangles + 1)
+        def off(params, **kwargs):
+            rep = real(params, **kwargs)
+            return dataclasses.replace(rep, **{field: change(getattr(rep, field))})
 
-    monkeypatch.setattr(metrics_mod, "analytic_metrics", one_off)
-    code, out, err = run(["metrics", "--core", "4", "--satellites", "3:2,5:1"], capsys)
-    assert code == 1
-    assert json.loads(out)["agreement"] is False
-    assert "disagree" in err
+        monkeypatch.setattr(metrics_mod, "analytic_metrics", off)
+        code, out, err = run(["metrics", "--core", "4", "--satellites", "3:2,5:1"], capsys)
+        assert code == 1
+        assert json.loads(out)["agreement"] is False
+        assert "disagree" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "x"])
 def test_tol_must_be_finite_and_positive(value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["metrics", "--core", "4", "--satellites", "3:2", "--tol", value])
-    assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    for argv in (["spectrum", "--core", "4", "--satellites", "3:2"], ["verify"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tol" in err and "unrecognized" not in err
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -227,6 +257,7 @@ def test_max_n_must_be_positive(value, capsys):
         (["metrics", "--core", "2", "--satellites", "2:2"], ["--dense-limit", "10"]),
         (["sweep", "--pmax", "1"], ["--tol", "1e-9"]),
         (["sweep", "--pmax", "1"], ["--dense-limit", "10"]),
+        (["metrics", "--core", "2", "--satellites", "2:2"], ["--tol", "1e-9"]),
     ],
 )
 def test_subcommands_refuse_flags_they_do_not_read(argv, flag, capsys):
@@ -398,15 +429,15 @@ def test_usage_errors_exit_2(capsys):
         assert "--pmax" in capsys.readouterr().err
 
 
-# sha256 of `metrics` stdout, unchanged since the generalized closed forms
+# sha256 of `metrics` stdout, unchanged since its `tolerance` key was dropped
 METRICS_SHA256 = {
-    ("5", "5:9"): "3efd64da6ac3dc6ae71bd21baab1eb0f165db6d0353ab30aa8182ed53104902d",
-    ("6", "2:12,4:10,6:8"): "525b689f314de5a83ba5e1d5246d56cd75ee2bf1f6ff35086a422a44335c5f72",
-    ("8", "2:20,4:30,6:25"): "1d67809306437d57e19c0c3169b1e9b1fe27f1b88f7ca943aa5f514bb2222bc9",
-    ("20", "6:130"): "f07afe0bbc87352f09e95b394ebb4087a56133e2fbd892ec43229a5d8dc83a12",
-    ("10", "3:100,5:100,7:100"): "a1914a317ceaed956f15929c795bdf8fff363cf27173955a3854db7784217fa3",
-    ("1", "2:2"): "4614d4898a70ea645eb0e80b96d65f999ed3e83f8d39e761de9e568fda83092b",
-    ("1", "1:1"): "54cb203c811623f604e998e6bb9fc3158fd7a7e052cb8cf93a8d9bc09ae731dd",
+    ("5", "5:9"): "39ef67820e8ba750dfee94bce752b03176256eb2814d62624760b25c22b9d663",
+    ("6", "2:12,4:10,6:8"): "68815f2ca3826286f3a28110ec34212d1d6fa173a52cb5ff65a1ff1ce6f1b82a",
+    ("8", "2:20,4:30,6:25"): "ac8fa72aa2e838c1ceb81ce6196c141846327eb2fb12ea35454897a0be053dd6",
+    ("20", "6:130"): "0cac6f0446a8b81f280761b28245b8ae3cca06bedd329ae085d1ec3f8969d490",
+    ("10", "3:100,5:100,7:100"): "d0d22c1e2c797a229383fdff6ad331667ba006df2f33425cb1d0c3a7ed20a729",
+    ("1", "2:2"): "04faf314d091ff85620312420749f52af8242b006086b6f374837227fa6ea7ac",
+    ("1", "1:1"): "4f3d9b0c90486edf1a99cdbaa3efc08e34a61a67f14a20aa334eb458e64ce50c",
 }
 
 
@@ -420,8 +451,8 @@ def test_metrics_bytes_unchanged(core, satellites, capsys):
 # sha256 of `verify` stdout with the dense eigensolver's deviations masked:
 # those last digits depend on the LAPACK build
 VERIFY_SHA256 = {
-    (): "aaeae740854c105926bbc7bf450d3f1ce566062fabcecdecc13adf2a89f72fc9",
-    ("--fault-triangle-sign",): "7bf5ef00adb498e42ec8f2003b61a91af4fc69759ec2b5434f22f1e9e2d632fb",
+    (): "bec10ba33131879b288bcb12ed810c7d522cf8d868e21edfe625a10031215661",
+    ("--fault-triangle-sign",): "4285c38bb1f902169a85630c98ffe2d0c7ac26bcfcfa6090789dd86889db0639",
 }
 
 

@@ -246,6 +246,12 @@ def test_parameter_validation():
         GeneralizedParams(1, [(1, 0)])
     with pytest.raises(InvalidParameterError):
         GeneralizedParams(1, [])
+    for classes in ([5], [(1, 2, 3)], [(1,)], "ab", None, 7, {3: 2}, [(2, 2), 5]):
+        with pytest.raises(InvalidParameterError, match=r"a satellite class is a \(size, count\) pair"):
+            GeneralizedParams(1, classes)
+    # a pair of non-ints is a pair, refused by its fields
+    with pytest.raises(InvalidParameterError, match="size must be an int"):
+        GeneralizedParams(1, ["ab"])
 
 
 def test_diameter_two_with_multiple_satellites():

@@ -14,6 +14,7 @@ from conftest import GRID_PARAMS, arbitrary_graphs
 from coresat import (
     GeneralizedParams,
     Graph,
+    InvalidParameterError,
     SizeLimitError,
     analytic_core_clustering,
     analytic_metrics,
@@ -45,18 +46,18 @@ def test_butterfly_direct_golden_values():
     rep = compute_metrics(BUTTERFLY)
     assert (rep.n, rep.m, rep.triangles) == (5, 6, 2)
     assert (rep.p1, rep.p2, rep.p3, rep.s13) == (6, 10, 8, 4)
-    assert rep.avg_clustering == pytest.approx(13 / 15, abs=1e-15)
-    assert rep.transitivity == pytest.approx(0.6, abs=1e-15)
-    assert rep.assortativity == pytest.approx(-0.5, abs=1e-15)
-    assert rep.assortativity_estrada == pytest.approx(-0.5, abs=1e-15)
+    assert rep.avg_clustering == 13 / 15
+    assert rep.transitivity == 0.6
+    assert rep.assortativity == -0.5
+    assert rep.assortativity_estrada == -0.5
 
 
 def test_butterfly_analytic_matches():
     rep = analytic_metrics(GeneralizedParams(1, [(2, 2)]))
     assert (rep.m, rep.triangles, rep.p2, rep.p3, rep.s13) == (6, 2, 10, 8, 4)
-    assert rep.avg_clustering == pytest.approx(13 / 15, abs=1e-15)
-    assert rep.transitivity == pytest.approx(0.6, abs=1e-15)
-    assert rep.assortativity == pytest.approx(-0.5, abs=1e-15)
+    assert rep.avg_clustering == 13 / 15
+    assert rep.transitivity == 0.6
+    assert rep.assortativity == -0.5
 
 
 def test_local_clustering_conventions():
@@ -66,6 +67,11 @@ def test_local_clustering_conventions():
     assert local_clustering(leafy, 1) == 0.0  # degree 1
     assert local_clustering(Graph(2, [(0, 1)]), 0) == 0.0
     assert local_clustering(Graph(1, []), 0) == 0.0
+    for u in (-1, 5, 12, True, 1.0, "1", None):
+        with pytest.raises(InvalidParameterError, match=f"no node {u!r} in a graph of 5 nodes"):
+            local_clustering(BUTTERFLY, u)
+    with pytest.raises(InvalidParameterError):
+        local_clustering(Graph(0, []), 0)
 
 
 def test_core_clustering_closed_form_examples():
@@ -124,16 +130,8 @@ def test_complete_split_triangle_count():
 def test_closed_forms_match_direct_on_grid():
     for p in GRID_PARAMS:
         direct = compute_metrics(generalized_core_satellite(p))
-        closed = analytic_metrics(p)
-        assert (closed.n, closed.m) == (direct.n, direct.m), p
-        assert closed.triangles == direct.triangles, p
-        assert closed.p2 == direct.p2, p
-        assert closed.p3 == direct.p3, p
-        assert closed.s13 == direct.s13, p
-        assert abs(closed.avg_clustering - direct.avg_clustering) <= 1e-12, p
-        assert abs(closed.transitivity - direct.transitivity) <= 1e-12, p
+        assert direct == analytic_metrics(p), p
         assert direct.assortativity is not None, p
-        assert abs(closed.assortativity - direct.assortativity) <= 1e-12, p
 
 
 @st.composite
@@ -160,8 +158,8 @@ def test_generalized_closed_forms_match_direct_enumeration_and_exact_ratios(p):
     g = generalized_core_satellite(p)
     closed = analytic_metrics(p)
     direct = compute_metrics(g)
+    assert direct == closed
     counts = [getattr(closed, f) for f in _COUNT_FIELDS]
-    assert counts == [getattr(direct, f) for f in _COUNT_FIELDS]
     if p.n <= 9:
         enum = exhaustive_subgraph_counts(g)
         assert counts[2:] == [enum.triangles, g.m, enum.p2, enum.p3, enum.s13]
@@ -169,32 +167,29 @@ def test_generalized_closed_forms_match_direct_enumeration_and_exact_ratios(p):
     avg, r = _exact_ratios(g)
     assert _average_clustering_fraction(p) == avg
     trans = Fraction(3 * closed.triangles, closed.p2) if closed.p2 else 0
-    assert abs(closed.avg_clustering - avg) <= 1e-12
-    assert abs(closed.transitivity - trans) <= 1e-12
+    assert closed.avg_clustering == float(avg)
+    assert closed.transitivity == float(trans)
     if r is None:
         assert closed.assortativity is None and closed.assortativity_estrada is None
     else:
-        assert abs(closed.assortativity - r) <= 1e-12
-        assert abs(closed.assortativity_estrada - r) <= 1e-12
+        assert closed.assortativity == float(r)
+        assert closed.assortativity_estrada == float(r)
 
     faulted = analytic_metrics(p, triangle_sign_fault=True)
     if p.satellite_total >= 2:
         assert faulted.triangles != closed.triangles
 
 
-def test_gap_is_infinite_on_any_count_or_definedness_and_else_the_largest_ratio_gap():
+def test_reports_are_equal_only_when_every_count_and_ratio_is():
     rep = compute_metrics(BUTTERFLY)
-    assert rep.gap(rep) == 0.0
-    assert rep.gap(analytic_metrics(GeneralizedParams(1, [(2, 2)]))) <= 1e-15
+    assert rep == dataclasses.replace(rep)
+    assert rep == analytic_metrics(GeneralizedParams(1, [(2, 2)]))
     for field in _COUNT_FIELDS:
-        assert rep.gap(dataclasses.replace(rep, **{field: getattr(rep, field) + 1})) == math.inf
-    undefined = dataclasses.replace(rep, assortativity=None)
-    assert rep.gap(undefined) == undefined.gap(rep) == math.inf
-    assert undefined.gap(undefined) == 0.0
-    off = dataclasses.replace(
-        rep, transitivity=rep.transitivity + 0.25, assortativity=rep.assortativity - 0.5
-    )
-    assert rep.gap(off) == pytest.approx(0.5, abs=1e-15)
+        assert rep != dataclasses.replace(rep, **{field: getattr(rep, field) + 1}), field
+    for field in ("avg_clustering", "transitivity", "assortativity", "assortativity_estrada"):
+        value = getattr(rep, field)
+        assert rep != dataclasses.replace(rep, **{field: math.nextafter(value, math.inf)}), field
+        assert rep != dataclasses.replace(rep, **{field: None}), field
 
 
 def test_assortativity_negative_on_grid():
@@ -211,7 +206,7 @@ def test_naive_average_clustering_variant_rejected():
     naive = 1 - Fraction(c * s * s * eta * eta, n * (n - 1) * (n - 2))
     assert naive == Fraction(11, 15)
     direct = average_clustering(BUTTERFLY)
-    assert direct == pytest.approx(13 / 15, abs=1e-15)
+    assert direct == 13 / 15
     assert abs(float(naive) - direct) > 0.1
 
 
@@ -278,7 +273,7 @@ def test_avg_clustering_dip_for_wider_core():
         for eta in (2, 3, 4)
     }
     direct3 = average_clustering(generalized_core_satellite(GeneralizedParams(2, [(3, 3)])))
-    assert values[3] == pytest.approx(direct3, abs=1e-12)
+    assert values[3] == direct3
     assert values[2] > values[3] < values[4]
     assert values[2] == pytest.approx(25 / 28, abs=1e-15)
     assert values[3] == pytest.approx(49 / 55, abs=1e-15)
@@ -292,7 +287,7 @@ def test_transitivity_identity(g):
     if p2 == 0:
         assert t == 0.0
     else:
-        assert t == pytest.approx(3 * triangle_count(g) / p2, abs=1e-15)
+        assert t == 3 * triangle_count(g) / p2
 
 
 @settings(max_examples=120)
@@ -302,8 +297,8 @@ def test_assortativity_routes_agree(g):
     r_counts = assortativity_estrada(g)
     assert (r_edges is None) == (r_counts is None)
     if r_edges is not None:
-        assert r_edges == pytest.approx(r_counts, abs=1e-12)
-        assert -1.0 - 1e-12 <= r_edges <= 1.0 + 1e-12
+        assert r_edges == r_counts
+        assert -1.0 <= r_edges <= 1.0
 
 
 @settings(max_examples=120)
@@ -330,6 +325,11 @@ def regular_graphs(draw, max_nodes: int = 9):
     jumps = draw(st.sets(st.integers(1, n // 2))) if n >= 3 else set()
     edges = {tuple(sorted((u, (u + j) % n))) for u in range(n) for j in jumps}
     return Graph(n, edges)
+
+
+def _threshold_graph(n):
+    """Each odd node joins every node before it: n - 1 distinct degrees."""
+    return Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
 
 
 def _exact_ratios(g):
@@ -363,6 +363,7 @@ def _exact_ratios(g):
         regular_graphs(),
     )
 )
+@example(_threshold_graph(9))
 def test_one_pass_kernel_matches_enumeration_and_exact_ratios(g):
     rep = compute_metrics(g)
     counts = exhaustive_subgraph_counts(g)
@@ -383,13 +384,13 @@ def test_one_pass_kernel_matches_enumeration_and_exact_ratios(g):
 
     avg, r = _exact_ratios(g)
     trans = Fraction(3 * counts.triangles, counts.p2) if counts.p2 else 0
-    assert abs(rep.avg_clustering - avg) <= 1e-12
-    assert abs(rep.transitivity - trans) <= 1e-12
+    assert rep.avg_clustering == float(avg)
+    assert rep.transitivity == float(trans)
     if r is None:
         assert rep.assortativity is None and rep.assortativity_estrada is None
     else:
-        assert abs(rep.assortativity - r) <= 1e-12
-        assert abs(rep.assortativity_estrada - r) <= 1e-12
+        assert rep.assortativity == float(r)
+        assert rep.assortativity_estrada == float(r)
 
 
 def test_kernel_limit_counts_the_bits_it_allocates():
@@ -429,6 +430,7 @@ def test_bitset_rows_on_both_sides_of_the_digit_string_switch():
 
 @settings(max_examples=20)
 @given(dense_graphs())
+@example(_threshold_graph(40))
 def test_kernel_on_wide_rows_matches_set_counts_and_exact_ratios(g):
     nbrs = [set(row) for row in g.adj]
     deg = [len(row) for row in g.adj]
@@ -437,11 +439,11 @@ def test_kernel_on_wide_rows_matches_set_counts_and_exact_ratios(g):
     rep = compute_metrics(g)
     assert (rep.triangles, rep.p3) == (tri, p3)
     avg, r = _exact_ratios(g)
-    assert abs(rep.avg_clustering - avg) <= 1e-12
+    assert rep.avg_clustering == float(avg)
     if r is None:
         assert rep.assortativity is None
     else:
-        assert abs(rep.assortativity - r) <= 1e-12
+        assert rep.assortativity == float(r)
 
 
 def _relabel(g, perm):
@@ -505,13 +507,13 @@ def test_kernel_on_planted_twins_matches_counts_and_exact_ratios(g):
 
     avg, r = _exact_ratios(g)
     trans = Fraction(3 * tri, rep.p2) if rep.p2 else 0
-    assert abs(rep.avg_clustering - avg) <= 1e-12
-    assert abs(rep.transitivity - trans) <= 1e-12
+    assert rep.avg_clustering == float(avg)
+    assert rep.transitivity == float(trans)
     if r is None:
         assert rep.assortativity is None and rep.assortativity_estrada is None
     else:
-        assert abs(rep.assortativity - r) <= 1e-12
-        assert abs(rep.assortativity_estrada - r) <= 1e-12
+        assert rep.assortativity == float(r)
+        assert rep.assortativity_estrada == float(r)
 
 
 SWEEP_LARGEST = GeneralizedParams(10, [(3, 100), (5, 100), (7, 100)])
