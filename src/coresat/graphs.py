@@ -96,6 +96,8 @@ class Graph:
         return tuple((u, v) for u, row in enumerate(self.adj) for v in row if v > u)
 
     def degree(self, u: int) -> int:
+        if not (_is_int(u) and 0 <= u < self.n):
+            raise InvalidParameterError(f"no node {u!r} in a graph of {self.n} nodes")
         return len(self.adj[u])
 
     def degrees(self) -> tuple[int, ...]:

@@ -49,8 +49,8 @@ from fractions import Fraction
 from itertools import chain, compress, islice, repeat
 from operator import eq, mul, sub
 
-from .exceptions import InvalidParameterError, SizeLimitError
-from .graphs import Graph, _is_int
+from .exceptions import SizeLimitError
+from .graphs import Graph
 from .params import GeneralizedParams
 
 __all__ = [
@@ -237,8 +237,6 @@ def triangle_count(g: Graph) -> int:
 
 def local_clustering(g: Graph, u: int) -> float:
     """Fraction of the pairs of neighbors of ``u`` that are adjacent."""
-    if not (_is_int(u) and 0 <= u < g.n):
-        raise InvalidParameterError(f"no node {u!r} in a graph of {g.n} nodes")
     k = g.degree(u)
     if k <= 1:
         return 0.0

@@ -1,9 +1,11 @@
 """Brute-force numeric oracles.
 
 Everything here is deliberately independent of the closed forms: dense
-matrices, a full symmetric eigendecomposition, and exhaustive subgraph
-enumeration.  Size guards keep the brute-force paths at brute-force
-scale.
+matrices, a full symmetric eigendecomposition, and subgraph counts by
+listing every instance.  The listing walks the rows instead of scanning
+every node subset, but it is still brute force: it reads only the
+graph's rows, each triangle, path and star it counts is one it found,
+and no formula or identity of ``metrics`` stands in for a count.  Size guards keep the brute-force paths at brute-force scale.
 """
 from __future__ import annotations
 
@@ -83,43 +85,31 @@ class SubgraphCounts:
 
 
 def exhaustive_subgraph_counts(g: Graph, max_n: int = DEFAULT_ENUM_LIMIT) -> SubgraphCounts:
-    """Count triangles, 2-paths, 3-paths, and 3-stars by enumeration.
+    """Count triangles, 2-paths, 3-paths, and 3-stars by listing each one.
 
-    Triangles and 2-paths scan all 3-subsets; 3-paths scan all orderings
-    of 4-subsets, each undirected path counted once.  Exponential on
-    purpose; guarded by ``max_n``.
+    Every count is a tally of the instances listed from the sorted rows,
+    never a counting identity: a triangle as a < b < c, a 2-path or a
+    3-star as a pair or triple of one node's neighbors, and a 3-path as
+    a walk a-b-c-d on four distinct nodes, found once from each end.
+    Guarded by ``max_n``.
     """
     if g.n > max_n:
         raise SizeLimitError(f"n={g.n} exceeds enumeration limit {max_n}")
     nbrs = tuple(map(frozenset, g.adj))
-
-    def connected(a: int, b: int) -> bool:
-        return b in nbrs[a]
-
-    triangles = 0
-    p2 = 0
-    for a, b, c in itertools.combinations(range(g.n), 3):
-        ab, ac, bc = connected(a, b), connected(a, c), connected(b, c)
-        if ab and ac and bc:
-            triangles += 1
-        # middle-vertex configurations, one per 2-path on {a, b, c}
-        p2 += (ab and ac) + (ab and bc) + (ac and bc)
-
-    p3 = 0
-    for quad in itertools.combinations(range(g.n), 4):
-        for order in itertools.permutations(quad):
-            if order[0] > order[3]:
-                continue  # undirected: count each vertex sequence once
-            if (
-                connected(order[0], order[1])
-                and connected(order[1], order[2])
-                and connected(order[2], order[3])
-            ):
-                p3 += 1
-
-    s13 = 0
-    for u in range(g.n):
-        for trip in itertools.combinations(nbrs[u], 3):
-            s13 += 1
-
-    return SubgraphCounts(triangles=triangles, p2=p2, p3=p3, s13=s13)
+    triangles = sum(
+        c in nbrs[b]
+        for a, row in enumerate(g.adj)
+        for b, c in itertools.combinations([v for v in row if v > a], 2)
+    )
+    p2 = sum(1 for row in g.adj for _ in itertools.combinations(row, 2))
+    walks = sum(
+        1
+        for b, row in enumerate(g.adj)
+        for a in row
+        for c in row
+        if c != a
+        for d in g.adj[c]
+        if d != a and d != b
+    )
+    s13 = sum(1 for row in g.adj for _ in itertools.combinations(row, 3))
+    return SubgraphCounts(triangles=triangles, p2=p2, p3=walks // 2, s13=s13)

@@ -202,12 +202,12 @@ def _bounds_and_eigenvector(case: _Case) -> _Outcome:
     pev = spectra.principal_eigenvector(p)
     if any(not 0.0 < beta < 1.0 for beta in pev.class_values):
         return "beta out of (0,1)"
-    if p.n <= 200:
-        a = oracle.adjacency_matrix(g)
-        vec = np.array(pev.to_vector(p))
-        residual = float(np.max(np.abs(a @ vec - rho * vec)))
-        if not residual <= 1e-8 * rho:
-            return f"residual {residual:.3e}"
+    vec = pev.to_vector(p)
+    residual = max(
+        abs(math.fsum(vec[v] for v in row) - rho * vec[u]) for u, row in enumerate(g.adj)
+    )
+    if not residual <= 1e-8 * rho:
+        return f"residual {residual:.3e}"
     return 0.0
 
 

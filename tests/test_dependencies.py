@@ -1,7 +1,9 @@
 """The package imports only the standard library, numpy and itself.
 
 scipy, networkx and sympy may serve as independent references in the
-tests; numpy is the package's one runtime dependency.
+tests; numpy is the package's one runtime dependency.  The brute-force
+oracle and the direct metrics kernel it checks share no code, directly
+or through another module of the package.
 """
 from __future__ import annotations
 
@@ -31,3 +33,50 @@ def test_package_imports_only_stdlib_and_numpy():
         if root not in ALLOWED
     }
     assert foreign == set()
+
+
+def _package_imports(tree: ast.AST):
+    """Stems of the package files a module imports, relative or absolute.
+
+    A name taken from the package itself (``from . import x``) is module
+    ``x`` when there is such a file, and else the package's
+    ``__init__``, which imports every module.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root, _, rest = alias.name.partition(".")
+                if root == "coresat":
+                    yield rest.split(".")[0] or "__init__"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                root, _, module = module.partition(".")
+                if root != "coresat":
+                    continue
+            if module:
+                yield module.split(".")[0]
+            else:
+                for alias in node.names:
+                    yield alias.name if (SRC / f"{alias.name}.py").exists() else "__init__"
+
+
+def test_oracle_and_metrics_share_no_code():
+    direct = {
+        path.stem: set(_package_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in SRC.glob("*.py")
+    }
+
+    def reached(stem):
+        seen, todo = set(), [stem]
+        while todo:
+            for dep in direct[todo.pop()] - seen:
+                seen.add(dep)
+                todo.append(dep)
+        return seen
+
+    # both import forms the package uses are read
+    assert direct["verification"] >= {"metrics", "oracle", "spectra"}
+    assert "oracle" in direct["spectra"]
+    assert reached("oracle") & {"metrics", "spectra", "verification", "__init__"} == set()
+    assert reached("metrics") & {"oracle", "__init__"} == set()

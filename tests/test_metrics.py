@@ -70,6 +70,8 @@ def test_local_clustering_conventions():
     for u in (-1, 5, 12, True, 1.0, "1", None):
         with pytest.raises(InvalidParameterError, match=f"no node {u!r} in a graph of 5 nodes"):
             local_clustering(BUTTERFLY, u)
+        with pytest.raises(InvalidParameterError, match=f"no node {u!r} in a graph of 5 nodes"):
+            BUTTERFLY.degree(u)
     with pytest.raises(InvalidParameterError):
         local_clustering(Graph(0, []), 0)
 

@@ -110,6 +110,20 @@ def test_exhaustive_counts_on_named_graphs():
     counts = exhaustive_subgraph_counts(k4)
     assert (counts.triangles, counts.p2, counts.p3, counts.s13) == (4, 12, 12, 4)
 
+    # textbook counts: (triangles, 2-paths, 3-paths, 3-stars)
+    comb = math.comb
+    for n in range(1, 11):
+        families = [
+            (complete_graph(n), (comb(n, 3), 3 * comb(n, 3), 12 * comb(n, 4), 4 * comb(n, 4))),
+            (Graph(n, [(u, u + 1) for u in range(n - 1)]), (0, max(n - 2, 0), max(n - 3, 0), 0)),
+            (star(n), (0, comb(n, 2), 0, comb(n, 3))),
+        ]
+        if n >= 4:
+            families.append((Graph(n, [(u, (u + 1) % n) for u in range(n)]), (0, n, n, 0)))
+        for g, expected in families:
+            counts = exhaustive_subgraph_counts(g)
+            assert (counts.triangles, counts.p2, counts.p3, counts.s13) == expected, (g, n)
+
 
 def test_exhaustive_guard():
     with pytest.raises(SizeLimitError):

@@ -110,3 +110,26 @@ def test_each_case_is_built_and_measured_once(monkeypatch):
         # one per case, and the divergence series: eta = 1000, then 2..1000
         analytic_metrics=len(GRID) + sampled + 1000,
     )
+
+
+def test_eigenvector_residual_is_read_from_the_rows(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("dense matrix built")
+
+    # with every dense and enumeration check skipped, no dense matrix is built
+    for name in ("adjacency_matrix", "laplacian_matrix"):
+        monkeypatch.setattr(verification.oracle, name, refused)
+    by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
+    assert all(r.passed for r in by_name.values())
+    assert by_name["bounds-eigenvector"].detail == f"{len(GRID) + 20} parameter sets"
+
+    real = verification.spectra.principal_eigenvector
+
+    def off(params):
+        pev = real(params)
+        return dataclasses.replace(pev, core_value=pev.core_value * (1 + 1e-6))
+
+    monkeypatch.setattr(verification.spectra, "principal_eigenvector", off)
+    by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
+    assert not by_name["bounds-eigenvector"].passed
+    assert "residual" in by_name["bounds-eigenvector"].detail
