@@ -163,22 +163,22 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     payload["method"] = args.method
     payload["tolerance"] = args.tol
 
-    g = None
+    numerics = (None, None)
     if args.method != "analytic":
         # refused from the parameters, before the graph is built
         oracle.check_dense_size(params.n, args.dense_limit)
         g = generalized_core_satellite(params)
+        numerics = oracle.twin_reduced_spectra(g, args.dense_limit)
     ok = True
-    for name, closed_form, matrix in (
-        ("adjacency", spectra.adjacency_spectrum_gcs, oracle.adjacency_matrix),
-        ("laplacian", spectra.laplacian_spectrum_gcs, oracle.laplacian_matrix),
+    for name, closed_form, numeric in (
+        ("adjacency", spectra.adjacency_spectrum_gcs, numerics[0]),
+        ("laplacian", spectra.laplacian_spectrum_gcs, numerics[1]),
     ):
         block: dict = {"analytic": None, "numeric": None, "max_abs_deviation": None}
         if args.method != "numeric":
             analytic = closed_form(params)
             block["analytic"] = [[_round12(value), mult] for value, mult in analytic.eigenpairs]
-        if g is not None:
-            numeric = oracle.eigenvalues_symmetric(matrix(g, args.dense_limit))
+        if numeric is not None:
             block["numeric"] = [_round12(float(v)) for v in numeric]
         if args.method == "both":
             deviation = spectra.max_spectrum_deviation(analytic, numeric)

@@ -15,9 +15,10 @@ independent route the generator is tested against.
 """
 from __future__ import annotations
 
-import operator
+from bisect import bisect_left
 from collections import deque
-from itertools import combinations, islice
+from itertools import chain, combinations, compress, islice, repeat
+from operator import eq, sub
 from typing import Iterable, Sequence
 
 from .exceptions import InvalidParameterError
@@ -36,6 +37,7 @@ __all__ = [
     "agave",
     "complete_split",
     "is_connected",
+    "twin_runs",
 ]
 
 
@@ -76,7 +78,7 @@ class Graph:
         # a repeated edge leaves two equal neighbors side by side
         for row in rows:
             row.sort()
-            if any(map(operator.eq, row, islice(row, 1, None))):
+            if any(map(eq, row, islice(row, 1, None))):
                 raise InvalidParameterError("duplicate edges are not allowed")
         self._store(tuple(map(tuple, rows)))
 
@@ -105,6 +107,52 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
+    """First nodes, sizes and clique flags of the runs of consecutive twins, in O(m).
+
+    True twins have equal closed neighborhoods N[u] = N(u) + {u}, so a
+    run of them is a clique; false twins have equal open neighborhoods
+    N(u), so a run of them is an independent set.  Node v joins the run
+    of v - 1 as a true twin when their sorted rows are equal once v - 1
+    and v swap places, which needs row sums that differ by exactly one,
+    and as a false twin when their rows are equal, which needs equal row
+    sums.  The row sums are tested for all nodes before any row is
+    compared.  No run mixes the two kinds: if u, v were true twins and
+    v, w false twins, then u is in N(v) = N(w), so w is in N[u] = N[v]
+    and hence in N(v) = N(w), a self-loop; the other order is the same
+    with u and w swapped.  A run is flagged a clique when its nodes are
+    true twins; a run of one node is flagged False.  Only proven twins
+    are merged; a graph without consecutive twins gives n runs of one
+    node.
+    """
+    adj, n = g.adj, g.n
+    sums = list(map(sum, adj))
+    drops = list(map(sub, sums, islice(sums, 1, None)))  # drops[v - 1] = sums[v - 1] - sums[v]
+    first = bytearray(b"\x01") * n
+    # true[v] = 1 when v joined v - 1 as a true twin; true[n] stays 0
+    true = bytearray(n + 1)
+    for v in compress(range(1, n), map(eq, drops, repeat(1))):
+        a, b = adj[v - 1], adj[v]
+        i = bisect_left(a, v)
+        if (
+            len(a) == len(b)
+            and i < len(a)
+            and a[i] == v
+            and b[i] == v - 1
+            and a[:i] == b[:i]
+            and a[i + 1 :] == b[i + 1 :]
+        ):
+            first[v] = 0
+            true[v] = 1
+    for v in compress(range(1, n), map(eq, drops, repeat(0))):
+        if adj[v - 1] == adj[v]:
+            first[v] = 0
+    firsts = list(compress(range(n), first))
+    sizes = list(map(sub, chain(islice(firsts, 1, None), (n,)), firsts))
+    # a run's kind is that of its second node, if it has one
+    return firsts, sizes, [true[r + 1] == 1 for r in firsts]
 
 
 def complete_graph(p: int) -> Graph:

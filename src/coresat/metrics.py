@@ -3,11 +3,14 @@
 Direct routines work on any Graph.  ``compute_metrics`` is the direct
 kernel, in the node-iterator style of triangle listing (Schank & Wagner,
 WEA 2005; Latapy, TCS 2008), with neighbor rows held as Python int
-bitsets.  It first splits the nodes into runs of true twins, nodes with
-equal closed neighborhoods.  Every satellite clique of a core-satellite
-graph is such a run, and so is the core: they form an equitable
-partition (Cvetkovic, Rowlinson & Simic, *An Introduction to the Theory
-of Graph Spectra*, 2010).  Twins have the same degree, triangles and
+bitsets.  It first splits the nodes into runs of twins
+(``graphs.twin_runs``): true twins, with equal closed neighborhoods, or
+false twins, with equal open ones.  Every satellite clique of a
+core-satellite graph is a run of true twins, and so is the core; the
+single-node satellites of a star or of an s=1 class form one run of
+false twins.  The runs form an equitable partition (Cvetkovic,
+Rowlinson & Simic, *An Introduction to the Theory of Graph Spectra*,
+2010).  Twins have the same degree, triangles and
 neighbor degree sum, so the kernel computes them for one representative
 per run, and only representatives get a bitset row.  Only proven twins
 are merged, so the result is exact on any graph; a graph without twins
@@ -43,14 +46,13 @@ Conventions
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
-from operator import eq, mul, sub
+from itertools import chain, repeat
+from operator import mul
 
 from .exceptions import SizeLimitError
-from .graphs import Graph
+from .graphs import Graph, twin_runs
 from .params import GeneralizedParams
 
 __all__ = [
@@ -130,35 +132,6 @@ def _bitset(row: list[int]) -> int:
     return int(digits, 2)
 
 
-def _twin_classes(adj: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
-    """First nodes and sizes of the runs of consecutive true twins, in O(m).
-
-    True twins have equal closed neighborhoods N[u] = N(u) + {u}.  Node v
-    joins the run of v - 1 when their sorted rows are equal once v - 1
-    and v swap places.  That needs row sums that differ by exactly one,
-    which is tested for all nodes before any row is compared.  Only
-    proven twins are merged; a graph without consecutive twins gives n
-    runs of one node.
-    """
-    n = len(adj)
-    sums = list(map(sum, adj))
-    first = bytearray(b"\x01") * n
-    for v in compress(range(1, n), map(eq, map(sub, sums, islice(sums, 1, None)), repeat(1))):
-        a, b = adj[v - 1], adj[v]
-        i = bisect_left(a, v)
-        if (
-            len(a) == len(b)
-            and i < len(a)
-            and a[i] == v
-            and b[i] == v - 1
-            and a[:i] == b[:i]
-            and a[i + 1 :] == b[i + 1 :]
-        ):
-            first[v] = 0
-    firsts = list(compress(range(n), first))
-    return firsts, list(map(sub, chain(islice(firsts, 1, None), (n,)), firsts))
-
-
 def _count_ratios(m: int, t: int, p2: int, p3: int, s13: int) -> tuple[float, float | None]:
     """Transitivity and the subgraph-count assortativity (``None`` if undefined)."""
     den = m * (3 * s13 + p2) - p2 * p2
@@ -169,15 +142,17 @@ def _count_ratios(m: int, t: int, p2: int, p3: int, s13: int) -> tuple[float, fl
 def compute_metrics(g: Graph) -> MetricsReport:
     """All metrics of ``g`` by direct computation, once per twin class.
 
-    ``_twin_classes`` splits the nodes into runs of true twins.  Twins
+    ``graphs.twin_runs`` splits the nodes into runs of twins.  Twins
     share every per-node value below, so each is computed for a run's
     first node r only and weighted by the run's size z.  Only r gets a
     Python int bitset row, and every node v reads its class's row as
     ``bits[v]``.  A class D next to r lies wholly in N(r), and each of
     its nodes has as many common neighbors with r as D's first node has,
     so the sum of ``(bits[r] & bits[v]).bit_count()`` over the neighbors
-    v of r is twice the triangles through r, except that each of r's
-    z - 1 twins reads r's own row and counts k where it shares k - 1.
+    v of r is twice the triangles through r, except that in a clique run
+    each of r's z - 1 twins reads r's own row and counts k where it
+    shares k - 1.  The twins of r in a run of false twins are not in
+    N(r), so that run needs no correction.
     The edge sums come from node sums: sum k_u*k_v is half of
     sum_u k_u * (neighbor degree sum of u), sum (k_u + k_v) is sum k**2
     and sum (k_u**2 + k_v**2) is sum k**3.  With T_k the triangles
@@ -186,7 +161,7 @@ def compute_metrics(g: Graph) -> MetricsReport:
     """
     check_direct_size(g)
     n, m, adj = g.n, g.m, g.adj
-    reps, sizes = _twin_classes(adj)
+    reps, sizes, cliques = twin_runs(g)
     rows = list(map(adj.__getitem__, reps))
     bits = list(map(_bitset, rows))
     if len(reps) < n:  # every node reads its representative's row
@@ -194,8 +169,8 @@ def compute_metrics(g: Graph) -> MetricsReport:
     node_deg = list(map(len, adj))
     deg = list(map(len, rows))
     twice = [
-        sum(map(int.bit_count, map(b.__and__, map(bits.__getitem__, row)))) - (z - 1)
-        for b, row, z in zip(map(bits.__getitem__, reps), rows, sizes)
+        sum(map(int.bit_count, map(b.__and__, map(bits.__getitem__, row)))) - (z - 1) * clique
+        for b, row, z, clique in zip(map(bits.__getitem__, reps), rows, sizes, cliques)
     ]
     nds = [sum(map(node_deg.__getitem__, row)) for row in rows]
     squares = list(map(mul, deg, deg))

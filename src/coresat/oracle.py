@@ -1,21 +1,28 @@
-"""Brute-force numeric oracles.
+"""Numeric oracles that read only the graph, never the parameters.
 
 Everything here is deliberately independent of the closed forms: dense
-matrices, a full symmetric eigendecomposition, and subgraph counts by
-listing every instance.  The listing walks the rows instead of scanning
-every node subset, but it is still brute force: it reads only the
-graph's rows, each triangle, path and star it counts is one it found,
-and no formula or identity of ``metrics`` stands in for a count.  Size guards keep the brute-force paths at brute-force scale.
+matrices, a full symmetric eigendecomposition, twin-reduced spectra and
+subgraph counts by listing every instance.  ``twin_reduced_spectra``
+finds the graph's runs of twins from its rows (``graphs.twin_runs``)
+and solves only the small quotient over them; every other eigenvalue is
+an exact contrast value.  It is what ``spectrum --method numeric|both``
+runs, and the dense matrices stay as the brute-force check on it in
+``verify`` and the tests.  The listing walks the rows instead of
+scanning every node subset, but it is still brute force: it reads only
+the graph's rows, each triangle, path and star it counts is one it
+found, and no formula or identity of ``metrics`` stands in for a count.
+Size guards keep the dense and brute-force paths at brute-force scale.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericFailureError, SizeLimitError
-from .graphs import Graph
+from .graphs import Graph, twin_runs
 
 __all__ = [
     "DEFAULT_DENSE_LIMIT",
@@ -25,6 +32,7 @@ __all__ = [
     "adjacency_matrix",
     "laplacian_matrix",
     "eigenvalues_symmetric",
+    "twin_reduced_spectra",
     "exhaustive_subgraph_counts",
 ]
 
@@ -74,6 +82,51 @@ def eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
     return values[::-1]
+
+
+def twin_reduced_spectra(
+    g: Graph, max_n: int = DEFAULT_DENSE_LIMIT
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency and Laplacian spectra of ``g``, each all n values sorted descending.
+
+    ``twin_runs`` splits the nodes into R runs of twins, read from the
+    rows alone; they are an equitable partition, and a node of run i
+    has z_j neighbors in each run j next to it (Cvetkovic, Rowlinson &
+    Simic, *An Introduction to the Theory of Graph Spectra*, 2010, on
+    duplicate and coduplicate vertices).  A vector on run i that sums to
+    zero is an eigenvector: of A with eigenvalue -1 on a clique run and 0
+    on an independent one, and of L = D - A with d + 1 or d.  Each run
+    gives z - 1 of them, exactly.  The other R eigenvalues are those of
+    the quotient, symmetrized to off-diagonal sqrt(z_i * z_j) between
+    adjacent runs (negated for L) and diagonal z - 1 on a clique run, 0
+    on an independent one (d minus that for L), solved by
+    ``eigenvalues_symmetric``.  Guarded by ``max_n`` on R.
+    """
+    firsts, sizes, cliques = twin_runs(g)
+    runs = len(firsts)
+    check_dense_size(runs, max_n)
+    run_of = list(itertools.chain.from_iterable(map(itertools.repeat, range(runs), sizes)))
+    adjacency = np.zeros((runs, runs))
+    for i, u in enumerate(firsts):
+        for j in set(map(run_of.__getitem__, g.adj[u])) - {i}:
+            adjacency[i, j] = math.sqrt(sizes[i] * sizes[j])
+    laplacian = -adjacency
+    z = np.array(sizes, dtype=np.intp)
+    clique = np.array(cliques, dtype=bool)
+    degree = np.array([len(g.adj[u]) for u in firsts], dtype=float)
+    own = np.where(clique, z - 1, 0.0)
+    adjacency[np.diag_indices(runs)] = own
+    laplacian[np.diag_indices(runs)] = degree - own
+    # each run's z - 1 contrast eigenvalues
+    contrast = np.repeat(np.arange(runs), z - 1)
+    spectra = (
+        (adjacency, np.where(clique[contrast], -1.0, 0.0)),
+        (laplacian, degree[contrast] + clique[contrast]),
+    )
+    return tuple(
+        np.sort(np.concatenate((eigenvalues_symmetric(quotient), structural)))[::-1]
+        for quotient, structural in spectra
+    )
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,37 @@ def arbitrary_graphs(draw, max_nodes: int = 8):
     return Graph(n, edges)
 
 
+def relabel(g, perm):
+    """``g`` with node u renamed perm[u]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@st.composite
+def planted_twin_graphs(draw):
+    """Random graphs blown up into groups of true and false twins.
+
+    Each node of a random base graph becomes a group of 1 to 3 nodes: a
+    clique (true twins) or an independent set (false twins), joined to
+    every node of the groups next to it.  Isolated nodes are appended,
+    and the nodes are relabelled at random or left in group order.
+    """
+    base = draw(st.integers(min_value=0, max_value=6))
+    pairs = list(itertools.combinations(range(base), 2))
+    links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    groups, n = [], 0
+    for _ in range(base):
+        size = draw(st.integers(min_value=1, max_value=3))
+        groups.append((range(n, n + size), draw(st.booleans())))
+        n += size
+    edges = [e for nodes, clique in groups if clique for e in itertools.combinations(nodes, 2)]
+    edges += [(u, v) for a, b in links for u in groups[a][0] for v in groups[b][0]]
+    n += draw(st.integers(min_value=0, max_value=2))
+    g = Graph(n, edges)
+    if draw(st.booleans()):
+        g = relabel(g, draw(st.permutations(range(n))))
+    return g
+
+
 @pytest.fixture(scope="session")
 def grid_params():
     return GRID_PARAMS

@@ -448,6 +448,73 @@ def test_metrics_bytes_unchanged(core, satellites, capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == METRICS_SHA256[core, satellites]
 
 
+# sha256 of `spectrum --method analytic` stdout, and of `--method both`
+# stdout with its numeric lists and deviations masked: the numeric digits
+# depend on the LAPACK build
+SPECTRUM_SHA256 = {
+    ("5", "5:9"): (
+        "32adc2f652139bf609d93f93dd6aef9ec2b287b6c088582a293cfa3186086c79",
+        "888970583131c9e743d57f382ee4749cddca52a4f61633ef03034bebe509855b",
+    ),
+    ("6", "2:12,4:10,6:8"): (
+        "f86277523e71df59af1809d731e7df469a993ac4aa51c840e2104bf9780f4823",
+        "fc35e58459ccbeea3c2800ffd9f83fc0fd9d1890a45e4c7c9750003e69c903f0",
+    ),
+    ("8", "2:20,4:30,6:25"): (
+        "023c4183240f9c3588a9bdb1c4b4585ccd8197ced91982bece85fd99e1d19c70",
+        "65c2ed7c1252fc48bb21031dc68253a7e1ce835d396d5a64a3823275a17e6b34",
+    ),
+    ("20", "6:130"): (
+        "c2ddfe71efa49f8737bc41dbfc2fc17412dc3e21a28a65d5cb6f11caade94806",
+        "adb494c7225148b2e830919161f032c5bc6c39c2e984089c1db2098a11323b1e",
+    ),
+    ("10", "3:100,5:100,7:100"): (
+        "be39f5b19eb24874610fc82bcff602ca8efa840ebc1fb3aa45f7a75b87c904e9",
+        "9fc2f3132da5b4fad9a48f0e345a32bd60580e45b62ef1a4ab035e6a518bd095",
+    ),
+    ("2", "1:3"): (
+        "7520ccf8e4528010ac7eb9f98a79a39b248f9488bf101ab0c8c0451deffd89cd",
+        "5d92d93b5d0878d12b35934e7bcfe8a4241431038ad65d9057f23a7653690219",
+    ),
+    ("1", "1:1"): (
+        "a9b875113789fdd5e39ebc3a2bbb33f6527e8e222b03a0233661f95ba67cb968",
+        "4275c70617e1e016fa74eb599d951fb8584faaea6127ad19e294e66db9d9df52",
+    ),
+}
+
+
+@pytest.mark.parametrize("core, satellites", sorted(SPECTRUM_SHA256))
+def test_spectrum_bytes_unchanged(core, satellites, capsys):
+    analytic_sha, both_sha = SPECTRUM_SHA256[core, satellites]
+    argv = ["spectrum", "--core", core, "--satellites", satellites, "--method"]
+    code, out, _ = run([*argv, "analytic"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == analytic_sha
+    code, out, _ = run([*argv, "both"], capsys)
+    assert code == 0
+    masked, lists = re.subn(r'"numeric": \[[^\]]*\]', '"numeric": *', out)
+    masked, deviations = re.subn(r'"max_abs_deviation": [^,\n]+', '"max_abs_deviation": *', masked)
+    assert (lists, deviations) == (2, 2)
+    assert hashlib.sha256(masked.encode("ascii")).hexdigest() == both_sha
+
+
+@pytest.mark.parametrize("method", ["numeric", "both"])
+def test_spectrum_builds_no_dense_matrix(method, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("dense matrix built")
+
+    for name in ("adjacency_matrix", "laplacian_matrix"):
+        monkeypatch.setattr(cli.oracle, name, refused)
+    argv = ["spectrum", "--core", "10", "--satellites", "3:100,5:100,7:100"]
+    code, out, err = run([*argv, "--method", method], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    for block in (payload["adjacency"], payload["laplacian"]):
+        assert len(block["numeric"]) == 1510
+        if method == "both":
+            assert block["max_abs_deviation"] <= 1e-12
+
+
 # sha256 of `verify` stdout with the dense eigensolver's deviations masked:
 # those last digits depend on the LAPACK build
 VERIFY_SHA256 = {

@@ -1,9 +1,11 @@
 """The package imports only the standard library, numpy and itself.
 
 scipy, networkx and sympy may serve as independent references in the
-tests; numpy is the package's one runtime dependency.  The brute-force
-oracle and the direct metrics kernel it checks share no code, directly
-or through another module of the package.
+tests; numpy is the package's one runtime dependency.  The oracle and
+the direct metrics kernel share no module but ``graphs``: both read the
+twin scan there, the kernel to weight its runs and the twin-reduced
+spectra to build their quotient, and the subgraph listing that checks
+the kernel uses neither.
 """
 from __future__ import annotations
 

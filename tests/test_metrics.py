@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID_PARAMS, arbitrary_graphs
+from conftest import GRID_PARAMS, arbitrary_graphs, planted_twin_graphs, relabel
 from coresat import (
     GeneralizedParams,
     Graph,
@@ -30,11 +30,11 @@ from coresat import (
     transitivity,
     triangle_count,
 )
+from coresat.graphs import twin_runs
 from coresat.metrics import (
     DIRECT_BITSET_LIMIT,
     _average_clustering_fraction,
     _bitset,
-    _twin_classes,
     check_direct_size,
 )
 from coresat.oracle import exhaustive_subgraph_counts
@@ -448,50 +448,26 @@ def test_kernel_on_wide_rows_matches_set_counts_and_exact_ratios(g):
         assert rep.assortativity == float(r)
 
 
-def _relabel(g, perm):
-    """``g`` with node u renamed perm[u]."""
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
-@st.composite
-def planted_twin_graphs(draw):
-    """Random graphs blown up into groups of true and false twins.
-
-    Each node of a random base graph becomes a group of 1 to 3 nodes: a
-    clique (true twins) or an independent set (false twins), joined to
-    every node of the groups next to it.  Isolated nodes are appended,
-    and the nodes are relabelled at random or left in group order.
-    """
-    base = draw(st.integers(min_value=0, max_value=6))
-    pairs = list(itertools.combinations(range(base), 2))
-    links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    groups, n = [], 0
-    for _ in range(base):
-        size = draw(st.integers(min_value=1, max_value=3))
-        groups.append((range(n, n + size), draw(st.booleans())))
-        n += size
-    edges = [e for nodes, clique in groups if clique for e in itertools.combinations(nodes, 2)]
-    edges += [(u, v) for a, b in links for u in groups[a][0] for v in groups[b][0]]
-    n += draw(st.integers(min_value=0, max_value=2))
-    g = Graph(n, edges)
-    if draw(st.booleans()):
-        g = _relabel(g, draw(st.permutations(range(n))))
-    return g
-
-
-def _closed_rows(g):
-    return [frozenset(row) | {u} for u, row in enumerate(g.adj)]
-
-
 @settings(max_examples=300)
 @given(planted_twin_graphs())
 def test_kernel_on_planted_twins_matches_counts_and_exact_ratios(g):
-    # the runs are exactly the maximal runs of consecutive true twins
-    firsts, sizes = _twin_classes(g.adj)
-    closed = _closed_rows(g)
-    starts = [v for v in range(g.n) if v == 0 or closed[v] != closed[v - 1]]
+    # the runs are exactly the maximal runs of consecutive twins: true
+    # twins (equal closed rows) in a clique run, false twins (equal open
+    # rows) in an independent one
+    firsts, sizes, cliques = twin_runs(g)
+    nbrs = tuple(map(frozenset, g.adj))
+    closed = [row | {u} for u, row in enumerate(nbrs)]
+    starts = [
+        v
+        for v in range(g.n)
+        if v == 0 or (closed[v] != closed[v - 1] and nbrs[v] != nbrs[v - 1])
+    ]
     assert firsts == starts
     assert sum(sizes) == g.n and all(z >= 1 for z in sizes)
+    for r, z, clique in zip(firsts, sizes, cliques):
+        assert clique == (z > 1 and closed[r] == closed[r + 1])
+        links = sum(v in nbrs[u] for u, v in itertools.combinations(range(r, r + z), 2))
+        assert links == (math.comb(z, 2) if clique else 0)
 
     rep = compute_metrics(g)
     deg = [len(row) for row in g.adj]
@@ -500,7 +476,6 @@ def test_kernel_on_planted_twins_matches_counts_and_exact_ratios(g):
         tri, p3 = counts.triangles, counts.p3
         assert (rep.p2, rep.s13) == (counts.p2, counts.s13)
     else:
-        nbrs = tuple(map(frozenset, g.adj))
         tri = sum(len(nbrs[u] & nbrs[v]) for u, v in g.edges) // 3
         p3 = sum((deg[u] - 1) * (deg[v] - 1) for u, v in g.edges) - 3 * tri
         assert rep.p2 == sum(math.comb(k, 2) for k in deg)
@@ -528,19 +503,23 @@ def test_sweep_graph_report_survives_relabelling():
     assert g.n == 1510
     perm = list(range(g.n))
     random.Random(1510).shuffle(perm)
-    shuffled = _relabel(g, perm)
-    assert len(_twin_classes(shuffled.adj)[0]) == 1503
+    shuffled = relabel(g, perm)
+    assert len(twin_runs(shuffled)[0]) == 1503
     assert compute_metrics(shuffled) == compute_metrics(g)
 
 
 def test_twin_class_counts():
-    # the core and each satellite clique: 1 + 300 classes
-    assert len(_twin_classes(generalized_core_satellite(SWEEP_LARGEST).adj)[0]) == 301
-    for n in (1, 2, 7):
-        assert _twin_classes(complete_graph(n).adj) == ([0], [n])
+    # the core and each satellite clique: 1 + 300 clique runs
+    firsts, _, cliques = twin_runs(generalized_core_satellite(SWEEP_LARGEST))
+    assert len(firsts) == 301 and all(cliques)
+    for n in (2, 7):
+        assert twin_runs(complete_graph(n)) == ([0], [n], [True])
+    assert twin_runs(complete_graph(1)) == ([0], [1], [False])
     for n in (3, 4, 9):
         path = Graph(n, [(u, u + 1) for u in range(n - 1)])
-        assert _twin_classes(path.adj) == (list(range(n)), [1] * n)
+        assert twin_runs(path) == (list(range(n)), [1] * n, [False] * n)
+    # the hub, then the leaves as one run of false twins
     for b in (2, 5):
-        assert len(_twin_classes(star(b).adj)[0]) == b + 1
-    assert _twin_classes(Graph(0, []).adj) == ([], [])
+        assert twin_runs(star(b)) == ([0, 1], [1, b], [False, False])
+    assert twin_runs(Graph(3, [])) == ([0], [3], [False])
+    assert twin_runs(Graph(0, [])) == ([], [], [])

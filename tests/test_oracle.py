@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import GRID_PARAMS, arbitrary_graphs
+from conftest import GRID_PARAMS, arbitrary_graphs, planted_twin_graphs
 from coresat import (
     GeneralizedParams,
     Graph,
@@ -18,9 +19,12 @@ from coresat import (
     generalized_core_satellite,
     laplacian_matrix,
     path_counts,
+    sample_generalized_params,
     star,
     triangle_count,
 )
+from coresat.graphs import twin_runs
+from coresat.oracle import twin_reduced_spectra
 
 
 def test_adjacency_matrix_butterfly():
@@ -147,3 +151,64 @@ def test_triangles_match_trace_route(g):
     a = adjacency_matrix(g)
     trace = np.trace(a @ a @ a)
     assert math.isclose(trace / 6.0, triangle_count(g), abs_tol=1e-8)
+
+
+def _assert_reduced_matches_dense(g):
+    """Both reduced spectra equal the dense ones, with the contrasts exact."""
+    reduced = twin_reduced_spectra(g)
+    dense = (
+        eigenvalues_symmetric(adjacency_matrix(g)),
+        eigenvalues_symmetric(laplacian_matrix(g)),
+    )
+    for values, expected in zip(reduced, dense):
+        assert values.shape == (g.n,)
+        assert list(values) == sorted(values, reverse=True)
+        assert np.max(np.abs(values - expected), initial=0.0) <= 1e-12 * max(g.n, 1), g
+    # z - 1 contrasts per run: -1 or 0 (adjacency), d + 1 or d (Laplacian)
+    contrasts = Counter(), Counter()
+    for r, z, clique in zip(*twin_runs(g)):
+        d = len(g.adj[r])
+        contrasts[0][-1.0 if clique else 0.0] += z - 1
+        contrasts[1][float(d + clique)] += z - 1
+    for values, structural in zip(reduced, contrasts):
+        assert Counter(values.tolist()) >= structural, g
+
+
+@settings(max_examples=300)
+@given(planted_twin_graphs())
+def test_twin_reduced_spectra_match_dense_on_planted_twins(g):
+    _assert_reduced_matches_dense(g)
+
+
+def test_twin_reduced_spectra_match_dense_on_grid_and_samples():
+    params = GRID_PARAMS + sample_generalized_params()
+    assert len(params) == 145
+    for p in params:
+        _assert_reduced_matches_dense(generalized_core_satellite(p))
+
+
+def test_twin_reduced_spectra_on_named_graphs():
+    for n in range(0, 8):
+        _assert_reduced_matches_dense(Graph(n, []))
+        _assert_reduced_matches_dense(Graph(n, [(u, u + 1) for u in range(n - 1)]))
+    for n in range(1, 8):
+        _assert_reduced_matches_dense(complete_graph(n))
+        _assert_reduced_matches_dense(star(n))
+    # isolated nodes, K_n and a star's leaves each reduce to one run
+    assert [v.tolist() for v in twin_reduced_spectra(Graph(3, []))] == [[0.0] * 3] * 2
+    adjacency, laplacian = twin_reduced_spectra(complete_graph(5))
+    assert adjacency.tolist() == [4.0] + [-1.0] * 4
+    assert laplacian.tolist() == [5.0] * 4 + [0.0]
+    adjacency, laplacian = twin_reduced_spectra(star(9))
+    assert adjacency[1:9].tolist() == [0.0] * 8
+    assert laplacian[1:9].tolist() == [1.0] * 8
+    # the 2x2 quotient's roots: +-3 and 10, 0
+    assert adjacency[[0, 9]] == pytest.approx([3.0, -3.0], abs=1e-12)
+    assert laplacian[[0, 9]] == pytest.approx([10.0, 0.0], abs=1e-12)
+
+
+def test_twin_reduced_spectra_guard_counts_runs():
+    # 2000 isolated nodes are one run; a 12-node path is 12
+    assert [v.shape for v in twin_reduced_spectra(Graph(2000, []), max_n=1)] == [(2000,)] * 2
+    with pytest.raises(SizeLimitError):
+        twin_reduced_spectra(Graph(12, [(u, u + 1) for u in range(11)]), max_n=11)
