@@ -165,8 +165,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
     numerics = (None, None)
     if args.method != "analytic":
-        # refused from the parameters, before the graph is built
-        oracle.check_dense_size(params.n, args.dense_limit)
+        # the node and edge limits are read from the parameters; the
+        # dense limit bounds the quotient, one row per run of twins, so
+        # it is read from the built graph.  At the node limit,
+        # `--core 1 --satellites 1:999999` is two runs; with the JSON it
+        # takes about 6 s and peaks at about 350 MiB (2 cores, Python 3.11)
+        _check_size(params)
         g = generalized_core_satellite(params)
         numerics = oracle.twin_reduced_spectra(g, args.dense_limit)
     ok = True
@@ -261,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dense-limit",
         type=_positive_int,
         default=oracle.DEFAULT_DENSE_LIMIT,
-        help=f"max n for dense numeric work (default {oracle.DEFAULT_DENSE_LIMIT})",
+        help="largest matrix side for numeric eigensolves: n in verify, the number "
+        f"of runs of twins in spectrum (default {oracle.DEFAULT_DENSE_LIMIT})",
     )
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("-o", "--out", default=None, help="output file (default stdout)")

@@ -38,6 +38,7 @@ __all__ = [
     "complete_split",
     "is_connected",
     "twin_runs",
+    "run_neighbors",
 ]
 
 
@@ -153,6 +154,23 @@ def twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
     sizes = list(map(sub, chain(islice(firsts, 1, None), (n,)), firsts))
     # a run's kind is that of its second node, if it has one
     return firsts, sizes, [true[r + 1] == 1 for r in firsts]
+
+
+def run_neighbors(g: Graph, firsts: list[int]) -> list[tuple[int, ...]]:
+    """For each run of ``twin_runs``, the first nodes of the runs next to it, ascending.
+
+    Twins agree on every node outside their run, so a run next to a
+    node r lies wholly in r's sorted row, and its first node is there
+    too.  The rest of r's own run is never a first node, so the row's
+    first nodes are exactly the runs next to r's run.  Each row is
+    filtered once, in O(m) over all runs; when every run is one node the
+    rows are returned as they are.
+    """
+    rows = map(g.adj.__getitem__, firsts)
+    if len(firsts) == g.n:
+        return list(rows)
+    starts = frozenset(firsts)
+    return [tuple(compress(row, map(starts.__contains__, row))) for row in rows]
 
 
 def complete_graph(p: int) -> Graph:

@@ -3,25 +3,31 @@
 Direct routines work on any Graph.  ``compute_metrics`` is the direct
 kernel, in the node-iterator style of triangle listing (Schank & Wagner,
 WEA 2005; Latapy, TCS 2008), with neighbor rows held as Python int
-bitsets.  It first splits the nodes into runs of twins
-(``graphs.twin_runs``): true twins, with equal closed neighborhoods, or
-false twins, with equal open ones.  Every satellite clique of a
-core-satellite graph is a run of true twins, and so is the core; the
-single-node satellites of a star or of an s=1 class form one run of
-false twins.  The runs form an equitable partition (Cvetkovic,
-Rowlinson & Simic, *An Introduction to the Theory of Graph Spectra*,
-2010).  Twins have the same degree, triangles and
-neighbor degree sum, so the kernel computes them for one representative
-per run, and only representatives get a bitset row.  Only proven twins
-are merged, so the result is exact on any graph; a graph without twins
-gives runs of one node each.  Every report field is derived from those
-integers, expanded to every node of the run.  ``triangle_count``,
+bitsets.  It works on the quotient over runs of twins, never node by
+node.  ``graphs.twin_runs`` splits the nodes into runs of true twins,
+with equal closed neighborhoods, or false twins, with equal open ones.
+Every satellite clique of a core-satellite graph is a run of true
+twins, and so is the core; the single-node satellites of a star or of
+an s=1 class form one run of false twins.  The runs form an equitable
+partition (Cvetkovic, Rowlinson & Simic, *An Introduction to the Theory
+of Graph Spectra*, 2010), and ``graphs.run_neighbors`` lists the runs
+next to each one.  Runs of the same size and kind with the same runs
+next to them are swapped by an automorphism, so they share degree,
+triangles and neighbor degree sum: the kernel evaluates each such class
+once, at one first node, and weights it by the class's node count.  A
+sweep graph is four classes (the core and one per satellite size).
+Only proven twins are merged, so the result is exact on any graph; a
+graph without twins gives runs of one node each.  ``triangle_count``,
 ``path_counts``, ``average_clustering``, ``transitivity`` and both
-assortativity routes are views of that one report.  Row u of the
-bitsets spans bits 0 to max(adj[u]).  ``DIRECT_BITSET_LIMIT`` is still
-checked against the total over every row, before any row is built: about
-n**2 / 2 bits on a graph of small satellite cliques but only about 2n
-bits on a star.  Adjacency is never held as a dense matrix.
+assortativity routes are views of that one report.
+
+Only the first node of each run gets a bitset row, indexed by node, so
+that an AND of two rows counts common neighbors exactly.  Row u spans
+bits 0 to max(adj[u]), and ``DIRECT_BITSET_LIMIT`` is checked against
+the total over those rows alone, before any row is built: about
+n**2 / 4 bits on a graph of satellite pairs, about 2n on a star and
+up to n**2 on a graph without twins.  Adjacency is never held as a
+dense matrix.
 
 The Pearson and the subgraph-count (Estrada) assortativity are two
 expressions over the same kernel integers (p3 is derived from the
@@ -46,13 +52,15 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import compress, repeat
+from typing import Iterable
 from operator import mul
 
 from .exceptions import SizeLimitError
-from .graphs import Graph, twin_runs
+from .graphs import Graph, run_neighbors, twin_runs
 from .params import GeneralizedParams
 
 __all__ = [
@@ -102,18 +110,26 @@ class MetricsReport:
     assortativity_estrada: float | None
 
 
-def check_direct_size(g: Graph) -> None:
-    """Refuse ``g`` if its bitset rows would exceed ``DIRECT_BITSET_LIMIT``.
+def _check_bits(rows: Iterable[tuple[int, ...]]) -> None:
+    """Refuse bitset rows for ``rows`` over ``DIRECT_BITSET_LIMIT`` bits, before any is built.
 
-    Rows are sorted, so row u takes ``adj[u][-1] + 1`` bits and the total
-    is known in O(n), before any row is built.
+    Rows are sorted, so row u takes ``row[-1] + 1`` bits.
     """
-    size = sum(row[-1] + 1 for row in g.adj if row)
+    size = sum(row[-1] + 1 for row in rows if row)
     if size > DIRECT_BITSET_LIMIT:
         raise SizeLimitError(
             f"bitset rows of {size} bits exceed the direct metrics limit "
             f"{DIRECT_BITSET_LIMIT}"
         )
+
+
+def check_direct_size(g: Graph) -> None:
+    """Refuse ``g`` if ``compute_metrics`` would build over ``DIRECT_BITSET_LIMIT`` bits.
+
+    Only the first node of each run of ``graphs.twin_runs`` gets a row,
+    so only those rows are counted, in O(m) and before any is built.
+    """
+    _check_bits(map(g.adj.__getitem__, twin_runs(g)[0]))
 
 
 def _bitset(row: list[int]) -> int:
@@ -124,11 +140,12 @@ def _bitset(row: list[int]) -> int:
             b |= 1 << v
         return b
     # one shift per neighbor would copy len(row) * row[-1] bits; the
-    # digit string is linear in the row's width
-    top = row[-1]
-    digits = bytearray(b"0") * (top + 1)
-    for i in map(top.__sub__, row):
-        digits[i] = 49  # "1"
+    # digit string is linear in the row's width.  Digit v is written at
+    # index v and the string reversed once, most significant digit first
+    digits = bytearray(b"0") * (row[-1] + 1)
+    for v in row:
+        digits[v] = 49  # "1"
+    digits.reverse()
     return int(digits, 2)
 
 
@@ -140,52 +157,66 @@ def _count_ratios(m: int, t: int, p2: int, p3: int, s13: int) -> tuple[float, fl
 
 
 def compute_metrics(g: Graph) -> MetricsReport:
-    """All metrics of ``g`` by direct computation, once per twin class.
+    """All metrics of ``g`` by direct computation, once per class of twin runs.
 
-    ``graphs.twin_runs`` splits the nodes into runs of twins.  Twins
-    share every per-node value below, so each is computed for a run's
-    first node r only and weighted by the run's size z.  Only r gets a
-    Python int bitset row, and every node v reads its class's row as
-    ``bits[v]``.  A class D next to r lies wholly in N(r), and each of
-    its nodes has as many common neighbors with r as D's first node has,
-    so the sum of ``(bits[r] & bits[v]).bit_count()`` over the neighbors
-    v of r is twice the triangles through r, except that in a clique run
-    each of r's z - 1 twins reads r's own row and counts k where it
-    shares k - 1.  The twins of r in a run of false twins are not in
-    N(r), so that run needs no correction.
+    ``graphs.twin_runs`` splits the nodes into runs, and
+    ``graphs.run_neighbors`` gives each run the first nodes of the runs
+    next to it.  Runs with the same size z, the same kind and the same
+    runs next to them form a class, evaluated once at the first node r
+    of one of its runs; its node count weights every sum.  Only first
+    nodes get a Python int bitset row.  A run D next to r lies wholly in
+    N(r), and each of its nodes has as many common neighbors with r as
+    D's first node d has, ``(bits[r] & bits[d]).bit_count()``, so the
+    sum of that count times |D| over the runs D next to r, plus k - 1
+    for each of r's z - 1 twins in a clique run, is twice the triangles
+    through r.  The twins of r in a run of false twins are not in N(r).
+    The neighbor degree sum of r is the sum of |D| * k_d over the same
+    runs, plus k for each twin in a clique run.
     The edge sums come from node sums: sum k_u*k_v is half of
     sum_u k_u * (neighbor degree sum of u), sum (k_u + k_v) is sum k**2
     and sum (k_u**2 + k_v**2) is sum k**3.  With T_k the triangles
     through the nodes of degree k, the average clustering is the
     ``Fraction`` (sum over k of T_k / C(k, 2)) / n, rounded once.
     """
-    check_direct_size(g)
     n, m, adj = g.n, g.m, g.adj
     reps, sizes, cliques = twin_runs(g)
     rows = list(map(adj.__getitem__, reps))
-    bits = list(map(_bitset, rows))
-    if len(reps) < n:  # every node reads its representative's row
-        bits = list(chain.from_iterable(map(repeat, bits, sizes)))
-    node_deg = list(map(len, adj))
-    deg = list(map(len, rows))
-    twice = [
-        sum(map(int.bit_count, map(b.__and__, map(bits.__getitem__, row)))) - (z - 1) * clique
-        for b, row, z, clique in zip(map(bits.__getitem__, reps), rows, sizes, cliques)
-    ]
-    nds = [sum(map(node_deg.__getitem__, row)) for row in rows]
+    _check_bits(rows)
+    keys = list(zip(sizes, cliques, run_neighbors(g, reps)))
+    # a first node per class and the runs per class, both in the keys'
+    # first-seen order
+    class_reps = dict(zip(keys, reps))
+    counts = Counter(keys).values()
+    # node-indexed, set at first nodes only
+    bits, span, mass = [0] * n, [0] * n, [0] * n
+    for r, z, row in zip(reps, sizes, rows):
+        bits[r], span[r], mass[r] = _bitset(row), z, z * len(row)
+    twinned = frozenset(compress(reps, map((1).__lt__, sizes)))  # runs of two nodes or more
+    weights, deg, twice, nds = [], [], [], []
+    for ((z, clique, near), r), count in zip(class_reps.items(), counts):
+        b, k = bits[r], len(adj[r])
+        common = map(int.bit_count, map(b.__and__, map(bits.__getitem__, near)))
+        # weighting by run size only where it can matter keeps twin-free rows as fast
+        if twinned and not twinned.isdisjoint(near):
+            common = map(mul, map(span.__getitem__, near), common)
+        mates = (z - 1) * clique
+        weights.append(count * z)
+        deg.append(k)
+        twice.append(sum(common) + mates * (k - 1))
+        nds.append(sum(map(mass.__getitem__, near)) + mates * k)
     squares = list(map(mul, deg, deg))
-    t = sum(map(mul, sizes, twice)) // 6
+    t = sum(map(mul, weights, twice)) // 6
     # sum over edges of k_u * k_v
-    se = sum(map(mul, sizes, map(mul, deg, nds))) // 2
-    ss = sum(map(mul, sizes, squares))  # sum over edges of k_u + k_v
-    sq = sum(map(mul, sizes, map(mul, squares, deg)))  # sum over edges of k_u**2 + k_v**2
-    p2 = sum(map(mul, sizes, map(math.comb, deg, repeat(2))))
+    se = sum(map(mul, weights, map(mul, deg, nds))) // 2
+    ss = sum(map(mul, weights, squares))  # sum over edges of k_u + k_v
+    sq = sum(map(mul, weights, map(mul, squares, deg)))  # sum over edges of k_u**2 + k_v**2
+    p2 = sum(map(mul, weights, map(math.comb, deg, repeat(2))))
     p3 = se - ss + m - 3 * t  # sum over edges of (k_u - 1)(k_v - 1), minus 3t
-    s13 = sum(map(mul, sizes, map(math.comb, deg, repeat(3))))
+    s13 = sum(map(mul, weights, map(math.comb, deg, repeat(3))))
 
     # triangles through the nodes of each degree k >= 2
     by_degree: dict[int, int] = {}
-    for x, k, z in zip(twice, deg, sizes):
+    for x, k, z in zip(twice, deg, weights):
         if k >= 2:
             by_degree[k] = by_degree.get(k, 0) + z * (x // 2)
     total = sum(Fraction(tk, math.comb(k, 2)) for k, tk in by_degree.items())

@@ -16,13 +16,12 @@ Size guards keep the dense and brute-force paths at brute-force scale.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericFailureError, SizeLimitError
-from .graphs import Graph, twin_runs
+from .graphs import Graph, run_neighbors, twin_runs
 
 __all__ = [
     "DEFAULT_DENSE_LIMIT",
@@ -100,18 +99,24 @@ def twin_reduced_spectra(
     the quotient, symmetrized to off-diagonal sqrt(z_i * z_j) between
     adjacent runs (negated for L) and diagonal z - 1 on a clique run, 0
     on an independent one (d minus that for L), solved by
-    ``eigenvalues_symmetric``.  Guarded by ``max_n`` on R.
+    ``eigenvalues_symmetric``.  The runs next to each run are read from
+    ``graphs.run_neighbors``.  Guarded by ``max_n`` on R, not on n.
     """
     firsts, sizes, cliques = twin_runs(g)
     runs = len(firsts)
-    check_dense_size(runs, max_n)
-    run_of = list(itertools.chain.from_iterable(map(itertools.repeat, range(runs), sizes)))
-    adjacency = np.zeros((runs, runs))
-    for i, u in enumerate(firsts):
-        for j in set(map(run_of.__getitem__, g.adj[u])) - {i}:
-            adjacency[i, j] = math.sqrt(sizes[i] * sizes[j])
-    laplacian = -adjacency
+    if runs > max_n:
+        raise SizeLimitError(f"{runs} runs of twins exceed dense limit {max_n}")
+    near = run_neighbors(g, firsts)
+    index = dict(zip(firsts, range(runs)))
     z = np.array(sizes, dtype=np.intp)
+    # run i is next to run j for each of j's first nodes in near[i]
+    i = np.repeat(np.arange(runs), list(map(len, near)))
+    j = np.fromiter(
+        map(index.__getitem__, itertools.chain.from_iterable(near)), dtype=np.intp, count=len(i)
+    )
+    adjacency = np.zeros((runs, runs))
+    adjacency[i, j] = np.sqrt(z[i] * z[j])
+    laplacian = -adjacency
     clique = np.array(cliques, dtype=bool)
     degree = np.array([len(g.adj[u]) for u in firsts], dtype=float)
     own = np.where(clique, z - 1, 0.0)

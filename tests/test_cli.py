@@ -123,26 +123,43 @@ def test_edge_limit_is_read_before_building(capsys):
 
 
 @pytest.mark.parametrize("method", ["numeric", "both"])
-def test_spectrum_dense_limit_is_read_before_building(method, capsys, monkeypatch):
+def test_spectrum_size_limits_are_read_before_building(method, capsys, monkeypatch):
     def refuse(params):
         raise AssertionError(f"built a graph for {params}")
 
     monkeypatch.setattr(cli, "generalized_core_satellite", refuse)
-    argv = ["spectrum", "--core", "300", "--satellites", "1:20000", "--dense-limit", "50"]
-    code, out, err = run([*argv, "--method", method], capsys)
-    assert (code, out, err) == (2, "", "error: n=20300 exceeds dense limit 50\n")
+    for satellites, error in (
+        ("1:20000", f"m=6044850 exceeds the limit {GENERATE_EDGE_LIMIT}"),
+        ("1:1000000", "n=1000300 exceeds the limit 1000000"),
+    ):
+        argv = ["spectrum", "--core", "300", "--satellites", satellites, "--dense-limit", "50"]
+        code, out, err = run([*argv, "--method", method], capsys)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("method", ["numeric", "both"])
+def test_spectrum_dense_limit_counts_runs_of_twins(method, capsys):
+    # the sweep's largest graph: n=1510 nodes in 301 runs
+    argv = ["spectrum", "--core", "10", "--satellites", "3:100,5:100,7:100", "--method", method]
+    code, out, err = run([*argv, "--dense-limit", "300"], capsys)
+    assert (code, out, err) == (2, "", "error: 301 runs of twins exceed dense limit 300\n")
+    code, out, err = run([*argv, "--dense-limit", "301"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload["adjacency"]["numeric"]) == len(payload["laplacian"]["numeric"]) == 1510
 
 
 def test_metrics_and_sweep_bitset_limit(capsys):
-    # 25000 satellite pairs: n=50001 and m=75000 are within the limits, but
-    # each satellite row reaches its own index, about n**2 / 2 bits in all
+    # 50000 satellite pairs: n=100001 and m=150000 are within the limits,
+    # but the first node of each pair gets a row reaching its own index,
+    # about n**2 / 4 bits in all
     message = (
-        "error: bitset rows of 1250125001 bits exceed the direct metrics "
+        "error: bitset rows of 2500200001 bits exceed the direct metrics "
         f"limit {DIRECT_BITSET_LIMIT}\n"
     )
-    code, out, err = run(["metrics", "--core", "1", "--satellites", "2:25000"], capsys)
+    code, out, err = run(["metrics", "--core", "1", "--satellites", "2:50000"], capsys)
     assert (code, out, err) == (2, "", message)
-    code, out, err = run(["sweep", "--cores", "1", "--sizes", "2", "--pmax", "25000"], capsys)
+    code, out, err = run(["sweep", "--cores", "1", "--sizes", "2", "--pmax", "50000"], capsys)
     assert (code, out, err) == (2, "", message)
 
 

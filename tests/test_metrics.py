@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GRID_PARAMS, arbitrary_graphs, planted_twin_graphs, relabel
@@ -30,9 +30,11 @@ from coresat import (
     transitivity,
     triangle_count,
 )
-from coresat.graphs import twin_runs
+from coresat.graphs import run_neighbors, twin_runs
 from coresat.metrics import (
     DIRECT_BITSET_LIMIT,
+    _SHIFT_ROW_LIMIT,
+    MetricsReport,
     _average_clustering_fraction,
     _bitset,
     check_direct_size,
@@ -396,20 +398,28 @@ def test_one_pass_kernel_matches_enumeration_and_exact_ratios(g):
 
 
 def test_kernel_limit_counts_the_bits_it_allocates():
-    # a star on 2**15 + 1 nodes: with its hub at node 0 every leaf row is
-    # one bit wide, with its hub at the last node every leaf row is n bits
+    # only the first node of each run of twins gets a bitset row: a star
+    # on 2**15 + 1 nodes is two runs whether its hub is first or last
     n = 2**15 + 1
     hub_first = Graph(n, [(0, v) for v in range(1, n)])
     hub_last = Graph(n, [(u, n - 1) for u in range(n - 1)])
     check_direct_size(hub_first)
+    check_direct_size(hub_last)
     rep = compute_metrics(hub_first)
     assert (rep.triangles, rep.p2, rep.p3, rep.avg_clustering) == (0, math.comb(n - 1, 2), 0, 0.0)
     assert rep.assortativity == pytest.approx(-1.0, abs=1e-12)
-    # n - 1 leaf rows of n bits and a hub row of n - 1 bits
+    assert compute_metrics(hub_last) == rep
+    # a path through the leaves leaves no twins: n - 1 leaf rows of n
+    # bits and a hub row of n - 1 bits
+    fan = Graph(n, [(u, n - 1) for u in range(n - 1)] + [(u, u + 1) for u in range(n - 2)])
+    assert len(twin_runs(fan)[0]) == n
     size = (n - 1) * (n + 1)
     assert size > DIRECT_BITSET_LIMIT
-    with pytest.raises(SizeLimitError, match=f"{size} bits"):
-        compute_metrics(hub_last)
+    for refused in (check_direct_size, compute_metrics):
+        with pytest.raises(SizeLimitError, match=f"{size} bits"):
+            refused(fan)
+    # 25000 satellite pairs: one row per pair, about n**2 / 4 bits
+    check_direct_size(generalized_core_satellite(GeneralizedParams(1, [(2, 25000)])))
     # nodes without edges take no bits at all
     assert compute_metrics(Graph(10**5, [])).avg_clustering == 0.0
 
@@ -491,6 +501,95 @@ def test_kernel_on_planted_twins_matches_counts_and_exact_ratios(g):
     else:
         assert rep.assortativity == float(r)
         assert rep.assortativity_estrada == float(r)
+
+
+def _independent_report(g):
+    """The report of ``g`` from listed subgraphs and set-based degree sums."""
+    counts = exhaustive_subgraph_counts(g)
+    avg, r = _exact_ratios(g)
+    trans = Fraction(3 * counts.triangles, counts.p2) if counts.p2 else 0
+    r = None if r is None else float(r)
+    return MetricsReport(
+        n=g.n,
+        m=g.m,
+        triangles=counts.triangles,
+        p1=g.m,
+        p2=counts.p2,
+        p3=counts.p3,
+        s13=counts.s13,
+        avg_clustering=float(avg),
+        transitivity=float(trans),
+        assortativity=r,
+        assortativity_estrada=r,
+    )
+
+
+@st.composite
+def lookalike_runs(draw):
+    """Graphs whose runs of twins tempt a wrong merge of classes.
+
+    A few base groups of 1 or 2 nodes, cliques or independent sets, are
+    joined whole to whole.  Each copy takes a base group's size and kind
+    and its neighbor groups, so it belongs to that group's class, unless
+    one neighbor group is added or dropped: then it has the same size and
+    kind but different runs next to it.  Half the graphs are relabelled,
+    which scatters the runs into single nodes.
+    """
+    base = draw(st.integers(min_value=1, max_value=4))
+    kinds = [(draw(st.integers(1, 2)), draw(st.booleans())) for _ in range(base)]
+    pairs = list(itertools.combinations(range(base), 2))
+    links = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    for copy in range(base, base + draw(st.integers(min_value=1, max_value=4))):
+        template = draw(st.integers(0, base - 1))
+        kinds.append(kinds[template])
+        near = {a + b - template for a, b in links if template in (a, b) and max(a, b) < base}
+        if draw(st.booleans()):
+            near ^= {draw(st.integers(0, copy - 1))}
+        links |= {(other, copy) for other in near}
+    groups, n = [], 0
+    for size, clique in kinds:
+        groups.append((range(n, n + size), clique))
+        n += size
+    edges = [e for nodes, clique in groups if clique for e in itertools.combinations(nodes, 2)]
+    edges += [(u, v) for a, b in links for u in groups[a][0] for v in groups[b][0]]
+    g = Graph(n, edges)
+    if draw(st.booleans()):
+        g = relabel(g, draw(st.permutations(range(n))))
+    return g
+
+
+@st.composite
+def twin_free_wide_graphs(draw):
+    """Graphs of 18 to 22 nodes without twins, most rows over the shift limit."""
+    n = draw(st.integers(min_value=18, max_value=22))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    g = Graph(n, [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.8])
+    assume(len(twin_runs(g)[0]) == n and max(map(len, g.adj)) > _SHIFT_ROW_LIMIT)
+    return g
+
+
+def test_lookalike_runs_differ_only_in_the_runs_next_to_them():
+    # clique runs {0, 1} and {2, 3}: the same size and kind, but only the
+    # first is next to node 5, so they are two classes
+    g = Graph(6, [(0, 1), (2, 3), (0, 4), (1, 4), (0, 5), (1, 5), (2, 4), (3, 4)])
+    firsts, sizes, cliques = twin_runs(g)
+    assert (firsts, sizes, cliques) == ([0, 2, 4, 5], [2, 2, 1, 1], [True, True, False, False])
+    assert run_neighbors(g, firsts) == [(4, 5), (4,), (0, 2), (0,)]
+    assert compute_metrics(g) == _independent_report(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(lookalike_runs(), twin_free_wide_graphs()))
+@example(_threshold_graph(22))
+@example(relabel(star(7), [3, 0, 7, 1, 5, 2, 6, 4]))  # scattered leaves: one class of 7 runs
+def test_kernel_classes_match_enumeration_and_set_sums(g):
+    rep = compute_metrics(g)
+    assert rep == _independent_report(g)
+    firsts, sizes, _ = twin_runs(g)
+    for r, z, near in zip(firsts, sizes, run_neighbors(g, firsts)):
+        # whole runs next to r, and nothing of r's own run
+        members = {v for d in near for v in range(d, d + sizes[firsts.index(d)])}
+        assert members == set(g.adj[r]) - set(range(r, r + z))
 
 
 SWEEP_LARGEST = GeneralizedParams(10, [(3, 100), (5, 100), (7, 100)])
