@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import chain, combinations, compress, islice, repeat
-from operator import eq, sub
+from itertools import combinations, compress, islice
+from operator import eq
 from typing import Iterable, Sequence
 
 from .exceptions import InvalidParameterError
@@ -115,45 +115,35 @@ def twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
 
     True twins have equal closed neighborhoods N[u] = N(u) + {u}, so a
     run of them is a clique; false twins have equal open neighborhoods
-    N(u), so a run of them is an independent set.  Node v joins the run
-    of v - 1 as a true twin when their sorted rows are equal once v - 1
-    and v swap places, which needs row sums that differ by exactly one,
-    and as a false twin when their rows are equal, which needs equal row
-    sums.  The row sums are tested for all nodes before any row is
-    compared.  No run mixes the two kinds: if u, v were true twins and
-    v, w false twins, then u is in N(v) = N(w), so w is in N[u] = N[v]
-    and hence in N(v) = N(w), a self-loop; the other order is the same
-    with u and w swapped.  A run is flagged a clique when its nodes are
-    true twins; a run of one node is flagged False.  Only proven twins
-    are merged; a graph without consecutive twins gives n runs of one
-    node.
+    N(u), so a run of them is an independent set.  One pass compares
+    each row with the one before it.  If v is in the sorted row of
+    v - 1, v joins that run as a true twin when the two rows are equal
+    once v - 1 and v swap places; if not, v joins as a false twin when
+    the two rows are equal.  No run mixes the two kinds: if u, v were
+    true twins and v, w false twins, then u is in N(v) = N(w), so w is
+    in N[u] = N[v] and hence in N(v) = N(w), a self-loop; the other
+    order is the same with u and w swapped.  So a run is flagged a
+    clique when its second node joined as a true twin; a run of one
+    node is flagged False.  Only proven twins are merged; a graph
+    without consecutive twins gives n runs of one node.
     """
-    adj, n = g.adj, g.n
-    sums = list(map(sum, adj))
-    drops = list(map(sub, sums, islice(sums, 1, None)))  # drops[v - 1] = sums[v - 1] - sums[v]
-    first = bytearray(b"\x01") * n
-    # true[v] = 1 when v joined v - 1 as a true twin; true[n] stays 0
-    true = bytearray(n + 1)
-    for v in compress(range(1, n), map(eq, drops, repeat(1))):
-        a, b = adj[v - 1], adj[v]
+    adj = g.adj
+    firsts, sizes, cliques = ([0], [1], [False]) if adj else ([], [], [])
+    for v, (a, b) in enumerate(zip(adj, islice(adj, 1, None)), 1):
         i = bisect_left(a, v)
-        if (
-            len(a) == len(b)
-            and i < len(a)
-            and a[i] == v
-            and b[i] == v - 1
-            and a[:i] == b[:i]
-            and a[i + 1 :] == b[i + 1 :]
-        ):
-            first[v] = 0
-            true[v] = 1
-    for v in compress(range(1, n), map(eq, drops, repeat(0))):
-        if adj[v - 1] == adj[v]:
-            first[v] = 0
-    firsts = list(compress(range(n), first))
-    sizes = list(map(sub, chain(islice(firsts, 1, None), (n,)), firsts))
-    # a run's kind is that of its second node, if it has one
-    return firsts, sizes, [true[r + 1] == 1 for r in firsts]
+        if i < len(a) and a[i] == v:
+            # v - 1 is in b, so twin rows differ only at i: v in a, v - 1 in b
+            twin = clique = a[:i] == b[:i] and a[i + 1 :] == b[i + 1 :]
+        else:
+            twin, clique = a == b, False
+        if twin:
+            sizes[-1] += 1
+            cliques[-1] = clique
+        else:
+            firsts.append(v)
+            sizes.append(1)
+            cliques.append(False)
+    return firsts, sizes, cliques
 
 
 def run_neighbors(g: Graph, firsts: list[int]) -> list[tuple[int, ...]]:
@@ -163,13 +153,10 @@ def run_neighbors(g: Graph, firsts: list[int]) -> list[tuple[int, ...]]:
     node r lies wholly in r's sorted row, and its first node is there
     too.  The rest of r's own run is never a first node, so the row's
     first nodes are exactly the runs next to r's run.  Each row is
-    filtered once, in O(m) over all runs; when every run is one node the
-    rows are returned as they are.
+    filtered once, in O(m) over all runs.
     """
-    rows = map(g.adj.__getitem__, firsts)
-    if len(firsts) == g.n:
-        return list(rows)
     starts = frozenset(firsts)
+    rows = map(g.adj.__getitem__, firsts)
     return [tuple(compress(row, map(starts.__contains__, row))) for row in rows]
 
 

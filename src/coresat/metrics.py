@@ -55,7 +55,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Iterable
 from operator import mul
 
@@ -191,18 +191,14 @@ def compute_metrics(g: Graph) -> MetricsReport:
     bits, span, mass = [0] * n, [0] * n, [0] * n
     for r, z, row in zip(reps, sizes, rows):
         bits[r], span[r], mass[r] = _bitset(row), z, z * len(row)
-    twinned = frozenset(compress(reps, map((1).__lt__, sizes)))  # runs of two nodes or more
     weights, deg, twice, nds = [], [], [], []
     for ((z, clique, near), r), count in zip(class_reps.items(), counts):
         b, k = bits[r], len(adj[r])
         common = map(int.bit_count, map(b.__and__, map(bits.__getitem__, near)))
-        # weighting by run size only where it can matter keeps twin-free rows as fast
-        if twinned and not twinned.isdisjoint(near):
-            common = map(mul, map(span.__getitem__, near), common)
         mates = (z - 1) * clique
         weights.append(count * z)
         deg.append(k)
-        twice.append(sum(common) + mates * (k - 1))
+        twice.append(sum(map(mul, map(span.__getitem__, near), common)) + mates * (k - 1))
         nds.append(sum(map(mass.__getitem__, near)) + mates * k)
     squares = list(map(mul, deg, deg))
     t = sum(map(mul, weights, twice)) // 6

@@ -210,16 +210,20 @@ def laplacian_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
 def spectral_indices(params: GeneralizedParams) -> SpectralIndices:
     """Spectral radius, infection threshold 1/rho, sync index, connectivity.
 
-    The sync index is the ratio of the smallest positive to the largest
-    Laplacian eigenvalue, which is exactly c/n here; the algebraic
-    connectivity is exactly c.
+    The algebraic connectivity is the smallest positive Laplacian
+    eigenvalue and the sync index its ratio to the largest, both read
+    from ``laplacian_spectrum_gcs``: exactly c and c/n with two
+    satellites or more, and n and 1 for the complete graph that a
+    single satellite gives.
     """
     rho = spectral_radius(params)
+    laplacian = laplacian_spectrum_gcs(params).eigenpairs
+    largest, smallest_positive = laplacian[0][0], laplacian[-2][0]
     return SpectralIndices(
         spectral_radius=rho,
         infection_threshold=1.0 / rho,
-        sync_index=params.core / params.n,
-        algebraic_connectivity=float(params.core),
+        sync_index=smallest_positive / largest,
+        algebraic_connectivity=smallest_positive,
     )
 
 

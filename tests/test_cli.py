@@ -328,6 +328,18 @@ def test_spectrum_degenerate_single_satellite(capsys):
     assert payload["spectral_radius"] == 4.0
 
 
+def test_spectrum_single_satellite_indices_read_its_laplacian(capsys):
+    # K_5: the only positive Laplacian eigenvalue is 5, so the algebraic
+    # connectivity is 5 and the sync index 1, not c = 2 and c/n = 0.4
+    code, out, _ = run(["spectrum", "--core", "2", "--satellites", "3:1"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["laplacian"]["analytic"] == [[5.0, 4], [0.0, 1]]
+    assert payload["laplacian"]["numeric"] == [5.0, 5.0, 5.0, 5.0, 0.0]
+    assert payload["algebraic_connectivity"] == 5.0
+    assert payload["sync_index"] == 1.0
+
+
 def test_spectrum_analytic_only(capsys):
     code, out, _ = run(
         ["spectrum", "--core", "3", "--satellites", "2:4", "--method", "analytic"],
@@ -493,9 +505,10 @@ SPECTRUM_SHA256 = {
         "7520ccf8e4528010ac7eb9f98a79a39b248f9488bf101ab0c8c0451deffd89cd",
         "5d92d93b5d0878d12b35934e7bcfe8a4241431038ad65d9057f23a7653690219",
     ),
+    # K_2: algebraic connectivity 2 and sync index 1, read from its Laplacian
     ("1", "1:1"): (
-        "a9b875113789fdd5e39ebc3a2bbb33f6527e8e222b03a0233661f95ba67cb968",
-        "4275c70617e1e016fa74eb599d951fb8584faaea6127ad19e294e66db9d9df52",
+        "7501982e1747bca6dddf57fea660131435694d3c27ab49034a05cf12f4b7e26c",
+        "eeda681522e16c35c6a0f653cf0ae9250d4cca930eecadcb941ad5769d413b96",
     ),
 }
 

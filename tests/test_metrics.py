@@ -458,13 +458,13 @@ def test_kernel_on_wide_rows_matches_set_counts_and_exact_ratios(g):
         assert rep.assortativity == float(r)
 
 
-@settings(max_examples=300)
-@given(planted_twin_graphs())
-def test_kernel_on_planted_twins_matches_counts_and_exact_ratios(g):
-    # the runs are exactly the maximal runs of consecutive twins: true
-    # twins (equal closed rows) in a clique run, false twins (equal open
-    # rows) in an independent one
-    firsts, sizes, cliques = twin_runs(g)
+def _assert_runs_by_brute_force(g):
+    """``twin_runs(g)`` are the maximal runs of consecutive twins.
+
+    They are found here from neighbor sets: true twins (equal closed
+    sets) in a clique run, false twins (equal open sets) in an
+    independent one.
+    """
     nbrs = tuple(map(frozenset, g.adj))
     closed = [row | {u} for u, row in enumerate(nbrs)]
     starts = [
@@ -472,13 +472,18 @@ def test_kernel_on_planted_twins_matches_counts_and_exact_ratios(g):
         for v in range(g.n)
         if v == 0 or (closed[v] != closed[v - 1] and nbrs[v] != nbrs[v - 1])
     ]
-    assert firsts == starts
-    assert sum(sizes) == g.n and all(z >= 1 for z in sizes)
-    for r, z, clique in zip(firsts, sizes, cliques):
-        assert clique == (z > 1 and closed[r] == closed[r + 1])
+    sizes = [b - a for a, b in zip(starts, starts[1:] + [g.n])]
+    cliques = [z > 1 and closed[r] == closed[r + 1] for r, z in zip(starts, sizes)]
+    assert twin_runs(g) == (starts, sizes, cliques)
+    for r, z, clique in zip(starts, sizes, cliques):
         links = sum(v in nbrs[u] for u, v in itertools.combinations(range(r, r + z), 2))
         assert links == (math.comb(z, 2) if clique else 0)
 
+
+@settings(max_examples=300)
+@given(planted_twin_graphs())
+def test_kernel_on_planted_twins_matches_counts_and_exact_ratios(g):
+    _assert_runs_by_brute_force(g)
     rep = compute_metrics(g)
     deg = [len(row) for row in g.adj]
     if g.n <= 9:
@@ -486,6 +491,7 @@ def test_kernel_on_planted_twins_matches_counts_and_exact_ratios(g):
         tri, p3 = counts.triangles, counts.p3
         assert (rep.p2, rep.s13) == (counts.p2, counts.s13)
     else:
+        nbrs = [set(row) for row in g.adj]
         tri = sum(len(nbrs[u] & nbrs[v]) for u, v in g.edges) // 3
         p3 = sum((deg[u] - 1) * (deg[v] - 1) for u, v in g.edges) - 3 * tri
         assert rep.p2 == sum(math.comb(k, 2) for k in deg)
@@ -522,6 +528,23 @@ def _independent_report(g):
         assortativity=r,
         assortativity_estrada=r,
     )
+
+
+def _labelled_graphs(max_n):
+    """Every labelled graph on 0 to ``max_n`` nodes."""
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
+def test_runs_and_kernel_on_every_graph_of_five_nodes_or_fewer():
+    # 1 + 1 + 2 + 8 + 64 + 1024 graphs
+    graphs = list(_labelled_graphs(5))
+    assert len(graphs) == 1100
+    for g in graphs:
+        _assert_runs_by_brute_force(g)
+        assert compute_metrics(g) == _independent_report(g)
 
 
 @st.composite

@@ -289,6 +289,31 @@ def test_spectral_indices_butterfly():
     assert idx.algebraic_connectivity == 1.0
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        GeneralizedParams(2, [(3, 1)]),
+        GeneralizedParams(1, [(1, 1)]),
+        GeneralizedParams(4, [(2, 1)]),
+        BUTTERFLY,
+        MIXED,
+        GeneralizedParams(3, [(1, 2)]),
+    ],
+)
+def test_spectral_indices_match_dense_laplacian(p):
+    # one satellite gives K_n: every positive Laplacian eigenvalue is n,
+    # so the indices are n and 1, not c and c/n
+    values = eigenvalues_symmetric(laplacian_matrix(generalized_core_satellite(p)))
+    positive = [v for v in values if v > 1e-9]
+    idx = spectral_indices(p)
+    assert idx.algebraic_connectivity == pytest.approx(min(positive), abs=1e-9)
+    assert idx.sync_index == pytest.approx(min(positive) / max(positive), abs=1e-12)
+    if p.satellite_total == 1:
+        assert (idx.algebraic_connectivity, idx.sync_index) == (float(p.n), 1.0)
+    else:
+        assert (idx.algebraic_connectivity, idx.sync_index) == (float(p.core), p.core / p.n)
+
+
 def test_spectrum_result_expansion():
     result = adjacency_spectrum_gcs(BUTTERFLY)
     expanded = result.expanded()
