@@ -27,19 +27,7 @@ from .graphs import (
     windmill,
 )
 from .io import format_dot, format_edgelist, format_graph, format_matrix_market
-from .metrics import (
-    MetricsReport,
-    analytic_core_clustering,
-    analytic_metrics,
-    assortativity,
-    assortativity_estrada,
-    average_clustering,
-    compute_metrics,
-    local_clustering,
-    path_counts,
-    transitivity,
-    triangle_count,
-)
+from .metrics import MetricsReport, analytic_metrics, compute_metrics
 from .oracle import (
     DEFAULT_DENSE_LIMIT,
     DEFAULT_ENUM_LIMIT,
@@ -48,6 +36,7 @@ from .oracle import (
     eigenvalues_symmetric,
     exhaustive_subgraph_counts,
     laplacian_matrix,
+    local_clustering,
 )
 from .params import GeneralizedParams, SatelliteClass
 from .spectra import (
@@ -85,11 +74,7 @@ __all__ = [
     "adjacency_matrix",
     "adjacency_spectrum_gcs",
     "agave",
-    "analytic_core_clustering",
     "analytic_metrics",
-    "assortativity",
-    "assortativity_estrada",
-    "average_clustering",
     "complete_graph",
     "complete_split",
     "compute_metrics",
@@ -110,7 +95,6 @@ __all__ = [
     "laplacian_spectrum_gcs",
     "local_clustering",
     "max_spectrum_deviation",
-    "path_counts",
     "principal_eigenvector",
     "run_checks",
     "sample_generalized_params",
@@ -118,7 +102,5 @@ __all__ = [
     "spectral_radius",
     "spectral_radius_bounds",
     "star",
-    "transitivity",
-    "triangle_count",
     "windmill",
 ]

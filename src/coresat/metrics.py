@@ -17,9 +17,9 @@ triangles and neighbor degree sum: the kernel evaluates each such class
 once, at one first node, and weights it by the class's node count.  A
 sweep graph is four classes (the core and one per satellite size).
 Only proven twins are merged, so the result is exact on any graph; a
-graph without twins gives runs of one node each.  ``triangle_count``,
-``path_counts``, ``average_clustering``, ``transitivity`` and both
-assortativity routes are views of that one report.
+graph without twins gives runs of one node each.  Every metric is a
+field of its one ``MetricsReport``; ``oracle.local_clustering`` gives
+one node's clustering by brute force.
 
 Only the first node of each run gets a bitset row, indexed by node, so
 that an AND of two rows counts common neighbors exactly.  Row u spans
@@ -66,16 +66,8 @@ from .params import GeneralizedParams
 __all__ = [
     "DIRECT_BITSET_LIMIT",
     "MetricsReport",
-    "local_clustering",
-    "average_clustering",
-    "transitivity",
-    "triangle_count",
-    "path_counts",
-    "assortativity",
-    "assortativity_estrada",
     "check_direct_size",
     "compute_metrics",
-    "analytic_core_clustering",
     "analytic_metrics",
 ]
 
@@ -172,11 +164,14 @@ def compute_metrics(g: Graph) -> MetricsReport:
     through r.  The twins of r in a run of false twins are not in N(r).
     The neighbor degree sum of r is the sum of |D| * k_d over the same
     runs, plus k for each twin in a clique run.
-    The edge sums come from node sums: sum k_u*k_v is half of
-    sum_u k_u * (neighbor degree sum of u), sum (k_u + k_v) is sum k**2
-    and sum (k_u**2 + k_v**2) is sum k**3.  With T_k the triangles
-    through the nodes of degree k, the average clustering is the
-    ``Fraction`` (sum over k of T_k / C(k, 2)) / n, rounded once.
+    The edge sums come from node sums: se = sum k_u*k_v is half of
+    sum_u k_u * (neighbor degree sum of u), ss = sum (k_u + k_v) is
+    sum k**2 and sq = sum (k_u**2 + k_v**2) is sum k**3.  The Pearson
+    assortativity is (4*m*se - ss**2) / (2*m*sq - ss**2), and the
+    subgraph-count (Estrada) one, with t triangles, is
+    (m*(p3 + 3t) - p2**2) / (m*(3*s13 + p2) - p2**2).  With T_k the
+    triangles through the nodes of degree k, the average clustering is
+    the ``Fraction`` (sum over k of T_k / C(k, 2)) / n, rounded once.
     """
     n, m, adj = g.n, g.m, g.adj
     reps, sizes, cliques = twin_runs(g)
@@ -233,63 +228,16 @@ def compute_metrics(g: Graph) -> MetricsReport:
     )
 
 
+# not in __all__: benchmarks/tracing.py wraps these names
 def triangle_count(g: Graph) -> int:
     return compute_metrics(g).triangles
 
 
-def local_clustering(g: Graph, u: int) -> float:
-    """Fraction of the pairs of neighbors of ``u`` that are adjacent."""
-    k = g.degree(u)
-    if k <= 1:
-        return 0.0
-    nbrs = set(g.adj[u])
-    links = sum(len(nbrs.intersection(g.adj[v])) for v in g.adj[u]) // 2
-    return 2.0 * links / (k * (k - 1))
-
-
-def average_clustering(g: Graph) -> float:
-    """Arithmetic mean of local clustering over all nodes."""
-    return compute_metrics(g).avg_clustering
-
-
-def path_counts(g: Graph) -> tuple[int, int]:
-    """(p2, p3): counts of 2-edge and 3-edge paths.
-
-    p2 = sum over nodes of C(degree, 2); p3 comes from the identity
-    p3 = sum over edges of (k_u - 1)(k_v - 1) minus three times the
-    triangle count.
-    """
-    rep = compute_metrics(g)
-    return rep.p2, rep.p3
-
-
-def transitivity(g: Graph) -> float:
-    """3 * triangles / p2, or 0 when the graph has no 2-edge path."""
-    return compute_metrics(g).transitivity
-
-
 def assortativity(g: Graph) -> float | None:
-    """Pearson correlation of degrees across edges; None when undefined.
-
-    With edge sums se = sum k_u*k_v, ss = sum (k_u + k_v) and
-    sq = sum (k_u**2 + k_v**2):
-
-        r = (4*m*se - ss**2) / (2*m*sq - ss**2)
-    """
     return compute_metrics(g).assortativity
 
 
 def assortativity_estrada(g: Graph) -> float | None:
-    """Degree assortativity from subgraph counts.
-
-    With m edges, t triangles, p2/p3 path counts and s13 star triplets:
-
-        r = (m*(p3 + 3t) - p2**2) / (m*(3*s13 + p2) - p2**2)
-
-    Algebraically identical to the edge-based Pearson form and
-    evaluated from the counts; the kernel derives p3 from the Pearson
-    edge sum, so the two routes are not independent of each other.
-    """
     return compute_metrics(g).assortativity_estrada
 
 
@@ -327,15 +275,6 @@ def _average_clustering_fraction(
         return Fraction(0)
     closed = sum(cls.count * cls.size for cls in params.classes if c + cls.size >= 3)
     return Fraction(c * _core_triangles(params, triangle_sign_fault) + closed * pairs, n * pairs)
-
-
-def analytic_core_clustering(params: GeneralizedParams) -> float:
-    """Local clustering of a core node, closed form.
-
-    Returns the convention value 0 when n <= 2 (core degree at most 1).
-    """
-    pairs = math.comb(params.n - 1, 2)
-    return _core_triangles(params) / pairs if pairs else 0.0
 
 
 def analytic_metrics(

@@ -1,17 +1,18 @@
 """Numeric oracles that read only the graph, never the parameters.
 
 Everything here is deliberately independent of the closed forms: dense
-matrices, a full symmetric eigendecomposition, twin-reduced spectra and
-subgraph counts by listing every instance.  ``twin_reduced_spectra``
-finds the graph's runs of twins from its rows (``graphs.twin_runs``)
-and solves only the small quotient over them; every other eigenvalue is
-an exact contrast value.  It is what ``spectrum --method numeric|both``
-runs, and the dense matrices stay as the brute-force check on it in
-``verify`` and the tests.  The listing walks the rows instead of
-scanning every node subset, but it is still brute force: it reads only
-the graph's rows, each triangle, path and star it counts is one it
-found, and no formula or identity of ``metrics`` stands in for a count.
-Size guards keep the dense and brute-force paths at brute-force scale.
+matrices, a full symmetric eigendecomposition, twin-reduced spectra,
+subgraph counts by listing every instance and local clustering from
+neighbor sets.  ``twin_reduced_spectra`` finds the graph's runs of twins
+from its rows (``graphs.twin_runs``) and solves only the small quotient
+over them; every other eigenvalue is an exact contrast value.  It is
+what ``spectrum --method numeric|both`` runs, and the dense matrices
+stay as the brute-force check on it in ``verify`` and the tests.  The
+listing walks the rows instead of scanning every node subset, but it is
+still brute force: it reads only the graph's rows, each triangle, path
+and star it counts is one it found, and no formula or identity of
+``metrics`` stands in for a count.  Size guards keep the dense and
+brute-force paths at brute-force scale.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ __all__ = [
     "eigenvalues_symmetric",
     "twin_reduced_spectra",
     "exhaustive_subgraph_counts",
+    "local_clustering",
 ]
 
 DEFAULT_DENSE_LIMIT = 2000
@@ -171,3 +173,13 @@ def exhaustive_subgraph_counts(g: Graph, max_n: int = DEFAULT_ENUM_LIMIT) -> Sub
     )
     s13 = sum(1 for row in g.adj for _ in itertools.combinations(row, 3))
     return SubgraphCounts(triangles=triangles, p2=p2, p3=walks // 2, s13=s13)
+
+
+def local_clustering(g: Graph, u: int) -> float:
+    """Fraction of the pairs of neighbors of ``u`` that are adjacent; 0 at degree <= 1."""
+    k = g.degree(u)
+    if k <= 1:
+        return 0.0
+    nbrs = set(g.adj[u])
+    links = sum(len(nbrs.intersection(g.adj[v])) for v in g.adj[u]) // 2
+    return 2.0 * links / (k * (k - 1))

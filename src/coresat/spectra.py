@@ -46,12 +46,9 @@ class SpectrumResult:
     """Eigenvalues of one matrix, as (value, multiplicity) pairs.
 
     Pairs are sorted by descending value and multiplicities sum to n.
-    ``degenerate`` marks the complete-graph collapse at a single
-    satellite.
     """
 
     eigenpairs: tuple[tuple[float, int], ...]
-    degenerate: bool = False
 
     @property
     def size(self) -> int:
@@ -103,6 +100,14 @@ def _merge_pairs(pairs: list[tuple[float, int]]) -> tuple[tuple[float, int], ...
     return tuple(sorted(merged.items(), key=lambda p: -p[0]))
 
 
+def _float(x: int) -> float:
+    """``float(x)``; ``InvalidParameterError`` past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidParameterError("parameters exceed the float range of the spectra") from None
+
+
 def _snap_integers(values: np.ndarray) -> list[float]:
     out = []
     for v in values:
@@ -122,12 +127,13 @@ def divisor_matrix(params: GeneralizedParams) -> np.ndarray:
     c = params.core
     t = params.class_count
     b = np.zeros((t + 1, t + 1))
-    b[0, 0] = c - 1
     for i, cls in enumerate(params.classes, start=1):
+        # c and s_i are at most this product, so its check covers them
+        coupling = math.sqrt(_float(c * cls.count * cls.size))
         b[i, i] = cls.size - 1
-        coupling = math.sqrt(c * cls.count * cls.size)
         b[0, i] = coupling
         b[i, 0] = coupling
+    b[0, 0] = c - 1
     return b
 
 
@@ -141,18 +147,15 @@ def adjacency_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
 
     Structural eigenvalues are exact integers; the t+1 remaining simple
     eigenvalues come from the symmetrized quotient.  A single satellite
-    gives a complete graph, flagged degenerate.
+    gives a complete graph.
     """
     c = params.core
     minus_one_mult = c + sum(cls.count * (cls.size - 1) for cls in params.classes) - 1
     pairs: list[tuple[float, int]] = [(-1.0, minus_one_mult)]
     for cls in params.classes:
-        pairs.append((float(cls.size - 1), cls.count - 1))
+        pairs.append((_float(cls.size - 1), cls.count - 1))
     pairs.extend((root, 1) for root in _quotient_roots(params))
-    return SpectrumResult(
-        eigenpairs=_merge_pairs(pairs),
-        degenerate=params.satellite_total == 1,
-    )
+    return SpectrumResult(_merge_pairs(pairs))
 
 
 # not in __all__: benchmarks/tracing.py still wraps this name
@@ -196,15 +199,13 @@ def laplacian_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
     """
     c = params.core
     n = params.n
-    pairs: list[tuple[float, int]] = [(float(n), c)]
+    # n is the largest value, so its check covers the others
+    pairs: list[tuple[float, int]] = [(_float(n), c)]
     for cls in params.classes:
         pairs.append((float(c + cls.size), cls.count * (cls.size - 1)))
     pairs.append((float(c), params.satellite_total - 1))
     pairs.append((0.0, 1))
-    return SpectrumResult(
-        eigenpairs=_merge_pairs(pairs),
-        degenerate=params.satellite_total == 1,
-    )
+    return SpectrumResult(_merge_pairs(pairs))
 
 
 def spectral_indices(params: GeneralizedParams) -> SpectralIndices:

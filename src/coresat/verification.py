@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import metrics, oracle, spectra
+from .exceptions import InvalidParameterError
 from .graphs import Graph, core_satellite, generalized_core_satellite, is_connected
 from .params import GeneralizedParams
 
@@ -67,6 +68,8 @@ def sample_generalized_params(
     seed: int = _SAMPLE_SEED,
 ) -> list[GeneralizedParams]:
     """Deterministic random multi-class parameter sets, 2..5 classes."""
+    if max_nodes < 4:  # the smallest draw: core 1, sizes 1 and 2
+        raise InvalidParameterError(f"max_nodes must be >= 4, got {max_nodes}")
     rng = random.Random(seed)
     out: list[GeneralizedParams] = []
     while len(out) < count:

@@ -24,9 +24,6 @@ from coresat import (
     adjacency_matrix,
     adjacency_spectrum_gcs,
     analytic_metrics,
-    assortativity,
-    assortativity_estrada,
-    average_clustering,
     complete_graph,
     compute_metrics,
     eigenvalues_symmetric,
@@ -140,7 +137,7 @@ def test_c2_clustering_closed_forms_grid():
     naive = 1 - Fraction(1 * 2 * 2 * 2 * 2, 5 * 4 * 3)
     direct_value = Fraction(13, 15)
     ok &= naive == Fraction(11, 15)
-    butterfly_avg = average_clustering(generalized_core_satellite(BUTTERFLY))
+    butterfly_avg = compute_metrics(generalized_core_satellite(BUTTERFLY)).avg_clustering
     ok &= butterfly_avg == float(direct_value)
     ok &= naive != direct_value
     elapsed = time.perf_counter() - start
@@ -218,13 +215,13 @@ def test_c4_disassortativity():
     start = time.perf_counter()
     ok = True
     for p in GRID_PARAMS:
-        g = generalized_core_satellite(p)
-        r = assortativity(g)
+        rep = compute_metrics(generalized_core_satellite(p))
+        r = rep.assortativity
         ok &= r is not None and r < 0
-        ok &= assortativity_estrada(g) == r
+        ok &= rep.assortativity_estrada == r
     # both routes agree on undefinedness for regular graphs
-    k5 = complete_graph(5)
-    ok &= assortativity(k5) is None and assortativity_estrada(k5) is None
+    k5 = compute_metrics(complete_graph(5))
+    ok &= k5.assortativity is None and k5.assortativity_estrada is None
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
     record(

@@ -353,6 +353,27 @@ def test_spectrum_analytic_only(capsys):
     assert payload["laplacian"]["numeric"] is None
 
 
+def test_spectrum_past_float_range_exits_2(capsys):
+    big = 10**154
+    for core, satellites in (
+        (big, f"3:{big}"),
+        (10**308, "1:2"),
+        (2 * 10**308, "1:1"),
+        (1, f"1:{17 * 10**307},2:{8 * 10**307}"),
+    ):
+        argv = ["spectrum", "--core", str(core), "--satellites", satellites]
+        code, out, err = run([*argv, "--method", "analytic"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: parameters exceed the float range of the spectra\n"
+    # just inside the range the same request still answers
+    code, out, _ = run(
+        ["spectrum", "--core", str(10**307), "--satellites", "1:2", "--method", "analytic"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["spectral_radius"] == 1e307
+
+
 def test_spectrum_impossible_tolerance_fails(capsys):
     code, _, err = run(
         ["spectrum", "--core", "2", "--satellites", "1:1,2:1", "--tol", "1e-18"],

@@ -16,19 +16,11 @@ from coresat import (
     Graph,
     InvalidParameterError,
     SizeLimitError,
-    analytic_core_clustering,
     analytic_metrics,
-    assortativity,
-    assortativity_estrada,
-    average_clustering,
     complete_graph,
     compute_metrics,
     generalized_core_satellite,
-    local_clustering,
-    path_counts,
     star,
-    transitivity,
-    triangle_count,
 )
 from coresat.graphs import run_neighbors, twin_runs
 from coresat.metrics import (
@@ -37,9 +29,10 @@ from coresat.metrics import (
     MetricsReport,
     _average_clustering_fraction,
     _bitset,
+    _core_triangles,
     check_direct_size,
 )
-from coresat.oracle import exhaustive_subgraph_counts
+from coresat.oracle import exhaustive_subgraph_counts, local_clustering
 
 BUTTERFLY = generalized_core_satellite(GeneralizedParams(1, [(2, 2)]))
 
@@ -79,18 +72,24 @@ def test_local_clustering_conventions():
 
 
 def test_core_clustering_closed_form_examples():
-    assert analytic_core_clustering(GeneralizedParams(1, [(2, 2)])) == pytest.approx(1 / 3)
-    assert analytic_core_clustering(GeneralizedParams(3, [(1, 2)])) == pytest.approx(5 / 6)
-    # n = 2: degree-1 convention value
-    assert analytic_core_clustering(GeneralizedParams(1, [(1, 1)])) == 0.0
+    # the core triangles over C(n - 1, 2) pairs, against node 0 of the graph
+    for p, expected in (
+        (GeneralizedParams(1, [(2, 2)]), 1 / 3),
+        (GeneralizedParams(3, [(1, 2)]), 5 / 6),
+        (GeneralizedParams(1, [(1, 1)]), 0.0),  # n = 2: degree-1 convention value
+    ):
+        pairs = math.comb(p.n - 1, 2)
+        closed = _core_triangles(p) / pairs if pairs else 0.0
+        assert closed == pytest.approx(expected), p
+        assert local_clustering(generalized_core_satellite(p), 0) == pytest.approx(expected), p
 
 
 def test_star_metrics():
-    g = star(4)
-    assert average_clustering(g) == 0.0
-    assert transitivity(g) == 0.0
-    assert assortativity(g) == pytest.approx(-1.0)
-    assert assortativity_estrada(g) == pytest.approx(-1.0)
+    rep = compute_metrics(star(4))
+    assert rep.avg_clustering == 0.0
+    assert rep.transitivity == 0.0
+    assert rep.assortativity == pytest.approx(-1.0)
+    assert rep.assortativity_estrada == pytest.approx(-1.0)
     # closed forms agree with the convention for degree-1 satellites
     rep = analytic_metrics(GeneralizedParams(1, [(1, 4)]))
     assert rep.avg_clustering == 0.0
@@ -99,11 +98,11 @@ def test_star_metrics():
 
 
 def test_complete_graph_metrics():
-    g = complete_graph(5)
-    assert average_clustering(g) == 1.0
-    assert transitivity(g) == pytest.approx(1.0)
-    assert assortativity(g) is None
-    assert assortativity_estrada(g) is None
+    rep = compute_metrics(complete_graph(5))
+    assert rep.avg_clustering == 1.0
+    assert rep.transitivity == pytest.approx(1.0)
+    assert rep.assortativity is None
+    assert rep.assortativity_estrada is None
     rep = analytic_metrics(GeneralizedParams(2, [(3, 1)]))
     assert rep.avg_clustering == 1.0
     assert rep.transitivity == pytest.approx(1.0)
@@ -111,18 +110,17 @@ def test_complete_graph_metrics():
 
 
 def test_cycle_assortativity_undefined():
-    cycle = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    assert assortativity(cycle) is None
-    assert assortativity_estrada(cycle) is None
+    rep = compute_metrics(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+    assert rep.assortativity is None
+    assert rep.assortativity_estrada is None
 
 
 def test_path_graph_counts():
-    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    p2, p3 = path_counts(p4)
-    assert (p2, p3) == (2, 1)
-    assert triangle_count(p4) == 0
-    assert assortativity(p4) == pytest.approx(-0.5)
-    assert assortativity_estrada(p4) == pytest.approx(-0.5)
+    rep = compute_metrics(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+    assert (rep.p2, rep.p3) == (2, 1)
+    assert rep.triangles == 0
+    assert rep.assortativity == pytest.approx(-0.5)
+    assert rep.assortativity_estrada == pytest.approx(-0.5)
 
 
 def test_complete_split_triangle_count():
@@ -198,7 +196,7 @@ def test_reports_are_equal_only_when_every_count_and_ratio_is():
 
 def test_assortativity_negative_on_grid():
     for p in GRID_PARAMS:
-        r = assortativity(generalized_core_satellite(p))
+        r = compute_metrics(generalized_core_satellite(p)).assortativity
         assert r is not None and r < 0, p
 
 
@@ -209,7 +207,7 @@ def test_naive_average_clustering_variant_rejected():
     n = c + eta * s
     naive = 1 - Fraction(c * s * s * eta * eta, n * (n - 1) * (n - 2))
     assert naive == Fraction(11, 15)
-    direct = average_clustering(BUTTERFLY)
+    direct = compute_metrics(BUTTERFLY).avg_clustering
     assert direct == 13 / 15
     assert abs(float(naive) - direct) > 0.1
 
@@ -276,7 +274,9 @@ def test_avg_clustering_dip_for_wider_core():
         eta: analytic_metrics(GeneralizedParams(2, [(3, eta)])).avg_clustering
         for eta in (2, 3, 4)
     }
-    direct3 = average_clustering(generalized_core_satellite(GeneralizedParams(2, [(3, 3)])))
+    direct3 = compute_metrics(
+        generalized_core_satellite(GeneralizedParams(2, [(3, 3)]))
+    ).avg_clustering
     assert values[3] == direct3
     assert values[2] > values[3] < values[4]
     assert values[2] == pytest.approx(25 / 28, abs=1e-15)
@@ -286,19 +286,18 @@ def test_avg_clustering_dip_for_wider_core():
 @settings(max_examples=120)
 @given(arbitrary_graphs())
 def test_transitivity_identity(g):
-    p2, _ = path_counts(g)
-    t = transitivity(g)
-    if p2 == 0:
-        assert t == 0.0
+    rep = compute_metrics(g)
+    if rep.p2 == 0:
+        assert rep.transitivity == 0.0
     else:
-        assert t == 3 * triangle_count(g) / p2
+        assert rep.transitivity == 3 * rep.triangles / rep.p2
 
 
 @settings(max_examples=120)
 @given(arbitrary_graphs())
 def test_assortativity_routes_agree(g):
-    r_edges = assortativity(g)
-    r_counts = assortativity_estrada(g)
+    rep = compute_metrics(g)
+    r_edges, r_counts = rep.assortativity, rep.assortativity_estrada
     assert (r_edges is None) == (r_counts is None)
     if r_edges is not None:
         assert r_edges == r_counts
@@ -308,10 +307,9 @@ def test_assortativity_routes_agree(g):
 @settings(max_examples=120)
 @given(arbitrary_graphs())
 def test_clustering_bounds(g):
-    avg = average_clustering(g)
-    t = transitivity(g)
-    assert 0.0 <= avg <= 1.0
-    assert 0.0 <= t <= 1.0 + 1e-15
+    rep = compute_metrics(g)
+    assert 0.0 <= rep.avg_clustering <= 1.0
+    assert 0.0 <= rep.transitivity <= 1.0 + 1e-15
     for u in range(g.n):
         assert 0.0 <= local_clustering(g, u) <= 1.0
 
@@ -378,13 +376,6 @@ def test_one_pass_kernel_matches_enumeration_and_exact_ratios(g):
         counts.p3,
         counts.s13,
     )
-    # every single-metric function is a view of the same report
-    assert triangle_count(g) == rep.triangles
-    assert path_counts(g) == (rep.p2, rep.p3)
-    assert average_clustering(g) == rep.avg_clustering
-    assert transitivity(g) == rep.transitivity
-    assert assortativity(g) == rep.assortativity
-    assert assortativity_estrada(g) == rep.assortativity_estrada
 
     avg, r = _exact_ratios(g)
     trans = Fraction(3 * counts.triangles, counts.p2) if counts.p2 else 0

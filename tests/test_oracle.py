@@ -17,11 +17,10 @@ from coresat import (
     eigenvalues_symmetric,
     exhaustive_subgraph_counts,
     generalized_core_satellite,
+    compute_metrics,
     laplacian_matrix,
-    path_counts,
     sample_generalized_params,
     star,
-    triangle_count,
 )
 from coresat.graphs import twin_runs
 from coresat.oracle import twin_reduced_spectra
@@ -95,7 +94,7 @@ def test_eigenvalue_trace_identities(g):
     vals = np.asarray(eigenvalues_symmetric(a))
     assert vals.sum() == pytest.approx(0.0, abs=1e-9)
     assert (vals**2).sum() == pytest.approx(2 * g.m, abs=1e-9)
-    assert (vals**3).sum() == pytest.approx(6 * triangle_count(g), abs=1e-8)
+    assert (vals**3).sum() == pytest.approx(6 * compute_metrics(g).triangles, abs=1e-8)
 
 
 def test_exhaustive_counts_on_named_graphs():
@@ -138,10 +137,10 @@ def test_exhaustive_guard():
 @given(arbitrary_graphs(max_nodes=7))
 def test_exhaustive_agrees_with_fast_counters(g):
     counts = exhaustive_subgraph_counts(g)
-    assert counts.triangles == triangle_count(g)
-    p2, p3 = path_counts(g)
-    assert counts.p2 == p2
-    assert counts.p3 == p3
+    rep = compute_metrics(g)
+    assert counts.triangles == rep.triangles
+    assert counts.p2 == rep.p2
+    assert counts.p3 == rep.p3
     assert counts.s13 == sum(math.comb(k, 3) for k in g.degrees())
 
 
@@ -150,7 +149,7 @@ def test_exhaustive_agrees_with_fast_counters(g):
 def test_triangles_match_trace_route(g):
     a = adjacency_matrix(g)
     trace = np.trace(a @ a @ a)
-    assert math.isclose(trace / 6.0, triangle_count(g), abs_tol=1e-8)
+    assert math.isclose(trace / 6.0, compute_metrics(g).triangles, abs_tol=1e-8)
 
 
 def _assert_reduced_matches_dense(g):

@@ -54,7 +54,6 @@ def test_extreme_eigenvalues_butterfly():
 def test_adjacency_spectrum_butterfly():
     result = adjacency_spectrum_gcs(BUTTERFLY)
     assert result.size == 5
-    assert not result.degenerate
     values = [v for v, _ in result.eigenpairs]
     mults = [m for _, m in result.eigenpairs]
     hi, lo = _quadratic_roots(BUTTERFLY)
@@ -80,10 +79,8 @@ def test_adjacency_spectrum_star_exact():
 def test_adjacency_spectrum_degenerate_single_satellite():
     p = GeneralizedParams(2, [(3, 1)])
     result = adjacency_spectrum_gcs(p)
-    assert result.degenerate
     assert result.eigenpairs == ((4.0, 1), (-1.0, 4))
     assert spectral_radius(p) == 4.0
-    assert not adjacency_spectrum_gcs(GeneralizedParams(2, [(3, 2)])).degenerate
 
 
 def test_eigenvalue_ordering_strict_on_grid():
@@ -175,7 +172,6 @@ def test_snap_integers_window():
 def test_laplacian_butterfly_golden():
     result = laplacian_spectrum_gcs(BUTTERFLY)
     assert result.eigenpairs == ((5.0, 1), (3.0, 2), (1.0, 1), (0.0, 1))
-    assert not result.degenerate
 
 
 def test_laplacian_distinct_value_count():
@@ -197,7 +193,6 @@ def test_laplacian_distinct_value_count():
 
 def test_laplacian_degenerate_single_satellite():
     result = laplacian_spectrum_gcs(GeneralizedParams(2, [(3, 1)]))
-    assert result.degenerate
     assert result.eigenpairs == ((5.0, 4), (0.0, 1))
 
 
@@ -231,6 +226,38 @@ def test_bounds_enclose_radius_on_grid():
         lower, upper = spectral_radius_bounds(p)
         assert lower < rho < upper, p
         assert rho >= math.sqrt(p.n - 1) - 1e-12, p
+
+
+def test_spectra_past_float_range_raise_invalid_parameters():
+    big = 10**154
+    quotient_overflows = (
+        GeneralizedParams(big, [(3, big)]),  # sqrt(c * eta * s) past the range
+        GeneralizedParams(2 * 10**308, [(1, 1)]),  # c - 1
+        GeneralizedParams(1, [(2 * 10**308, 1)]),  # s - 1
+        GeneralizedParams(2, [(10**308, 2)]),
+    )
+    quotient_routes = (
+        divisor_matrix,
+        adjacency_spectrum_gcs,
+        spectral_radius,
+        principal_eigenvector,
+        spectral_indices,
+    )
+    for p in quotient_overflows:
+        for route in quotient_routes:
+            with pytest.raises(InvalidParameterError, match="float range"):
+                route(p)
+    # n past the range, every quotient entry inside it
+    wide = GeneralizedParams(1, [(1, 17 * 10**307), (2, 8 * 10**307)])
+    assert adjacency_spectrum_gcs(wide).size == wide.n
+    for route in (laplacian_spectrum_gcs, spectral_indices):
+        with pytest.raises(InvalidParameterError, match="float range"):
+            route(wide)
+    # just inside the range every route still answers
+    inside = GeneralizedParams(10**307, [(1, 2)])
+    assert spectral_radius(inside) == pytest.approx(1e307, rel=1e-12)
+    assert laplacian_spectrum_gcs(inside).size == inside.n
+    assert spectral_indices(inside).algebraic_connectivity == 1e307
 
 
 def test_principal_eigenvector_butterfly():

@@ -3,7 +3,15 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
-from coresat import run_checks, sample_generalized_params, verification
+import pytest
+
+from coresat import (
+    GeneralizedParams,
+    InvalidParameterError,
+    run_checks,
+    sample_generalized_params,
+    verification,
+)
 from coresat.verification import GRID
 
 EXPECTED_ORDER = [
@@ -38,6 +46,15 @@ def test_sampled_params_are_deterministic_and_canonical():
     assert sample_generalized_params(count=5, seed=7) != sample_generalized_params(
         count=5, seed=8
     )
+
+
+def test_sampled_params_refuse_a_node_limit_below_the_smallest_draw():
+    # the smallest draw is core 1 with classes of sizes 1 and 2
+    for max_nodes in (3, 0, -1):
+        with pytest.raises(InvalidParameterError, match="max_nodes must be >= 4"):
+            sample_generalized_params(1, max_nodes=max_nodes)
+    (smallest,) = sample_generalized_params(1, max_nodes=4)
+    assert smallest == GeneralizedParams(1, [(1, 1), (2, 1)])
 
 
 def test_full_battery_passes():
