@@ -159,20 +159,25 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = GeneralizedParams(args.core, args.satellites)
+    # every method solves the quotient over the core and the t satellite
+    # sizes.  Within the edge limit t + 1 is at most 181, so only the
+    # closed forms, which build no graph, can reach this limit
+    cells = params.class_count + 1
+    if cells > oracle.DEFAULT_DENSE_LIMIT:
+        raise SizeLimitError(
+            f"a quotient of {cells} cells exceeds the dense limit {oracle.DEFAULT_DENSE_LIMIT}"
+        )
     payload = _params_json(params)
     payload["method"] = args.method
     payload["tolerance"] = args.tol
 
     numerics = (None, None)
     if args.method != "analytic":
-        # the node and edge limits are read from the parameters; the
-        # dense limit bounds the quotient, one row per run of twins, so
-        # it is read from the built graph.  At the node limit,
-        # `--core 1 --satellites 1:999999` is two runs; with the JSON it
-        # takes about 6 s and peaks at about 350 MiB (2 cores, Python 3.11)
+        # at the node limit, `--core 1 --satellites 1:999999` is two
+        # classes; with the JSON it takes about 5-6 s and peaks at about
+        # 310 MiB (2 cores, Python 3.11)
         _check_size(params)
-        g = generalized_core_satellite(params)
-        numerics = oracle.twin_reduced_spectra(g, args.dense_limit)
+        numerics = oracle.twin_reduced_spectra(generalized_core_satellite(params))
     ok = True
     for name, closed_form, numeric in (
         ("adjacency", spectra.adjacency_spectrum_gcs, numerics[0]),
@@ -211,12 +216,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # the row with the largest core and p has the most nodes and edges
-    largest = GeneralizedParams(
-        max(args.cores), [(size, args.pmax) for size in args.sizes]
-    )
-    _check_size(largest)
-    # its bitset rows are the widest too: refuse before the first row
-    metrics_mod.check_direct_size(generalized_core_satellite(largest))
+    _check_size(GeneralizedParams(max(args.cores), [(size, args.pmax) for size in args.sizes]))
     lines = ["c,p,n,m,avg_clustering,transitivity,assortativity"]
     for core in args.cores:
         for p in range(1, args.pmax + 1):
@@ -260,14 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1e-9,
         help="comparison tolerance (default 1e-9)",
     )
-    dense = argparse.ArgumentParser(add_help=False)
-    dense.add_argument(
-        "--dense-limit",
-        type=_positive_int,
-        default=oracle.DEFAULT_DENSE_LIMIT,
-        help="largest matrix side for numeric eigensolves: n in verify, the number "
-        f"of runs of twins in spectrum (default {oracle.DEFAULT_DENSE_LIMIT})",
-    )
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("-o", "--out", default=None, help="output file (default stdout)")
 
@@ -299,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_met.set_defaults(func=_cmd_metrics)
 
     p_spec = sub.add_parser(
-        "spectrum", parents=[tol, dense, out, family], help="adjacency/Laplacian spectra as JSON"
+        "spectrum", parents=[tol, out, family], help="adjacency/Laplacian spectra as JSON"
     )
     p_spec.add_argument(
         "--method", choices=["analytic", "numeric", "both"], default="both"
@@ -315,7 +307,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ver = sub.add_parser(
-        "verify", parents=[tol, dense, out], help="run the self-verification battery"
+        "verify", parents=[tol, out], help="run the self-verification battery"
+    )
+    p_ver.add_argument(
+        "--dense-limit",
+        type=_positive_int,
+        default=oracle.DEFAULT_DENSE_LIMIT,
+        help="largest n for dense numeric eigensolves "
+        f"(default {oracle.DEFAULT_DENSE_LIMIT})",
     )
     p_ver.add_argument(
         "--max-n",

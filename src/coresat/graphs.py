@@ -16,7 +16,7 @@ independent route the generator is tested against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, compress, islice
 from operator import eq
 from typing import Iterable, Sequence
@@ -39,6 +39,7 @@ __all__ = [
     "is_connected",
     "twin_runs",
     "run_neighbors",
+    "twin_classes",
 ]
 
 
@@ -158,6 +159,39 @@ def run_neighbors(g: Graph, firsts: list[int]) -> list[tuple[int, ...]]:
     starts = frozenset(firsts)
     rows = map(g.adj.__getitem__, firsts)
     return [tuple(compress(row, map(starts.__contains__, row))) for row in rows]
+
+
+def twin_classes(
+    g: Graph,
+) -> tuple[list[int], list[int], list[bool], list[int], list[Counter[int]]]:
+    """First nodes, run sizes, clique flags, run counts and links of the classes of runs.
+
+    This is the one place that builds the twin quotient.  The runs of
+    ``twin_runs`` with the same size z, kind and runs next to them
+    (``run_neighbors``) form a class, in the order of their first runs;
+    its links map each class j to the number of class-j runs next to
+    each of its runs.  Runs of one class share their neighbor runs, so
+    a run next to one is next to all, and no two are adjacent, which
+    would put a run next to itself.  So the union of a class is an
+    equitable cell: each of its nodes has links[j] * z_j neighbors in
+    class j, plus z - 1 in its own run if that is a clique, and no
+    other.  A core-satellite graph of t satellite sizes gives t + 1
+    classes.
+    """
+    firsts, sizes, cliques = twin_runs(g)
+    keys = list(zip(sizes, cliques, run_neighbors(g, firsts)))
+    counts = Counter(keys)  # runs per class, in first-seen order
+    index = dict(zip(counts, range(len(counts))))
+    of_run = dict(zip(firsts, map(index.__getitem__, keys)))
+    # the last value per key wins, so reversed it is the first run's
+    reps = dict(zip(reversed(keys), reversed(firsts)))
+    return (
+        list(map(reps.__getitem__, counts)),
+        [z for z, _, _ in counts],
+        [clique for _, clique, _ in counts],
+        list(counts.values()),
+        [Counter(map(of_run.__getitem__, near)) for _, _, near in counts],
+    )
 
 
 def complete_graph(p: int) -> Graph:

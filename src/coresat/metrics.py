@@ -3,31 +3,28 @@
 Direct routines work on any Graph.  ``compute_metrics`` is the direct
 kernel, in the node-iterator style of triangle listing (Schank & Wagner,
 WEA 2005; Latapy, TCS 2008), with neighbor rows held as Python int
-bitsets.  It works on the quotient over runs of twins, never node by
-node.  ``graphs.twin_runs`` splits the nodes into runs of true twins,
-with equal closed neighborhoods, or false twins, with equal open ones.
-Every satellite clique of a core-satellite graph is a run of true
-twins, and so is the core; the single-node satellites of a star or of
-an s=1 class form one run of false twins.  The runs form an equitable
-partition (Cvetkovic, Rowlinson & Simic, *An Introduction to the Theory
-of Graph Spectra*, 2010), and ``graphs.run_neighbors`` lists the runs
-next to each one.  Runs of the same size and kind with the same runs
-next to them are swapped by an automorphism, so they share degree,
-triangles and neighbor degree sum: the kernel evaluates each such class
-once, at one first node, and weights it by the class's node count.  A
-sweep graph is four classes (the core and one per satellite size).
-Only proven twins are merged, so the result is exact on any graph; a
-graph without twins gives runs of one node each.  Every metric is a
-field of its one ``MetricsReport``; ``oracle.local_clustering`` gives
-one node's clustering by brute force.
+bitsets.  It works on the quotient of ``graphs.twin_classes``, never
+node by node.  Runs of true twins (equal closed neighborhoods) or false
+twins (equal open ones) with one size and kind and the same runs next
+to them form a class, an equitable cell (Cvetkovic, Rowlinson & Simic,
+*An Introduction to the Theory of Graph Spectra*, 2010), and an
+automorphism swaps any two runs of a class, so they share degree,
+triangles and neighbor degree sum.  The kernel evaluates each class
+once, at its first node, weighted by its node count: t + 1 classes for
+t satellite sizes, 4 for every sweep graph.  Only proven twins are
+merged, so the result is exact on any graph; a graph without twins
+gives classes of one node each.  Every metric is a field of its one
+``MetricsReport``; ``oracle.local_clustering`` gives one node's
+clustering by brute force.
 
-Only the first node of each run gets a bitset row, indexed by node, so
-that an AND of two rows counts common neighbors exactly.  Row u spans
-bits 0 to max(adj[u]), and ``DIRECT_BITSET_LIMIT`` is checked against
-the total over those rows alone, before any row is built: about
-n**2 / 4 bits on a graph of satellite pairs, about 2n on a star and
-up to n**2 on a graph without twins.  Adjacency is never held as a
-dense matrix.
+Only the first node of each class gets a bitset row, indexed by node,
+so that an AND of two rows counts common neighbors exactly.  Row u spans
+bits 0 to max(adj[u]), so the rows take at most n bits per class.  On
+a graph the CLI builds, with at most 10**6 edges and so at most 180
+satellite sizes, that stays far below ``DIRECT_BITSET_LIMIT``.  The
+limit is for the graphs of the library's other callers: without twins
+every node is a class, and the rows take up to n**2 bits.  It is checked
+before any row is built.  Adjacency is never held as a dense matrix.
 
 The Pearson and the subgraph-count (Estrada) assortativity are two
 expressions over the same kernel integers (p3 is derived from the
@@ -52,28 +49,25 @@ Conventions
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable
 from operator import mul
 
 from .exceptions import SizeLimitError
-from .graphs import Graph, run_neighbors, twin_runs
+from .graphs import Graph, twin_classes
 from .params import GeneralizedParams
 
 __all__ = [
     "DIRECT_BITSET_LIMIT",
     "MetricsReport",
-    "check_direct_size",
     "compute_metrics",
     "analytic_metrics",
 ]
 
 
-# bits summed over the kernel's bitset rows: 128 MiB of bits, enough
-# for every graph of up to 2**15 nodes
+# bits summed over the kernel's bitset rows, one per class of twins:
+# 128 MiB of bits, enough for every graph of up to 2**15 nodes
 DIRECT_BITSET_LIMIT = 2**30
 # rows with more neighbors are read from a string of binary digits
 _SHIFT_ROW_LIMIT = 16
@@ -100,28 +94,6 @@ class MetricsReport:
     transitivity: float
     assortativity: float | None
     assortativity_estrada: float | None
-
-
-def _check_bits(rows: Iterable[tuple[int, ...]]) -> None:
-    """Refuse bitset rows for ``rows`` over ``DIRECT_BITSET_LIMIT`` bits, before any is built.
-
-    Rows are sorted, so row u takes ``row[-1] + 1`` bits.
-    """
-    size = sum(row[-1] + 1 for row in rows if row)
-    if size > DIRECT_BITSET_LIMIT:
-        raise SizeLimitError(
-            f"bitset rows of {size} bits exceed the direct metrics limit "
-            f"{DIRECT_BITSET_LIMIT}"
-        )
-
-
-def check_direct_size(g: Graph) -> None:
-    """Refuse ``g`` if ``compute_metrics`` would build over ``DIRECT_BITSET_LIMIT`` bits.
-
-    Only the first node of each run of ``graphs.twin_runs`` gets a row,
-    so only those rows are counted, in O(m) and before any is built.
-    """
-    _check_bits(map(g.adj.__getitem__, twin_runs(g)[0]))
 
 
 def _bitset(row: list[int]) -> int:
@@ -151,19 +123,18 @@ def _count_ratios(m: int, t: int, p2: int, p3: int, s13: int) -> tuple[float, fl
 def compute_metrics(g: Graph) -> MetricsReport:
     """All metrics of ``g`` by direct computation, once per class of twin runs.
 
-    ``graphs.twin_runs`` splits the nodes into runs, and
-    ``graphs.run_neighbors`` gives each run the first nodes of the runs
-    next to it.  Runs with the same size z, the same kind and the same
-    runs next to them form a class, evaluated once at the first node r
-    of one of its runs; its node count weights every sum.  Only first
-    nodes get a Python int bitset row.  A run D next to r lies wholly in
-    N(r), and each of its nodes has as many common neighbors with r as
-    D's first node d has, ``(bits[r] & bits[d]).bit_count()``, so the
-    sum of that count times |D| over the runs D next to r, plus k - 1
-    for each of r's z - 1 twins in a clique run, is twice the triangles
-    through r.  The twins of r in a run of false twins are not in N(r).
-    The neighbor degree sum of r is the sum of |D| * k_d over the same
-    runs, plus k for each twin in a clique run.
+    ``graphs.twin_classes`` groups the runs of twins into classes, each
+    evaluated once at its first node r, with degree k; the class's node
+    count, its runs times their size z, weights every sum.  Only r gets
+    a Python int bitset row, one per class.  Every node of a class j
+    next to r is in N(r) and has as many common neighbors with r as
+    class j's first node d has, ``(bits[r] & bits[d]).bit_count()``, so
+    the sum of that count times the links[j] * z_j nodes of class j next
+    to r, plus k - 1 for each of r's z - 1 twins in a clique run, is
+    twice the triangles through r.  The twins of r in a run of false
+    twins are not in N(r).  The neighbor degree sum of r is the sum of
+    links[j] * z_j * k_d over the same classes, with k_d the degree of
+    d, plus k for each twin in a clique run.
     The edge sums come from node sums: se = sum k_u*k_v is half of
     sum_u k_u * (neighbor degree sum of u), ss = sum (k_u + k_v) is
     sum k**2 and sq = sum (k_u**2 + k_v**2) is sum k**3.  The Pearson
@@ -173,28 +144,26 @@ def compute_metrics(g: Graph) -> MetricsReport:
     triangles through the nodes of degree k, the average clustering is
     the ``Fraction`` (sum over k of T_k / C(k, 2)) / n, rounded once.
     """
-    n, m, adj = g.n, g.m, g.adj
-    reps, sizes, cliques = twin_runs(g)
-    rows = list(map(adj.__getitem__, reps))
-    _check_bits(rows)
-    keys = list(zip(sizes, cliques, run_neighbors(g, reps)))
-    # a first node per class and the runs per class, both in the keys'
-    # first-seen order
-    class_reps = dict(zip(keys, reps))
-    counts = Counter(keys).values()
-    # node-indexed, set at first nodes only
-    bits, span, mass = [0] * n, [0] * n, [0] * n
-    for r, z, row in zip(reps, sizes, rows):
-        bits[r], span[r], mass[r] = _bitset(row), z, z * len(row)
-    weights, deg, twice, nds = [], [], [], []
-    for ((z, clique, near), r), count in zip(class_reps.items(), counts):
-        b, k = bits[r], len(adj[r])
+    n, m = g.n, g.m
+    firsts, sizes, cliques, counts, links = twin_classes(g)
+    rows = list(map(g.adj.__getitem__, firsts))
+    # rows are sorted, so row u takes row[-1] + 1 bits
+    size = sum(row[-1] + 1 for row in rows if row)
+    if size > DIRECT_BITSET_LIMIT:
+        raise SizeLimitError(
+            f"bitset rows of {size} bits exceed the direct metrics limit {DIRECT_BITSET_LIMIT}"
+        )
+    bits = list(map(_bitset, rows))
+    deg = list(map(len, rows))
+    weights = list(map(mul, counts, sizes))
+    twice, nds = [], []
+    for b, k, z, clique, near in zip(bits, deg, sizes, cliques, links):
+        # the nodes of class j next to r: its runs there times their size
+        span = list(map(mul, near.values(), map(sizes.__getitem__, near)))
         common = map(int.bit_count, map(b.__and__, map(bits.__getitem__, near)))
         mates = (z - 1) * clique
-        weights.append(count * z)
-        deg.append(k)
-        twice.append(sum(map(mul, map(span.__getitem__, near), common)) + mates * (k - 1))
-        nds.append(sum(map(mass.__getitem__, near)) + mates * k)
+        twice.append(sum(map(mul, span, common)) + mates * (k - 1))
+        nds.append(sum(map(mul, span, map(deg.__getitem__, near))) + mates * k)
     squares = list(map(mul, deg, deg))
     t = sum(map(mul, weights, twice)) // 6
     # sum over edges of k_u * k_v

@@ -3,16 +3,16 @@
 Everything here is deliberately independent of the closed forms: dense
 matrices, a full symmetric eigendecomposition, twin-reduced spectra,
 subgraph counts by listing every instance and local clustering from
-neighbor sets.  ``twin_reduced_spectra`` finds the graph's runs of twins
-from its rows (``graphs.twin_runs``) and solves only the small quotient
-over them; every other eigenvalue is an exact contrast value.  It is
-what ``spectrum --method numeric|both`` runs, and the dense matrices
-stay as the brute-force check on it in ``verify`` and the tests.  The
-listing walks the rows instead of scanning every node subset, but it is
-still brute force: it reads only the graph's rows, each triangle, path
-and star it counts is one it found, and no formula or identity of
-``metrics`` stands in for a count.  Size guards keep the dense and
-brute-force paths at brute-force scale.
+neighbor sets.  ``twin_reduced_spectra`` solves only the quotient over
+the classes of twin runs of ``graphs.twin_classes``, t + 1 cells for a
+core-satellite graph of t satellite sizes; every other eigenvalue is an
+exact contrast value.  It is what ``spectrum --method numeric|both``
+runs, and the dense matrices stay as the brute-force check on it in
+``verify`` and the tests.  The listing walks the rows instead of
+scanning every node subset, but it is still brute force: it reads only
+the graph's rows, each triangle, path and star it counts is one it
+found, and no formula or identity of ``metrics`` stands in for a count.
+Size guards keep the dense and brute-force paths at brute-force scale.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericFailureError, SizeLimitError
-from .graphs import Graph, run_neighbors, twin_runs
+from .graphs import Graph, twin_classes
 
 __all__ = [
     "DEFAULT_DENSE_LIMIT",
@@ -90,49 +90,47 @@ def twin_reduced_spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency and Laplacian spectra of ``g``, each all n values sorted descending.
 
-    ``twin_runs`` splits the nodes into R runs of twins, read from the
-    rows alone; they are an equitable partition, and a node of run i
-    has z_j neighbors in each run j next to it (Cvetkovic, Rowlinson &
-    Simic, *An Introduction to the Theory of Graph Spectra*, 2010, on
-    duplicate and coduplicate vertices).  A vector on run i that sums to
-    zero is an eigenvector: of A with eigenvalue -1 on a clique run and 0
-    on an independent one, and of L = D - A with d + 1 or d.  Each run
-    gives z - 1 of them, exactly.  The other R eigenvalues are those of
-    the quotient, symmetrized to off-diagonal sqrt(z_i * z_j) between
-    adjacent runs (negated for L) and diagonal z - 1 on a clique run, 0
-    on an independent one (d minus that for L), solved by
-    ``eigenvalues_symmetric``.  The runs next to each run are read from
-    ``graphs.run_neighbors``.  Guarded by ``max_n`` on R, not on n.
+    ``graphs.twin_classes`` splits the nodes into C classes of twin runs,
+    an equitable partition read from the rows alone (Cvetkovic, Rowlinson
+    & Simic, *An Introduction to the Theory of Graph Spectra*, 2010).  A
+    vector on one run that sums to zero is an eigenvector: of A with
+    eigenvalue -1 on a clique run and 0 on an independent one, and of
+    L = D - A with d + 1 or d; each run gives z - 1 of them.  So is a
+    vector constant on each run of a class that sums to zero over the
+    class, with eigenvalue z - 1 on clique runs and 0 on independent
+    ones for A, d minus that for L; each class gives count - 1 of them.
+    All of these are exact.  The other C eigenvalues are those of the
+    quotient, symmetrized to off-diagonal sqrt(links_ij * z_j * links_ji
+    * z_i) (negated for L) and diagonal as above, solved by
+    ``eigenvalues_symmetric``.  Guarded by ``max_n`` on C, not on n.
     """
-    firsts, sizes, cliques = twin_runs(g)
-    runs = len(firsts)
-    if runs > max_n:
-        raise SizeLimitError(f"{runs} runs of twins exceed dense limit {max_n}")
-    near = run_neighbors(g, firsts)
-    index = dict(zip(firsts, range(runs)))
-    z = np.array(sizes, dtype=np.intp)
-    # run i is next to run j for each of j's first nodes in near[i]
-    i = np.repeat(np.arange(runs), list(map(len, near)))
-    j = np.fromiter(
-        map(index.__getitem__, itertools.chain.from_iterable(near)), dtype=np.intp, count=len(i)
-    )
-    adjacency = np.zeros((runs, runs))
-    adjacency[i, j] = np.sqrt(z[i] * z[j])
+    firsts, sizes, cliques, counts, links = twin_classes(g)
+    cells = len(firsts)
+    if cells > max_n:
+        raise SizeLimitError(f"{cells} classes of twins exceed dense limit {max_n}")
+    z, count = np.array(sizes, dtype=np.intp), np.array(counts, dtype=np.intp)
+    # a node of class i has links[i][j] * z_j neighbors in class j
+    quotient = np.zeros((cells, cells))
+    for row, near in zip(quotient, links):
+        row[list(near)] = list(near.values())
+    quotient *= z
+    adjacency = np.sqrt(quotient * quotient.T)
     laplacian = -adjacency
     clique = np.array(cliques, dtype=bool)
     degree = np.array([len(g.adj[u]) for u in firsts], dtype=float)
     own = np.where(clique, z - 1, 0.0)
-    adjacency[np.diag_indices(runs)] = own
-    laplacian[np.diag_indices(runs)] = degree - own
-    # each run's z - 1 contrast eigenvalues
-    contrast = np.repeat(np.arange(runs), z - 1)
+    adjacency[np.diag_indices(cells)] = own
+    laplacian[np.diag_indices(cells)] = degree - own
+    # z - 1 contrasts inside each run, count - 1 across the runs of a class
+    inside = np.repeat(np.arange(cells), count * (z - 1))
+    across = np.repeat(np.arange(cells), count - 1)
     spectra = (
-        (adjacency, np.where(clique[contrast], -1.0, 0.0)),
-        (laplacian, degree[contrast] + clique[contrast]),
+        (adjacency, np.where(clique, -1.0, 0.0)[inside], own[across]),
+        (laplacian, degree[inside] + clique[inside], degree[across] - own[across]),
     )
     return tuple(
-        np.sort(np.concatenate((eigenvalues_symmetric(quotient), structural)))[::-1]
-        for quotient, structural in spectra
+        np.sort(np.concatenate((eigenvalues_symmetric(quotient), *exact)))[::-1]
+        for quotient, *exact in spectra
     )
 
 

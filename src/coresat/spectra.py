@@ -92,12 +92,13 @@ class SpectralIndices:
 
 
 def _merge_pairs(pairs: list[tuple[float, int]]) -> tuple[tuple[float, int], ...]:
-    """Drop zero multiplicities, merge equal values, sort descending."""
+    """Drop zero multiplicities, merge equal values exactly, sort descending, round each once."""
     merged: dict[float, int] = {}
     for value, mult in pairs:
         if mult > 0:
             merged[value] = merged.get(value, 0) + mult
-    return tuple(sorted(merged.items(), key=lambda p: -p[0]))
+    ordered = sorted(merged.items(), key=lambda p: -p[0])
+    return tuple((_float(value), mult) for value, mult in ordered)
 
 
 def _float(x: int) -> float:
@@ -153,7 +154,7 @@ def adjacency_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
     minus_one_mult = c + sum(cls.count * (cls.size - 1) for cls in params.classes) - 1
     pairs: list[tuple[float, int]] = [(-1.0, minus_one_mult)]
     for cls in params.classes:
-        pairs.append((_float(cls.size - 1), cls.count - 1))
+        pairs.append((cls.size - 1, cls.count - 1))
     pairs.extend((root, 1) for root in _quotient_roots(params))
     return SpectrumResult(_merge_pairs(pairs))
 
@@ -197,14 +198,9 @@ def laplacian_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
     n with multiplicity c; c + s_i with multiplicity eta_i*(s_i - 1);
     c with multiplicity eta - 1; 0 once.
     """
-    c = params.core
-    n = params.n
-    # n is the largest value, so its check covers the others
-    pairs: list[tuple[float, int]] = [(_float(n), c)]
-    for cls in params.classes:
-        pairs.append((float(c + cls.size), cls.count * (cls.size - 1)))
-    pairs.append((float(c), params.satellite_total - 1))
-    pairs.append((0.0, 1))
+    c, n = params.core, params.n
+    pairs = [(n, c), (c, params.satellite_total - 1), (0, 1)]
+    pairs += [(c + cls.size, cls.count * (cls.size - 1)) for cls in params.classes]
     return SpectrumResult(_merge_pairs(pairs))
 
 

@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import strategies as st
 
-from coresat import GeneralizedParams, Graph
+from coresat import GeneralizedParams, Graph, generalized_core_satellite
 
 # the standard verification grid: c, s in 1..5, eta in 2..6
 GRID_PARAMS = [
@@ -72,6 +72,57 @@ def planted_twin_graphs(draw):
     if draw(st.booleans()):
         g = relabel(g, draw(st.permutations(range(n))))
     return g
+
+
+@st.composite
+def generalized_params(draw):
+    """1 to 5 satellite classes; c = 1, s_i = 1 and one satellite included."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
+    counts = st.integers(1, 4)
+    return GeneralizedParams(
+        draw(st.integers(1, 5)), [(size, draw(counts)) for size in sizes]
+    )
+
+
+@st.composite
+def lookalike_runs(draw):
+    """Graphs whose runs of twins tempt a wrong merge of classes.
+
+    A few base groups of 1 or 2 nodes, cliques or independent sets, are
+    joined whole to whole.  Each copy takes a base group's size and kind
+    and its neighbor groups, so it belongs to that group's class, unless
+    one neighbor group is added or dropped: then it has the same size and
+    kind but different runs next to it.  Half the graphs are relabelled,
+    which scatters the runs into single nodes.
+    """
+    base = draw(st.integers(min_value=1, max_value=4))
+    kinds = [(draw(st.integers(1, 2)), draw(st.booleans())) for _ in range(base)]
+    pairs = list(itertools.combinations(range(base), 2))
+    links = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    for copy in range(base, base + draw(st.integers(min_value=1, max_value=4))):
+        template = draw(st.integers(0, base - 1))
+        kinds.append(kinds[template])
+        near = {a + b - template for a, b in links if template in (a, b) and max(a, b) < base}
+        if draw(st.booleans()):
+            near ^= {draw(st.integers(0, copy - 1))}
+        links |= {(other, copy) for other in near}
+    groups, n = [], 0
+    for size, clique in kinds:
+        groups.append((range(n, n + size), clique))
+        n += size
+    edges = [e for nodes, clique in groups if clique for e in itertools.combinations(nodes, 2)]
+    edges += [(u, v) for a, b in links for u in groups[a][0] for v in groups[b][0]]
+    g = Graph(n, edges)
+    if draw(st.booleans()):
+        g = relabel(g, draw(st.permutations(range(n))))
+    return g
+
+
+@st.composite
+def relabelled_family_graphs(draw):
+    """Core-satellite graphs of ``generalized_params``, nodes relabelled at random."""
+    g = generalized_core_satellite(draw(generalized_params()))
+    return relabel(g, draw(st.permutations(range(g.n))))
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from coresat import cli
+from coresat import cli, spectra
 from coresat import metrics as metrics_mod
 from coresat.cli import GENERATE_EDGE_LIMIT, main
-from coresat.metrics import DIRECT_BITSET_LIMIT
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -132,35 +131,34 @@ def test_spectrum_size_limits_are_read_before_building(method, capsys, monkeypat
         ("1:20000", f"m=6044850 exceeds the limit {GENERATE_EDGE_LIMIT}"),
         ("1:1000000", "n=1000300 exceeds the limit 1000000"),
     ):
-        argv = ["spectrum", "--core", "300", "--satellites", satellites, "--dense-limit", "50"]
+        argv = ["spectrum", "--core", "300", "--satellites", satellites]
         code, out, err = run([*argv, "--method", method], capsys)
         assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
-@pytest.mark.parametrize("method", ["numeric", "both"])
-def test_spectrum_dense_limit_counts_runs_of_twins(method, capsys):
-    # the sweep's largest graph: n=1510 nodes in 301 runs
-    argv = ["spectrum", "--core", "10", "--satellites", "3:100,5:100,7:100", "--method", method]
-    code, out, err = run([*argv, "--dense-limit", "300"], capsys)
-    assert (code, out, err) == (2, "", "error: 301 runs of twins exceed dense limit 300\n")
-    code, out, err = run([*argv, "--dense-limit", "301"], capsys)
+@pytest.mark.parametrize("method", ["analytic", "numeric", "both"])
+def test_spectrum_dense_limit_counts_classes(method, capsys, monkeypatch):
+    def refused(params):
+        raise AssertionError("divisor matrix built")
+
+    # 2000 satellite sizes and the core: 2001 cells, read from the
+    # parameters before any quotient matrix or graph is built
+    monkeypatch.setattr(spectra, "divisor_matrix", refused)
+    satellites = ",".join(f"{size}:1" for size in range(1, 2001))
+    argv = ["spectrum", "--core", "1", "--satellites", satellites, "--method", method]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: a quotient of 2001 cells exceeds the dense limit 2000\n"
+
+
+def test_metrics_admits_a_graph_of_many_satellite_pairs(capsys):
+    # 50000 satellite pairs: n=100001 nodes in 50001 runs, but two
+    # classes, so two bitset rows
+    code, out, err = run(["metrics", "--core", "1", "--satellites", "2:50000"], capsys)
     assert (code, err) == (0, "")
     payload = json.loads(out)
-    assert len(payload["adjacency"]["numeric"]) == len(payload["laplacian"]["numeric"]) == 1510
-
-
-def test_metrics_and_sweep_bitset_limit(capsys):
-    # 50000 satellite pairs: n=100001 and m=150000 are within the limits,
-    # but the first node of each pair gets a row reaching its own index,
-    # about n**2 / 4 bits in all
-    message = (
-        "error: bitset rows of 2500200001 bits exceed the direct metrics "
-        f"limit {DIRECT_BITSET_LIMIT}\n"
-    )
-    code, out, err = run(["metrics", "--core", "1", "--satellites", "2:50000"], capsys)
-    assert (code, out, err) == (2, "", message)
-    code, out, err = run(["sweep", "--cores", "1", "--sizes", "2", "--pmax", "50000"], capsys)
-    assert (code, out, err) == (2, "", message)
+    assert (payload["n"], payload["m"], payload["direct"]["triangles"]) == (100001, 150000, 50000)
+    assert payload["agreement"] is True
 
 
 def test_metrics_on_a_large_star(capsys):
@@ -253,7 +251,7 @@ def test_tol_must_be_finite_and_positive(value, capsys):
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_dense_limit_must_be_positive(value, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--core", "2", "--satellites", "1:1,2:1", "--dense-limit", value])
+        main(["verify", "--dense-limit", value])
     assert exc.value.code == 2
     assert "--dense-limit" in capsys.readouterr().err
 
@@ -275,6 +273,7 @@ def test_max_n_must_be_positive(value, capsys):
         (["sweep", "--pmax", "1"], ["--tol", "1e-9"]),
         (["sweep", "--pmax", "1"], ["--dense-limit", "10"]),
         (["metrics", "--core", "2", "--satellites", "2:2"], ["--tol", "1e-9"]),
+        (["spectrum", "--core", "2", "--satellites", "2:2"], ["--dense-limit", "10"]),
     ],
 )
 def test_subcommands_refuse_flags_they_do_not_read(argv, flag, capsys):

@@ -2,10 +2,11 @@
 
 scipy, networkx and sympy may serve as independent references in the
 tests; numpy is the package's one runtime dependency.  The oracle and
-the direct metrics kernel share no module but ``graphs``: both read the
-twin scan there, the kernel to weight its runs and the twin-reduced
-spectra to build their quotient, and the subgraph listing that checks
-the kernel uses neither.
+the direct metrics kernel share no module but ``graphs``, and
+``graphs.twin_classes`` is the one place that builds the twin quotient:
+the kernel reads it to weight its classes and the twin-reduced spectra
+to build their quotient matrix, only ``graphs`` calls the twin scan
+under it, and the subgraph listing that checks the kernel uses neither.
 """
 from __future__ import annotations
 
@@ -82,3 +83,20 @@ def test_oracle_and_metrics_share_no_code():
     assert "oracle" in direct["spectra"]
     assert reached("oracle") & {"metrics", "spectra", "verification", "__init__"} == set()
     assert reached("metrics") & {"oracle", "__init__"} == set()
+
+
+def _names(path: Path) -> set[str]:
+    """Every name a module reads or imports, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imports = (node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom))
+    return read | {alias.name for node in imports for alias in node.names}
+
+
+def test_only_graphs_builds_the_twin_quotient():
+    names = {path.stem: _names(path) for path in SRC.glob("*.py")}
+    scan = {"twin_runs", "run_neighbors"}
+    assert {stem for stem, used in names.items() if used & scan} == {"graphs"}
+    quotient = {stem for stem, used in names.items() if "twin_classes" in used}
+    assert quotient - {"graphs"} == {"metrics", "oracle"}

@@ -4,13 +4,23 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID_PARAMS, arbitrary_graphs, planted_twin_graphs, relabel
+from conftest import (
+    GRID_PARAMS,
+    arbitrary_graphs,
+    generalized_params,
+    lookalike_runs,
+    planted_twin_graphs,
+    relabel,
+    relabelled_family_graphs,
+)
 from coresat import (
     GeneralizedParams,
     Graph,
@@ -22,7 +32,8 @@ from coresat import (
     generalized_core_satellite,
     star,
 )
-from coresat.graphs import run_neighbors, twin_runs
+from coresat import metrics as metrics_mod
+from coresat.graphs import run_neighbors, twin_classes, twin_runs
 from coresat.metrics import (
     DIRECT_BITSET_LIMIT,
     _SHIFT_ROW_LIMIT,
@@ -30,7 +41,6 @@ from coresat.metrics import (
     _average_clustering_fraction,
     _bitset,
     _core_triangles,
-    check_direct_size,
 )
 from coresat.oracle import exhaustive_subgraph_counts, local_clustering
 
@@ -134,16 +144,6 @@ def test_closed_forms_match_direct_on_grid():
         direct = compute_metrics(generalized_core_satellite(p))
         assert direct == analytic_metrics(p), p
         assert direct.assortativity is not None, p
-
-
-@st.composite
-def generalized_params(draw):
-    """1 to 5 satellite classes; c = 1, s_i = 1 and one satellite included."""
-    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
-    counts = st.integers(1, 4)
-    return GeneralizedParams(
-        draw(st.integers(1, 5)), [(size, draw(counts)) for size in sizes]
-    )
 
 
 _COUNT_FIELDS = ("n", "m", "triangles", "p1", "p2", "p3", "s13")
@@ -389,13 +389,11 @@ def test_one_pass_kernel_matches_enumeration_and_exact_ratios(g):
 
 
 def test_kernel_limit_counts_the_bits_it_allocates():
-    # only the first node of each run of twins gets a bitset row: a star
-    # on 2**15 + 1 nodes is two runs whether its hub is first or last
+    # only the first node of each class of twins gets a bitset row: a
+    # star on 2**15 + 1 nodes is two classes whether its hub is first or last
     n = 2**15 + 1
     hub_first = Graph(n, [(0, v) for v in range(1, n)])
     hub_last = Graph(n, [(u, n - 1) for u in range(n - 1)])
-    check_direct_size(hub_first)
-    check_direct_size(hub_last)
     rep = compute_metrics(hub_first)
     assert (rep.triangles, rep.p2, rep.p3, rep.avg_clustering) == (0, math.comb(n - 1, 2), 0, 0.0)
     assert rep.assortativity == pytest.approx(-1.0, abs=1e-12)
@@ -403,14 +401,14 @@ def test_kernel_limit_counts_the_bits_it_allocates():
     # a path through the leaves leaves no twins: n - 1 leaf rows of n
     # bits and a hub row of n - 1 bits
     fan = Graph(n, [(u, n - 1) for u in range(n - 1)] + [(u, u + 1) for u in range(n - 2)])
-    assert len(twin_runs(fan)[0]) == n
+    assert len(twin_classes(fan)[0]) == n
     size = (n - 1) * (n + 1)
     assert size > DIRECT_BITSET_LIMIT
-    for refused in (check_direct_size, compute_metrics):
-        with pytest.raises(SizeLimitError, match=f"{size} bits"):
-            refused(fan)
-    # 25000 satellite pairs: one row per pair, about n**2 / 4 bits
-    check_direct_size(generalized_core_satellite(GeneralizedParams(1, [(2, 25000)])))
+    with pytest.raises(SizeLimitError, match=f"{size} bits"):
+        compute_metrics(fan)
+    # 25000 satellite pairs: two classes, so two rows
+    pairs = generalized_core_satellite(GeneralizedParams(1, [(2, 25000)]))
+    assert compute_metrics(pairs).triangles == 25000
     # nodes without edges take no bits at all
     assert compute_metrics(Graph(10**5, [])).avg_clustering == 0.0
 
@@ -539,40 +537,6 @@ def test_runs_and_kernel_on_every_graph_of_five_nodes_or_fewer():
 
 
 @st.composite
-def lookalike_runs(draw):
-    """Graphs whose runs of twins tempt a wrong merge of classes.
-
-    A few base groups of 1 or 2 nodes, cliques or independent sets, are
-    joined whole to whole.  Each copy takes a base group's size and kind
-    and its neighbor groups, so it belongs to that group's class, unless
-    one neighbor group is added or dropped: then it has the same size and
-    kind but different runs next to it.  Half the graphs are relabelled,
-    which scatters the runs into single nodes.
-    """
-    base = draw(st.integers(min_value=1, max_value=4))
-    kinds = [(draw(st.integers(1, 2)), draw(st.booleans())) for _ in range(base)]
-    pairs = list(itertools.combinations(range(base), 2))
-    links = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
-    for copy in range(base, base + draw(st.integers(min_value=1, max_value=4))):
-        template = draw(st.integers(0, base - 1))
-        kinds.append(kinds[template])
-        near = {a + b - template for a, b in links if template in (a, b) and max(a, b) < base}
-        if draw(st.booleans()):
-            near ^= {draw(st.integers(0, copy - 1))}
-        links |= {(other, copy) for other in near}
-    groups, n = [], 0
-    for size, clique in kinds:
-        groups.append((range(n, n + size), clique))
-        n += size
-    edges = [e for nodes, clique in groups if clique for e in itertools.combinations(nodes, 2)]
-    edges += [(u, v) for a, b in links for u in groups[a][0] for v in groups[b][0]]
-    g = Graph(n, edges)
-    if draw(st.booleans()):
-        g = relabel(g, draw(st.permutations(range(n))))
-    return g
-
-
-@st.composite
 def twin_free_wide_graphs(draw):
     """Graphs of 18 to 22 nodes without twins, most rows over the shift limit."""
     n = draw(st.integers(min_value=18, max_value=22))
@@ -604,6 +568,51 @@ def test_kernel_classes_match_enumeration_and_set_sums(g):
         # whole runs next to r, and nothing of r's own run
         members = {v for d in near for v in range(d, d + sizes[firsts.index(d)])}
         assert members == set(g.adj[r]) - set(range(r, r + z))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(lookalike_runs(), relabelled_family_graphs()))
+def test_twin_classes_are_equitable_cells_of_runs_apart(g):
+    firsts, sizes, cliques, counts, links = twin_classes(g)
+    # a run's class, found from node sets: its size, its kind and the
+    # nodes next to it outside the run
+    run_of, keys = {}, []
+    for r, z, clique in zip(*twin_runs(g)):
+        run = range(r, r + z)
+        run_of.update(dict.fromkeys(run, r))
+        keys.append((r, (z, clique, frozenset(g.adj[r]) - set(run))))
+    classes = list(dict.fromkeys(key for _, key in keys))
+    assert [next(r for r, key in keys if key == c) for c in classes] == firsts
+    assert [(z, clique) for z, clique, _ in classes] == list(zip(sizes, cliques))
+    assert [sum(key == c for _, key in keys) for c in classes] == counts
+    class_of = {u: classes.index(key) for r, key in keys for u in range(r, r + key[0])}
+    assert sum(map(mul, counts, sizes)) == g.n
+    for u in range(g.n):
+        i = class_of[u]
+        inside = [v for v in g.adj[u] if run_of[v] == run_of[u]]
+        outside = Counter(class_of[v] for v in g.adj[u] if run_of[v] != run_of[u])
+        assert len(inside) == (sizes[i] - 1 if cliques[i] else 0)
+        assert outside == {j: links[i][j] * sizes[j] for j in links[i]}
+        # no run of u's class is next to u's run
+        assert i not in outside
+
+
+def test_kernel_builds_one_bitset_row_per_class(monkeypatch):
+    rows = []
+
+    def counted(row):
+        rows.append(row)
+        return _bitset(row)
+
+    monkeypatch.setattr(metrics_mod, "_bitset", counted)
+    g = generalized_core_satellite(SWEEP_LARGEST)
+    assert compute_metrics(g) == analytic_metrics(SWEEP_LARGEST)
+    assert len(rows) == len(twin_classes(g)[0]) == 4
+    expected = compute_metrics(star(6))
+    rows.clear()
+    # the hub between two runs of three leaves: one class of two runs
+    assert compute_metrics(relabel(star(6), [3, 0, 1, 2, 4, 5, 6])) == expected
+    assert len(rows) == 2
 
 
 SWEEP_LARGEST = GeneralizedParams(10, [(3, 100), (5, 100), (7, 100)])

@@ -2,12 +2,21 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import GRID_PARAMS, arbitrary_graphs, planted_twin_graphs
+from conftest import (
+    GRID_PARAMS,
+    arbitrary_graphs,
+    generalized_params,
+    lookalike_runs,
+    planted_twin_graphs,
+    relabelled_family_graphs,
+)
 from coresat import (
     GeneralizedParams,
     Graph,
@@ -22,6 +31,7 @@ from coresat import (
     sample_generalized_params,
     star,
 )
+from coresat import oracle
 from coresat.graphs import twin_runs
 from coresat.oracle import twin_reduced_spectra
 
@@ -177,6 +187,24 @@ def _assert_reduced_matches_dense(g):
 @given(planted_twin_graphs())
 def test_twin_reduced_spectra_match_dense_on_planted_twins(g):
     _assert_reduced_matches_dense(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(lookalike_runs(), relabelled_family_graphs()))
+def test_twin_reduced_spectra_match_dense_on_lookalike_and_relabelled_graphs(g):
+    _assert_reduced_matches_dense(g)
+
+
+@settings(max_examples=100)
+@given(generalized_params())
+@example(GeneralizedParams(10, [(3, 100), (5, 100), (7, 100)]))
+@example(GeneralizedParams(3, [(4, 1)]))  # one satellite: K_7 is one class
+def test_twin_reduced_spectra_solve_the_class_quotient_on_family_graphs(p):
+    g = generalized_core_satellite(p)
+    cells = p.class_count + 1 if p.satellite_total > 1 else 1
+    with mock.patch.object(oracle, "eigenvalues_symmetric", wraps=eigenvalues_symmetric) as solve:
+        twin_reduced_spectra(g)
+    assert [call.args[0].shape for call in solve.call_args_list] == [(cells, cells)] * 2
 
 
 def test_twin_reduced_spectra_match_dense_on_grid_and_samples():

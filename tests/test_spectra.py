@@ -260,6 +260,18 @@ def test_spectra_past_float_range_raise_invalid_parameters():
     assert spectral_indices(inside).algebraic_connectivity == 1e307
 
 
+def test_spectra_keep_apart_values_that_one_float_cannot():
+    # n = c + 2 (multiplicity c) and c (multiplicity 1) are distinct
+    # eigenvalues, equal once each is rounded to a float
+    for c in (10**17, 10**307):
+        pairs = laplacian_spectrum_gcs(GeneralizedParams(c, [(1, 2)])).eigenpairs
+        assert pairs == ((float(c + 2), c), (float(c), 1), (0.0, 1))
+    # so are the adjacency values s - 1 of two sizes 1 apart
+    p = GeneralizedParams(1, [(10**17, 2), (10**17 + 1, 2)])
+    pairs = adjacency_spectrum_gcs(p).eigenpairs
+    assert [pair for pair in pairs if pair[0] == 1e17] == [(1e17, 1)] * 2
+
+
 def test_principal_eigenvector_butterfly():
     pev = principal_eigenvector(BUTTERFLY)
     beta = 2.0 / (math.sqrt(17.0) - 1.0)
