@@ -85,9 +85,7 @@ def eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:
     return values[::-1]
 
 
-def twin_reduced_spectra(
-    g: Graph, max_n: int = DEFAULT_DENSE_LIMIT
-) -> tuple[np.ndarray, np.ndarray]:
+def twin_reduced_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency and Laplacian spectra of ``g``, each all n values sorted descending.
 
     ``graphs.twin_classes`` splits the nodes into C classes of twin runs,
@@ -102,12 +100,15 @@ def twin_reduced_spectra(
     All of these are exact.  The other C eigenvalues are those of the
     quotient, symmetrized to off-diagonal sqrt(links_ij * z_j * links_ji
     * z_i) (negated for L) and diagonal as above, solved by
-    ``eigenvalues_symmetric``.  Guarded by ``max_n`` on C, not on n.
+    ``eigenvalues_symmetric``.  Guarded by ``DEFAULT_DENSE_LIMIT`` on C,
+    not on n.
     """
     firsts, sizes, cliques, counts, links = twin_classes(g)
     cells = len(firsts)
-    if cells > max_n:
-        raise SizeLimitError(f"{cells} classes of twins exceed dense limit {max_n}")
+    if cells > DEFAULT_DENSE_LIMIT:
+        raise SizeLimitError(
+            f"{cells} classes of twins exceed dense limit {DEFAULT_DENSE_LIMIT}"
+        )
     z, count = np.array(sizes, dtype=np.intp), np.array(counts, dtype=np.intp)
     # a node of class i has links[i][j] * z_j neighbors in class j
     quotient = np.zeros((cells, cells))

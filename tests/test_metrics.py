@@ -559,7 +559,7 @@ def test_lookalike_runs_differ_only_in_the_runs_next_to_them():
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(lookalike_runs(), twin_free_wide_graphs()))
 @example(_threshold_graph(22))
-@example(relabel(star(7), [3, 0, 7, 1, 5, 2, 6, 4]))  # scattered leaves: one class of 7 runs
+@example(relabel(star(7), [3, 0, 7, 1, 5, 2, 6, 4]))  # leaves in runs of 3 and 4 around the hub
 def test_kernel_classes_match_enumeration_and_set_sums(g):
     rep = compute_metrics(g)
     assert rep == _independent_report(g)

@@ -235,7 +235,11 @@ def test_twin_reduced_spectra_on_named_graphs():
 
 
 def test_twin_reduced_spectra_guard_counts_runs():
-    # 2000 isolated nodes are one run; a 12-node path is 12
-    assert [v.shape for v in twin_reduced_spectra(Graph(2000, []), max_n=1)] == [(2000,)] * 2
-    with pytest.raises(SizeLimitError):
-        twin_reduced_spectra(Graph(12, [(u, u + 1) for u in range(11)]), max_n=11)
+    # 3000 isolated nodes are one class; a path of 2001 nodes is 2001,
+    # one more than the dense limit
+    assert [v.shape for v in twin_reduced_spectra(Graph(3000, []))] == [(3000,)] * 2
+    n = oracle.DEFAULT_DENSE_LIMIT + 1
+    with mock.patch.object(oracle, "eigenvalues_symmetric") as solve:
+        with pytest.raises(SizeLimitError, match=f"{n} classes of twins"):
+            twin_reduced_spectra(Graph(n, [(u, u + 1) for u in range(n - 1)]))
+    solve.assert_not_called()
