@@ -7,7 +7,10 @@ and subgraph counts both directly and from closed forms, assembles
 adjacency and Laplacian spectra analytically, and cross-validates every
 closed form against brute-force numeric oracles.
 """
+import importlib
+
 from .exceptions import (
+    DEFAULT_DENSE_LIMIT,
     InvalidParameterError,
     NumericFailureError,
     SizeLimitError,
@@ -28,31 +31,49 @@ from .graphs import (
 )
 from .io import format_dot, format_edgelist, format_graph, format_matrix_market
 from .metrics import MetricsReport, analytic_metrics, compute_metrics
-from .oracle import (
-    DEFAULT_DENSE_LIMIT,
-    DEFAULT_ENUM_LIMIT,
-    SubgraphCounts,
-    adjacency_matrix,
-    eigenvalues_symmetric,
-    exhaustive_subgraph_counts,
-    laplacian_matrix,
-    local_clustering,
-)
 from .params import GeneralizedParams, SatelliteClass
-from .spectra import (
-    PrincipalEigenvector,
-    SpectralIndices,
-    SpectrumResult,
-    adjacency_spectrum_gcs,
-    divisor_matrix,
-    laplacian_spectrum_gcs,
-    max_spectrum_deviation,
-    principal_eigenvector,
-    spectral_indices,
-    spectral_radius,
-    spectral_radius_bounds,
-)
-from .verification import CheckResult, run_checks, sample_generalized_params
+
+# the modules that import numpy, and the names taken from each; they load
+# on first use (PEP 562), so `import coresat` and the graph, metrics and
+# io names stay free of numpy
+_NUMERIC = {
+    "oracle": (
+        "DEFAULT_ENUM_LIMIT",
+        "SubgraphCounts",
+        "adjacency_matrix",
+        "eigenvalues_symmetric",
+        "exhaustive_subgraph_counts",
+        "laplacian_matrix",
+        "local_clustering",
+    ),
+    "spectra": (
+        "PrincipalEigenvector",
+        "SpectralIndices",
+        "SpectrumResult",
+        "adjacency_spectrum_gcs",
+        "divisor_matrix",
+        "laplacian_spectrum_gcs",
+        "max_spectrum_deviation",
+        "principal_eigenvector",
+        "spectral_indices",
+        "spectral_radius",
+        "spectral_radius_bounds",
+    ),
+    "verification": ("CheckResult", "run_checks", "sample_generalized_params"),
+}
+_HOME = {name: module for module, names in _NUMERIC.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        return importlib.import_module(f".{name}", __name__)
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # the module imported with this package, if it was, else imported now
+    return getattr(globals().get(module) or __getattr__(module), name)
+
 
 __version__ = "0.1.0"
 

@@ -10,26 +10,42 @@ error (including invalid parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import repeat
 from typing import Sequence
 
 from . import metrics as metrics_mod
-from . import oracle, spectra, verification
-from .exceptions import InvalidParameterError, NumericFailureError, SizeLimitError
+from .exceptions import (
+    DEFAULT_DENSE_LIMIT,
+    InvalidParameterError,
+    NumericFailureError,
+    SizeLimitError,
+)
 from .graphs import generalized_core_satellite
 from .io import GRAPH_FORMATS, format_graph
 from .params import GeneralizedParams
 
 __all__ = ["main"]
 
+# the package this module was loaded with.  The modules that import numpy
+# are read from it when a command first needs them, not from whatever
+# package `sys.modules` holds by then, so that a package imported afresh
+# beside this one, as the benchmark's repeated set-up does, never mixes
+# module copies
+_PACKAGE = sys.modules[__package__]
+
 GENERATE_NODE_LIMIT = 10**6
 # checked from the parameters before any graph is built; building and
 # writing a graph of this many edges peaks at about 0.2 GB (206 MiB for
 # `metrics --core 1 --satellites 1:999999`, 2 cores, Python 3.11)
 GENERATE_EDGE_LIMIT = 10**6
+# the summed m over a sweep's rows, checked before the first row is
+# built; the default sweep has 1,884,400 edges over its 300 rows
+SWEEP_EDGE_LIMIT = 10**7
 
 
 def _fmt(x: float) -> str:
@@ -158,14 +174,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    oracle, spectra = _PACKAGE.oracle, _PACKAGE.spectra
+
     params = GeneralizedParams(args.core, args.satellites)
     # every method solves the quotient over the core and the t satellite
     # sizes.  Within the edge limit t + 1 is at most 181, so only the
     # closed forms, which build no graph, can reach this limit
     cells = params.class_count + 1
-    if cells > oracle.DEFAULT_DENSE_LIMIT:
+    if cells > DEFAULT_DENSE_LIMIT:
         raise SizeLimitError(
-            f"a quotient of {cells} cells exceeds the dense limit {oracle.DEFAULT_DENSE_LIMIT}"
+            f"a quotient of {cells} cells exceeds the dense limit {DEFAULT_DENSE_LIMIT}"
         )
     payload = _params_json(params)
     payload["method"] = args.method
@@ -188,7 +206,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             analytic = closed_form(params)
             block["analytic"] = [[_round12(value), mult] for value, mult in analytic.eigenpairs]
         if numeric is not None:
-            block["numeric"] = [_round12(float(v)) for v in numeric]
+            # _round12 of each value, with no Python call per value
+            block["numeric"] = list(map(float, map(format, numeric.tolist(), repeat(".12g"))))
         if args.method == "both":
             deviation = spectra.max_spectrum_deviation(analytic, numeric)
             block["max_abs_deviation"] = _round12(deviation)
@@ -214,9 +233,27 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_edges(cores: Sequence[int], sizes: Sequence[int], pmax: int) -> int:
+    """The summed m over the sweep's rows, from the parameters alone.
+
+    For a fixed core, m grows by the same step with each p, so the
+    rows p = 1..pmax sum to pmax times the mean of the first and last.
+    """
+    total = 0
+    for core in cores:
+        first, last = (GeneralizedParams(core, [(size, p) for size in sizes]) for p in (1, pmax))
+        total += pmax * (first.m + last.m) // 2
+    return total
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # the row with the largest core and p has the most nodes and edges
     _check_size(GeneralizedParams(max(args.cores), [(size, args.pmax) for size in args.sizes]))
+    total = _sweep_edges(args.cores, args.sizes, args.pmax)
+    if total > SWEEP_EDGE_LIMIT:
+        raise InvalidParameterError(
+            f"the sweep's rows sum to m={total}, over the limit {SWEEP_EDGE_LIMIT}"
+        )
     lines = ["c,p,n,m,avg_clustering,transitivity,assortativity"]
     for core in args.cores:
         for p in range(1, args.pmax + 1):
@@ -233,7 +270,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verification.run_checks(
+    results = _PACKAGE.verification.run_checks(
         tol=args.tol,
         dense_limit=args.dense_limit,
         max_enum_n=args.max_n,
@@ -251,7 +288,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every later call.
+
+    ``parse_args`` keeps no state between calls, and each call returns a
+    fresh namespace, so reusing the tree is safe; the ``func`` defaults
+    are the command functions, which read this module's globals when
+    they run.
+    """
     # one parent per shared flag, so each subcommand takes only what it reads
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
@@ -301,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", parents=[out], help="CSV of metrics over a replication sweep"
     )
-    p_sweep.add_argument("--cores", type=_parse_int_list, default=[3, 5, 10])
-    p_sweep.add_argument("--sizes", type=_parse_int_list, default=[3, 5, 7])
+    p_sweep.add_argument("--cores", type=_parse_int_list, default=(3, 5, 10))
+    p_sweep.add_argument("--sizes", type=_parse_int_list, default=(3, 5, 7))
     p_sweep.add_argument("--pmax", type=_positive_int, default=100)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -312,9 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--dense-limit",
         type=_positive_int,
-        default=oracle.DEFAULT_DENSE_LIMIT,
+        default=DEFAULT_DENSE_LIMIT,
         help="largest n for dense numeric eigensolves "
-        f"(default {oracle.DEFAULT_DENSE_LIMIT})",
+        f"(default {DEFAULT_DENSE_LIMIT})",
     )
     p_ver.add_argument(
         "--max-n",
@@ -334,8 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidParameterError, SizeLimitError) as exc:

@@ -2,9 +2,16 @@
 
 All writers are deterministic: the same graph always yields the same
 bytes.  They read the sorted neighbor rows directly, so no edge list is
-built beside them.
+built beside them.  Each row is split once, at the row's own node, and
+its lines are made by one ``str.join``: the neighbors above u for the
+edge list and DOT, the ones below for Matrix Market.
 """
 from __future__ import annotations
+
+from bisect import bisect_left
+from itertools import compress
+from operator import lt
+from typing import Iterator
 
 from .exceptions import InvalidParameterError
 from .graphs import Graph
@@ -12,26 +19,53 @@ from .graphs import Graph
 __all__ = ["format_edgelist", "format_matrix_market", "format_dot", "format_graph", "GRAPH_FORMATS"]
 
 
+def _row_lines(g: Graph, above: bool, lead: str, mid: str, end: str, base: int = 0) -> Iterator[str]:
+    """The lines ``{lead}{u}{mid}{v}{end}`` of each row u, one block of them per row.
+
+    ``v`` runs over the neighbors of u above it, or below it when
+    ``above`` is false, in ascending order; rows with none give no
+    block.  ``base`` is added to every node label.
+    """
+    # labels[v] is the text of v + base, made once for all the rows that
+    # name v.  It grows only as far as the rows reach, doubling, so the
+    # lower halves of a star's rows need one label, not n
+    labels: list[str] = []
+    label = labels.__getitem__
+    cuts = list(map(bisect_left, g.adj, range(g.n)))
+    # rows with no neighbor on the asked side are skipped before the loop
+    some = map(lt, cuts, map(len, g.adj)) if above else cuts
+    for u, row, cut in compress(zip(range(g.n), g.adj, cuts), some):
+        part = row[cut:] if above else row[:cut]
+        if part[-1] >= len(labels):
+            grown = min(max(part[-1] + 1, 2 * len(labels)), g.n)
+            labels.extend(map(str, range(len(labels) + base, grown + base)))
+        if len(part) == 1:  # a leaf's row: one line, no separator to build
+            yield f"{lead}{u + base}{mid}{label(part[0])}{end}"
+        else:
+            first = f"{lead}{u + base}{mid}"
+            yield first + f"{end}\n{first}".join(map(label, part)) + end
+
+
 def format_edgelist(g: Graph) -> str:
     """`u v` per line, u < v, 0-based, preceded by a `# n=.. m=..` comment."""
     lines = [f"# n={g.n} m={g.m}"]
-    lines.extend(f"{u} {v}" for u, row in enumerate(g.adj) for v in row if u < v)
+    lines.extend(_row_lines(g, True, "", " ", ""))
     return "\n".join(lines) + "\n"
 
 
 def format_matrix_market(g: Graph) -> str:
     """Coordinate pattern symmetric form, 1-based, strictly lower triangle."""
-    lines = ["%%MatrixMarket matrix coordinate pattern symmetric", f"{g.n} {g.n} {g.m}"]
     # stored entry for edge (u, v), u < v, is row v+1, col u+1; the
     # sorted rows already give them in (row, col) order
-    lines.extend(f"{v + 1} {u + 1}" for v, row in enumerate(g.adj) for u in row if u < v)
+    lines = ["%%MatrixMarket matrix coordinate pattern symmetric", f"{g.n} {g.n} {g.m}"]
+    lines.extend(_row_lines(g, False, "", " ", "", base=1))
     return "\n".join(lines) + "\n"
 
 
 def format_dot(g: Graph) -> str:
     lines = ["graph {"]
     lines.extend(f"  {u};" for u in range(g.n) if not g.adj[u])
-    lines.extend(f"  {u} -- {v};" for u, row in enumerate(g.adj) for v in row if u < v)
+    lines.extend(_row_lines(g, True, "  ", " -- ", ";"))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericFailureError, SizeLimitError
+from .exceptions import DEFAULT_DENSE_LIMIT, NumericFailureError, SizeLimitError
 from .graphs import Graph, twin_classes
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "local_clustering",
 ]
 
-DEFAULT_DENSE_LIMIT = 2000
 DEFAULT_ENUM_LIMIT = 50
 
 

@@ -10,9 +10,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from coresat import cli, spectra
+from coresat import cli, oracle, spectra
 from coresat import metrics as metrics_mod
-from coresat.cli import GENERATE_EDGE_LIMIT, main
+from coresat.cli import GENERATE_EDGE_LIMIT, SWEEP_EDGE_LIMIT, main
+from coresat.params import GeneralizedParams
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -119,6 +120,29 @@ def test_edge_limit_is_read_before_building(capsys):
     code, out, err = run(["sweep", "--cores", "3,1500", "--sizes", "1", "--pmax", "1"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: m=1125750 exceeds the limit {GENERATE_EDGE_LIMIT}\n"
+
+
+def test_sweep_total_is_read_before_building(capsys, monkeypatch):
+    def refuse(params):
+        raise AssertionError(f"built a graph for {params}")
+
+    # every row is small (n <= 100001, m <= 150000), but the 50000 rows
+    # sum to m=3,750,075,000
+    monkeypatch.setattr(cli, "generalized_core_satellite", refuse)
+    code, out, err = run(["sweep", "--cores", "1", "--sizes", "2", "--pmax", "50000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: the sweep's rows sum to m=3750075000, over the limit {SWEEP_EDGE_LIMIT}\n"
+    # the default sweep's 300 rows sum to m=1,884,400, well within it
+    assert cli._sweep_edges((3, 5, 10), (3, 5, 7), 100) == 1884400
+
+
+@pytest.mark.parametrize(
+    "cores, sizes, pmax",
+    [((3, 5, 10), (3, 5, 7), 100), ((1,), (2,), 1), ((2, 7, 2), (1, 1, 4), 13), ((4,), (6, 2), 2)],
+)
+def test_sweep_total_equals_the_sum_over_its_rows(cores, sizes, pmax):
+    rows = [GeneralizedParams(c, [(s, p) for s in sizes]) for c in cores for p in range(1, pmax + 1)]
+    assert cli._sweep_edges(cores, sizes, pmax) == sum(params.m for params in rows)
 
 
 @pytest.mark.parametrize("method", ["numeric", "both"])
@@ -554,7 +578,7 @@ def test_spectrum_builds_no_dense_matrix(method, capsys, monkeypatch):
         raise AssertionError("dense matrix built")
 
     for name in ("adjacency_matrix", "laplacian_matrix"):
-        monkeypatch.setattr(cli.oracle, name, refused)
+        monkeypatch.setattr(oracle, name, refused)
     argv = ["spectrum", "--core", "10", "--satellites", "3:100,5:100,7:100"]
     code, out, err = run([*argv, "--method", method], capsys)
     assert (code, err) == (0, "")
@@ -580,3 +604,72 @@ def test_verify_bytes_unchanged(flags, capsys):
     masked, count = re.subn(r"max deviation \S+", "max deviation *", out)
     assert count == 3
     assert hashlib.sha256(masked.encode("ascii")).hexdigest() == VERIFY_SHA256[flags]
+
+
+# sha256 of `generate` stdout on the five graphs of the benchmark's inspect
+# workload, taken from the writers that formatted one edge at a time
+GENERATE_SHA256 = {
+    ("5", "5:9", "edgelist"): "0daf9d2012d96f11107dc6aca70b18770448f9db1bd38a8a964ac40dc47adc67",
+    ("5", "5:9", "mtx"): "fd82d9bc26da834c3819a8664cb5a7eba6414670976d3203f0ff8c76af2d09f7",
+    ("5", "5:9", "dot"): "a88489e78c6e799af3d6cdad9765f6c201ad116d041ee4865677cc634227e66b",
+    ("6", "2:12,4:10,6:8", "edgelist"): "c5b9868b90523cf4cdd35ae3bbcaf4f70200af3dbe554c8169d133547cf086da",
+    ("6", "2:12,4:10,6:8", "mtx"): "3c11f23cd1b7f9f78dbb51947701200c8063997c812543c09927454bf32a3cf8",
+    ("6", "2:12,4:10,6:8", "dot"): "195843b2de1168a91a4536cb490ef01b5f96a602f1b48ca4b5eeca344f5f2d8e",
+    ("8", "2:20,4:30,6:25", "edgelist"): "da0ed664097016c58649f31c65928e762a3f610dfdea440e05efaace59d06ff5",
+    ("8", "2:20,4:30,6:25", "mtx"): "5be6ff35115673c9cf0b650be333292bc62cc288c48c9df4edf5aad5f082d572",
+    ("8", "2:20,4:30,6:25", "dot"): "720c55eb74b5916c6d3ee9220d294b19b64774b54fc439fcb3d79e757cddaa57",
+    ("20", "6:130", "edgelist"): "5a8554e49e07b01371c7a4e52021fa668680e98a1222d4a2c2c55cdc5e2e3a6e",
+    ("20", "6:130", "mtx"): "e6c25b47c5dcb10703378b475aa0f92ccf0c8caf674f5b4842fbb969b7fd6b95",
+    ("20", "6:130", "dot"): "652ea0974c913a8d58d07ae3099ceb2b354ddc24b9597e4810f89f17d905c29e",
+    ("10", "3:100,5:100,7:100", "edgelist"): "1fb0c5fc7585284a30d68f20474f665d9f3b3a5b47a2989795edc3b50ac17da6",
+    ("10", "3:100,5:100,7:100", "mtx"): "d261ea56ac9d6719df38196c5b4f39b3f960b4b4aa434225eb098de030f43a0e",
+    ("10", "3:100,5:100,7:100", "dot"): "a50d4fbf83d9bad559bd011332caa53754d0a8750a9d88ab274187fe00b6bada",
+}
+
+
+@pytest.mark.parametrize("core, satellites, fmt", sorted(GENERATE_SHA256))
+def test_generate_bytes_unchanged(core, satellites, fmt, capsys):
+    argv = ["generate", "--core", core, "--satellites", satellites, "--format", fmt]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GENERATE_SHA256[core, satellites, fmt]
+
+
+def _outcome(argv: list[str], capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# each call could leave state in a shared parser for the next: a usage
+# error, non-default values of flags that later calls leave at their
+# defaults, one subcommand after another, and the same defaults read twice
+REUSE_SEQUENCE = [
+    ["generate", "--core", "2", "--satellites", "3:2", "--format", "dot"],
+    ["metrics", "--core", "1", "--satellites", "2"],
+    ["verify", "--dense-limit", "25"],
+    ["verify"],
+    ["generate", "--core", "1", "--satellites", "2:2"],
+    ["spectrum", "--core", "2", "--satellites", "1:3"],
+    ["sweep", "--cores", "2", "--sizes", "1", "--pmax", "2"],
+    ["sweep", "--pmax", "2"],
+    ["spectrum", "--core", "2", "--satellites", "1:3", "--method", "analytic", "--tol", "0.5"],
+    ["spectrum", "--core", "2", "--satellites", "1:3"],
+    ["sweep", "--pmax", "2"],
+]
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys):
+    cli._build_parser.cache_clear()
+    shared = [_outcome(argv, capsys) for argv in REUSE_SEQUENCE]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert shared == fresh

@@ -7,10 +7,13 @@ the direct metrics kernel share no module but ``graphs``, and
 the kernel reads it to weight its classes and the twin-reduced spectra
 to build their quotient matrix, only ``graphs`` calls the twin scan
 under it, and the subgraph listing that checks the kernel uses neither.
+numpy itself loads only with the modules that solve eigenvalues.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,3 +103,66 @@ def test_only_graphs_builds_the_twin_quotient():
     assert {stem for stem, used in names.items() if used & scan} == {"graphs"}
     quotient = {stem for stem, used in names.items() if "twin_classes" in used}
     assert quotient - {"graphs"} == {"metrics", "oracle"}
+
+
+# generate, metrics and sweep run in a child process, which then says
+# whether numpy is loaded, before and after a numeric name is read
+NO_NUMPY_CHILD = """
+import contextlib, io, sys
+import coresat
+from coresat.cli import main
+argvs = (
+    ["generate", "--core", "2", "--satellites", "3:2", "--format", "mtx"],
+    ["metrics", "--core", "2", "--satellites", "3:2,1:4"],
+    ["sweep", "--cores", "2", "--sizes", "1,3", "--pmax", "3"],
+)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+print(codes, "numpy" in sys.modules)
+coresat.spectral_radius
+print("numpy" in sys.modules)
+"""
+
+
+def _run_child(code: str) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return child.stdout
+
+
+def test_graph_commands_leave_numpy_unloaded():
+    assert _run_child(NO_NUMPY_CHILD) == "[0, 0, 0] False\nTrue\n"
+
+
+# the package is imported a second time, beside the first, as a harness
+# that re-imports it does; the first copy's cli must still call the
+# numeric modules of its own copy, where a wrapper records each call
+FRESH_PACKAGE_CHILD = """
+import contextlib, importlib, io, sys
+import coresat.cli, coresat.oracle, coresat.spectra, coresat.verification
+first = sys.modules.copy()
+for name in [m for m in sys.modules if m == "coresat" or m.startswith("coresat.")]:
+    del sys.modules[name]
+for name in ("oracle", "spectra", "verification"):
+    importlib.import_module(f"coresat.{name}")
+calls = []
+for module, attr in (("oracle", "twin_reduced_spectra"), ("spectra", "spectral_indices"), ("verification", "run_checks")):
+    module = first[f"coresat.{module}"]
+    real = getattr(module, attr)
+    setattr(module, attr, lambda *a, real=real, attr=attr, **k: calls.append(attr) or real(*a, **k))
+with contextlib.redirect_stdout(io.StringIO()):
+    cli = first["coresat.cli"]
+    codes = [cli.main(["spectrum", "--core", "2", "--satellites", "1:3"]), cli.main(["verify", "--max-n", "6"])]
+print(codes, sorted(set(calls)))
+"""
+
+
+def test_cli_calls_the_numeric_modules_of_its_own_package():
+    expected = "[0, 0] ['run_checks', 'spectral_indices', 'twin_reduced_spectra']\n"
+    assert _run_child(FRESH_PACKAGE_CHILD) == expected

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
 
+from conftest import arbitrary_graphs
 from coresat import (
     GeneralizedParams,
     Graph,
@@ -75,3 +77,33 @@ def test_matrix_market_entries_strictly_lower():
     assert len(entries) == nnz
     assert all(r > c >= 1 for r, c in entries)
     assert entries == sorted(entries)
+
+
+def _edge_by_edge(g: Graph) -> tuple[str, str, str]:
+    """The three formats written one edge at a time from ``g.edges``."""
+    edgelist = [f"# n={g.n} m={g.m}"] + [f"{u} {v}" for u, v in g.edges]
+    entries = sorted((v + 1, u + 1) for u, v in g.edges)
+    mtx = ["%%MatrixMarket matrix coordinate pattern symmetric", f"{g.n} {g.n} {g.m}"]
+    mtx += [f"{row} {col}" for row, col in entries]
+    touched = {u for edge in g.edges for u in edge}
+    dot = ["graph {"] + [f"  {u};" for u in range(g.n) if u not in touched]
+    dot += [f"  {u} -- {v};" for u, v in g.edges] + ["}"]
+    return tuple("".join(line + "\n" for line in lines) for lines in (edgelist, mtx, dot))
+
+
+def _hub(n: int, hub: int) -> Graph:
+    """Node ``hub`` joined to every other node, and each leaf to the next one."""
+    leaves = [u for u in range(n) if u != hub]
+    return Graph(n, [(hub, u) for u in leaves] + list(zip(leaves[:-1:2], leaves[1::2])))
+
+
+@settings(max_examples=200)
+@given(arbitrary_graphs(max_nodes=30))
+@example(Graph(0, []))
+@example(Graph(1, []))
+@example(Graph(6, [(1, 4)]))  # isolated nodes before, between and after
+@example(_hub(1203, 0))  # the hub's neighbors all above it, each leaf's at most one below
+@example(_hub(1203, 1202))  # all below it
+@example(_hub(1203, 601))  # on both sides
+def test_writers_match_an_edge_by_edge_reference(g):
+    assert (format_edgelist(g), format_matrix_market(g), format_dot(g)) == _edge_by_edge(g)
