@@ -34,8 +34,11 @@ __all__ = ["main"]
 # the package this module was loaded with.  The modules that import numpy
 # are read from it when a command first needs them, not from whatever
 # package `sys.modules` holds by then, so that a package imported afresh
-# beside this one, as the benchmark's repeated set-up does, never mixes
-# module copies
+# beside this one, as the benchmark's repeated set-up does, does not mix
+# module copies.  That holds for the modules this package had loaded
+# before the new copy was imported, and the benchmark's set-up imports
+# all of them: one first loaded after that resolves through
+# `sys.modules["coresat"]` and comes from the new copy
 _PACKAGE = sys.modules[__package__]
 
 GENERATE_NODE_LIMIT = 10**6
@@ -44,7 +47,10 @@ GENERATE_NODE_LIMIT = 10**6
 # `metrics --core 1 --satellites 1:999999`, 2 cores, Python 3.11)
 GENERATE_EDGE_LIMIT = 10**6
 # the summed m over a sweep's rows, checked before the first row is
-# built; the default sweep has 1,884,400 edges over its 300 rows
+# built.  A sweep holds one row's graph at a time, so this bounds its
+# time, not its memory: `sweep --pmax 231`, whose rows sum to 9,981,510
+# edges, takes 3.0-3.5 s and peaks at 19 MiB (2 cores, Python 3.11).
+# The default sweep's 300 rows sum to 1,884,400 edges
 SWEEP_EDGE_LIMIT = 10**7
 
 

@@ -3,15 +3,14 @@
 All writers are deterministic: the same graph always yields the same
 bytes.  They read the sorted neighbor rows directly, so no edge list is
 built beside them.  Each row is split once, at the row's own node, and
-its lines are made by one ``str.join``: the neighbors above u for the
-edge list and DOT, the ones below for Matrix Market.
+its lines are made by one ``str.join``, or one f-string when that part
+holds one neighbor: the neighbors above u for the edge list and DOT,
+the ones below for Matrix Market.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress
-from operator import lt
-from typing import Iterator
+from operator import sub
 
 from .exceptions import InvalidParameterError
 from .graphs import Graph
@@ -19,31 +18,34 @@ from .graphs import Graph
 __all__ = ["format_edgelist", "format_matrix_market", "format_dot", "format_graph", "GRAPH_FORMATS"]
 
 
-def _row_lines(g: Graph, above: bool, lead: str, mid: str, end: str, base: int = 0) -> Iterator[str]:
-    """The lines ``{lead}{u}{mid}{v}{end}`` of each row u, one block of them per row.
+def _row_lines(g: Graph, above: bool, lead: str, mid: str, end: str, base: int = 0) -> list[str]:
+    """The lines ``{lead}{u}{mid}{v}{end}``, one string per row u that has any.
 
     ``v`` runs over the neighbors of u above it, or below it when
-    ``above`` is false, in ascending order; rows with none give no
-    block.  ``base`` is added to every node label.
+    ``above`` is false, in ascending order.  ``base`` is added to every
+    node label.
     """
-    # labels[v] is the text of v + base, made once for all the rows that
-    # name v.  It grows only as far as the rows reach, doubling, so the
-    # lower halves of a star's rows need one label, not n
-    labels: list[str] = []
-    label = labels.__getitem__
-    cuts = list(map(bisect_left, g.adj, range(g.n)))
-    # rows with no neighbor on the asked side are skipped before the loop
-    some = map(lt, cuts, map(len, g.adj)) if above else cuts
-    for u, row, cut in compress(zip(range(g.n), g.adj, cuts), some):
+    labels: list[str] = []  # labels[v] is the text of v + base
+
+    def block(u: int, row: tuple[int, ...], cut: int) -> str:
+        """The lines of a part of two or more neighbors, made by one join."""
+        if not labels:  # made on first use: a star's Matrix Market builds none
+            labels.extend(map(str, range(base, g.n + base)))
+        first = f"{lead}{u}{mid}"
         part = row[cut:] if above else row[:cut]
-        if part[-1] >= len(labels):
-            grown = min(max(part[-1] + 1, 2 * len(labels)), g.n)
-            labels.extend(map(str, range(len(labels) + base, grown + base)))
-        if len(part) == 1:  # a leaf's row: one line, no separator to build
-            yield f"{lead}{u + base}{mid}{label(part[0])}{end}"
-        else:
-            first = f"{lead}{u + base}{mid}"
-            yield first + f"{end}\n{first}".join(map(label, part)) + end
+        return first + f"{end}\n{first}".join(map(labels.__getitem__, part)) + end
+
+    cuts = list(map(bisect_left, g.adj, range(g.n)))
+    sizes = map(sub, map(len, g.adj), cuts) if above else cuts
+    at = -1 if above else 0
+    # a part of one neighbor, row[at], is one f-string: a star at the node
+    # limit has a million such rows, and slicing and joining them would
+    # take twice as long
+    return [
+        block(u, row, cut) if size > 1 else f"{lead}{u}{mid}{row[at] + base}{end}"
+        for u, row, cut, size in zip(range(base, g.n + base), g.adj, cuts, sizes)
+        if size
+    ]
 
 
 def format_edgelist(g: Graph) -> str:
