@@ -18,28 +18,13 @@ from dataclasses import asdict
 from itertools import repeat
 from typing import Sequence
 
-from . import metrics as metrics_mod
-from .exceptions import (
-    DEFAULT_DENSE_LIMIT,
-    InvalidParameterError,
-    NumericFailureError,
-    SizeLimitError,
-)
+from . import metrics as metrics_mod, oracle, spectra, verification
+from .exceptions import InvalidParameterError, NumericFailureError, SizeLimitError
 from .graphs import generalized_core_satellite
 from .io import GRAPH_FORMATS, format_graph
 from .params import GeneralizedParams
 
 __all__ = ["main"]
-
-# the package this module was loaded with.  The modules that import numpy
-# are read from it when a command first needs them, not from whatever
-# package `sys.modules` holds by then, so that a package imported afresh
-# beside this one, as the benchmark's repeated set-up does, does not mix
-# module copies.  That holds for the modules this package had loaded
-# before the new copy was imported, and the benchmark's set-up imports
-# all of them: one first loaded after that resolves through
-# `sys.modules["coresat"]` and comes from the new copy
-_PACKAGE = sys.modules[__package__]
 
 GENERATE_NODE_LIMIT = 10**6
 # checked from the parameters before any graph is built; building and
@@ -180,16 +165,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    oracle, spectra = _PACKAGE.oracle, _PACKAGE.spectra
-
     params = GeneralizedParams(args.core, args.satellites)
     # every method solves the quotient over the core and the t satellite
     # sizes.  Within the edge limit t + 1 is at most 181, so only the
     # closed forms, which build no graph, can reach this limit
     cells = params.class_count + 1
-    if cells > DEFAULT_DENSE_LIMIT:
+    if cells > oracle.DEFAULT_DENSE_LIMIT:
         raise SizeLimitError(
-            f"a quotient of {cells} cells exceeds the dense limit {DEFAULT_DENSE_LIMIT}"
+            f"a quotient of {cells} cells exceeds the dense limit {oracle.DEFAULT_DENSE_LIMIT}"
         )
     payload = _params_json(params)
     payload["method"] = args.method
@@ -276,7 +259,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = _PACKAGE.verification.run_checks(
+    results = verification.run_checks(
         tol=args.tol,
         dense_limit=args.dense_limit,
         max_enum_n=args.max_n,
@@ -363,9 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--dense-limit",
         type=_positive_int,
-        default=DEFAULT_DENSE_LIMIT,
+        default=oracle.DEFAULT_DENSE_LIMIT,
         help="largest n for dense numeric eigensolves "
-        f"(default {DEFAULT_DENSE_LIMIT})",
+        f"(default {oracle.DEFAULT_DENSE_LIMIT})",
     )
     p_ver.add_argument(
         "--max-n",

@@ -1,11 +1,4 @@
-"""Exception types and the dense size guard shared across the package.
-
-The guard lives here, beside the error it raises, so that the CLI can
-read it without importing numpy.
-"""
-
-# largest side of a dense matrix, or of a quotient, handed to the eigensolver
-DEFAULT_DENSE_LIMIT = 2000
+"""Exception types shared across the package."""
 
 
 class InvalidParameterError(ValueError):

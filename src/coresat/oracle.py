@@ -13,22 +13,25 @@ scanning every node subset, but it is still brute force: it reads only
 the graph's rows, each triangle, path and star it counts is one it
 found, and no formula or identity of ``metrics`` stands in for a count.
 Size guards keep the dense and brute-force paths at brute-force scale.
+numpy is imported inside the functions that use it, so that importing
+the package does not load it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .exceptions import DEFAULT_DENSE_LIMIT, NumericFailureError, SizeLimitError
+from .exceptions import NumericFailureError, SizeLimitError
 from .graphs import Graph, twin_classes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_DENSE_LIMIT",
     "DEFAULT_ENUM_LIMIT",
     "SubgraphCounts",
-    "check_dense_size",
     "adjacency_matrix",
     "laplacian_matrix",
     "eigenvalues_symmetric",
@@ -37,18 +40,17 @@ __all__ = [
     "local_clustering",
 ]
 
+# largest side of a dense matrix, or of a quotient, handed to the eigensolver
+DEFAULT_DENSE_LIMIT = 2000
 DEFAULT_ENUM_LIMIT = 50
 
 
-def check_dense_size(n: int, max_n: int) -> None:
-    """Refuse a dense n-by-n matrix when n exceeds ``max_n``."""
-    if n > max_n:
-        raise SizeLimitError(f"n={n} exceeds dense limit {max_n}")
-
-
 def adjacency_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Dense 0/1 adjacency matrix as float64."""
-    check_dense_size(g.n, max_n)
+    """Dense 0/1 adjacency matrix as float64; refused when n exceeds ``max_n``."""
+    import numpy as np
+
+    if g.n > max_n:
+        raise SizeLimitError(f"n={g.n} exceeds dense limit {max_n}")
     a = np.zeros((g.n, g.n))
     rows = np.repeat(np.arange(g.n), g.degrees())
     cols = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.intp, count=2 * g.m)
@@ -58,6 +60,8 @@ def adjacency_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
 
 def laplacian_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense combinatorial Laplacian D - A as float64."""
+    import numpy as np
+
     a = adjacency_matrix(g, max_n)
     lap = -a
     lap[np.diag_indices(g.n)] = [float(k) for k in g.degrees()]
@@ -70,6 +74,8 @@ def eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:
     Raises NumericFailureError if the decomposition does not converge;
     a silent bad answer is never returned.
     """
+    import numpy as np
+
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -102,6 +108,8 @@ def twin_reduced_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     ``eigenvalues_symmetric``.  Guarded by ``DEFAULT_DENSE_LIMIT`` on C,
     not on n.
     """
+    import numpy as np
+
     firsts, sizes, cliques, counts, links = twin_classes(g)
     cells = len(firsts)
     if cells > DEFAULT_DENSE_LIMIT:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exceptions import InvalidParameterError
 from .oracle import eigenvalues_symmetric
 from .params import GeneralizedParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpectrumResult",
@@ -125,6 +127,8 @@ def divisor_matrix(params: GeneralizedParams) -> np.ndarray:
     a symmetric matrix with the same eigenvalues, so a symmetric solver
     applies.
     """
+    import numpy as np
+
     c = params.core
     t = params.class_count
     b = np.zeros((t + 1, t + 1))

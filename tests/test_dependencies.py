@@ -7,7 +7,8 @@ the direct metrics kernel share no module but ``graphs``, and
 the kernel reads it to weight its classes and the twin-reduced spectra
 to build their quotient matrix, only ``graphs`` calls the twin scan
 under it, and the subgraph listing that checks the kernel uses neither.
-numpy itself loads only with the modules that solve eigenvalues.
+numpy itself is imported only inside the functions that build a matrix
+or solve eigenvalues, so it loads on the first of those calls.
 """
 from __future__ import annotations
 
@@ -105,11 +106,38 @@ def test_only_graphs_builds_the_twin_quotient():
     assert quotient - {"graphs"} == {"metrics", "oracle"}
 
 
-# generate, metrics and sweep run in a child process, which then says
-# whether numpy is loaded, before and after a numeric name is read
+def _module_level_imports(body):
+    """The imports a module runs when it loads: not in a function, nor under TYPE_CHECKING."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            yield from _module_level_imports(node.orelse)
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level_imports(getattr(node, field, ()))
+
+
+def test_no_module_imports_numpy_when_it_loads():
+    loaded = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")).body)
+        if "numpy" in _imported_roots(node)
+    }
+    assert loaded == set()
+
+
+# every module is imported and generate, metrics and sweep run in a child
+# process, which then says whether numpy is loaded, before and after one
+# spectral radius is solved
 NO_NUMPY_CHILD = """
 import contextlib, io, sys
 import coresat
+import coresat.cli, coresat.exceptions, coresat.graphs, coresat.io, coresat.metrics
+import coresat.oracle, coresat.params, coresat.spectra, coresat.verification
 from coresat.cli import main
 argvs = (
     ["generate", "--core", "2", "--satellites", "3:2", "--format", "mtx"],
@@ -119,7 +147,7 @@ argvs = (
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in argvs]
 print(codes, "numpy" in sys.modules)
-coresat.spectral_radius
+coresat.spectral_radius(coresat.GeneralizedParams(2, [(3, 2)]))
 print("numpy" in sys.modules)
 """
 
@@ -166,3 +194,28 @@ print(codes, sorted(set(calls)))
 def test_cli_calls_the_numeric_modules_of_its_own_package():
     expected = "[0, 0] ['run_checks', 'spectral_indices', 'twin_reduced_spectra']\n"
     assert _run_child(FRESH_PACKAGE_CHILD) == expected
+
+
+# the cli alone is imported, then the package again beside it, as a
+# harness that re-imports it does; the first copy's cli must still
+# catch the error its own spectra raise past the float range
+LONE_CLI_CHILD = """
+import contextlib, importlib, io, sys
+import coresat.cli
+cli = sys.modules["coresat.cli"]
+for name in [m for m in sys.modules if m == "coresat" or m.startswith("coresat.")]:
+    del sys.modules[name]
+importlib.import_module("coresat")
+for name in ("params", "graphs", "metrics", "spectra", "oracle", "verification", "io", "cli"):
+    importlib.import_module(f"coresat.{name}")
+err = io.StringIO()
+argv = ["spectrum", "--core", str(10**309), "--satellites", "1:2", "--method", "analytic"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = cli.main(argv)
+print(code, err.getvalue(), end="")
+"""
+
+
+def test_cli_alone_catches_the_errors_of_its_own_package():
+    expected = "2 error: parameters exceed the float range of the spectra\n"
+    assert _run_child(LONE_CLI_CHILD) == expected
