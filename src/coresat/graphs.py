@@ -161,22 +161,22 @@ def run_neighbors(g: Graph, firsts: list[int]) -> list[tuple[int, ...]]:
     return [tuple(compress(row, map(starts.__contains__, row))) for row in rows]
 
 
-def twin_classes(
-    g: Graph,
-) -> tuple[list[int], list[int], list[bool], list[int], list[Counter[int]]]:
-    """First nodes, run sizes, clique flags, run counts and links of the classes of runs.
+def twin_classes(g: Graph) -> tuple[list[int], list[int], list[int], list[Counter[int]]]:
+    """First nodes, run sizes, run counts and the divisor matrix B of the classes of runs.
 
-    This is the one place that builds the twin quotient.  The runs of
-    ``twin_runs`` with the same size z, kind and runs next to them
-    (``run_neighbors``) form a class, in the order of their first runs;
-    its links map each class j to the number of class-j runs next to
-    each of its runs.  Runs of one class share their neighbor runs, so
-    a run next to one is next to all, and no two are adjacent, which
-    would put a run next to itself.  So the union of a class is an
-    equitable cell: each of its nodes has links[j] * z_j neighbors in
-    class j, plus z - 1 in its own run if that is a clique, and no
-    other.  A core-satellite graph of t satellite sizes gives t + 1
-    classes.
+    This is the one place that builds the twin quotient, and the only
+    one that knows its unit, the run.  The runs of ``twin_runs`` with
+    the same size z, kind and runs next to them (``run_neighbors``) form
+    a class, in the order of their first runs.  Runs of one class share
+    their neighbor runs, so a run next to one is next to all, and no two
+    are adjacent, which would put a run next to itself.  So the union of
+    a class is an equitable cell, and B[i][j] counts the neighbors in
+    class j of each node of class i: the class-j runs next to its run
+    times z_j, and on the diagonal the z - 1 mates of a clique run.
+    Nothing is stored for an independent run's diagonal, so a run is a
+    clique exactly when B[i][i] > 0.  A core-satellite graph of t
+    satellite sizes gives t + 1 classes and the paper's B: B00 = c - 1,
+    B0i = eta_i * s_i, Bi0 = c and Bii = s_i - 1 (a K_n gives [{0: n - 1}]).
     """
     firsts, sizes, cliques = twin_runs(g)
     keys = list(zip(sizes, cliques, run_neighbors(g, firsts)))
@@ -185,13 +185,16 @@ def twin_classes(
     of_run = dict(zip(firsts, map(index.__getitem__, keys)))
     # the last value per key wins, so reversed it is the first run's
     reps = dict(zip(reversed(keys), reversed(firsts)))
-    return (
-        list(map(reps.__getitem__, counts)),
-        [z for z, _, _ in counts],
-        [clique for _, clique, _ in counts],
-        list(counts.values()),
-        [Counter(map(of_run.__getitem__, near)) for _, _, near in counts],
-    )
+    zs = [z for z, _, _ in counts]
+    quotient = []
+    for i, (z, clique, near) in enumerate(counts):
+        row = Counter(map(of_run.__getitem__, near))
+        for j, links in row.items():
+            row[j] = links * zs[j]
+        if clique:
+            row[i] = z - 1
+        quotient.append(row)
+    return list(map(reps.__getitem__, counts)), zs, list(counts.values()), quotient
 
 
 def complete_graph(p: int) -> Graph:

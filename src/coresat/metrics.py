@@ -9,13 +9,14 @@ twins (equal open ones) with one size and kind and the same runs next
 to them form a class, an equitable cell (Cvetkovic, Rowlinson & Simic,
 *An Introduction to the Theory of Graph Spectra*, 2010), and an
 automorphism swaps any two runs of a class, so they share degree,
-triangles and neighbor degree sum.  The kernel evaluates each class
-once, at its first node, weighted by its node count: t + 1 classes for
-t satellite sizes, 4 for every sweep graph.  Only proven twins are
-merged, so the result is exact on any graph; a graph without twins
-gives classes of one node each.  Every metric is a field of its one
-``MetricsReport``; ``oracle.local_clustering`` gives one node's
-clustering by brute force.
+triangles and neighbor degree sum.  The kernel reads the cells' integer
+divisor matrix B, the neighbors each node of class i has in class j,
+and evaluates each class once, at its first node, weighted by its node
+count: t + 1 classes for t satellite sizes, 4 for every sweep graph.
+Only proven twins are merged, so the result is exact on any graph; a
+graph without twins gives classes of one node each.  Every metric is a
+field of its one ``MetricsReport``; ``oracle.local_clustering`` gives
+one node's clustering by brute force.
 
 Only the first node of each class gets a bitset row, indexed by node,
 so that an AND of two rows counts common neighbors exactly.  Row u spans
@@ -123,18 +124,16 @@ def _count_ratios(m: int, t: int, p2: int, p3: int, s13: int) -> tuple[float, fl
 def compute_metrics(g: Graph) -> MetricsReport:
     """All metrics of ``g`` by direct computation, once per class of twin runs.
 
-    ``graphs.twin_classes`` groups the runs of twins into classes, each
+    ``graphs.twin_classes`` groups the nodes into classes, each
     evaluated once at its first node r, with degree k; the class's node
-    count, its runs times their size z, weights every sum.  Only r gets
-    a Python int bitset row, one per class.  Every node of a class j
-    next to r is in N(r) and has as many common neighbors with r as
-    class j's first node d has, ``(bits[r] & bits[d]).bit_count()``, so
-    the sum of that count times the links[j] * z_j nodes of class j next
-    to r, plus k - 1 for each of r's z - 1 twins in a clique run, is
-    twice the triangles through r.  The twins of r in a run of false
-    twins are not in N(r).  The neighbor degree sum of r is the sum of
-    links[j] * z_j * k_d over the same classes, with k_d the degree of
-    d, plus k for each twin in a clique run.
+    count, its runs times their size, weights every sum.  Only r gets a
+    Python int bitset row, one per class.  Each of the B[i][j] nodes of
+    class j next to r has as many common neighbors with r as class j's
+    first node d has, ``(bits[r] & bits[d]).bit_count()``.  On the
+    diagonal, d is r itself: its k common neighbors overcount each of
+    its B[i][i] mates by one, the mate itself.  So twice the
+    triangles through r is sum_j B[i][j] * common(r, d_j) - B[i][i], and
+    the neighbor degree sum of r is sum_j B[i][j] * k_d.
     The edge sums come from node sums: se = sum k_u*k_v is half of
     sum_u k_u * (neighbor degree sum of u), ss = sum (k_u + k_v) is
     sum k**2 and sq = sum (k_u**2 + k_v**2) is sum k**3.  The Pearson
@@ -145,7 +144,7 @@ def compute_metrics(g: Graph) -> MetricsReport:
     the ``Fraction`` (sum over k of T_k / C(k, 2)) / n, rounded once.
     """
     n, m = g.n, g.m
-    firsts, sizes, cliques, counts, links = twin_classes(g)
+    firsts, sizes, counts, quotient = twin_classes(g)
     rows = list(map(g.adj.__getitem__, firsts))
     # rows are sorted, so row u takes row[-1] + 1 bits
     size = sum(row[-1] + 1 for row in rows if row)
@@ -157,13 +156,11 @@ def compute_metrics(g: Graph) -> MetricsReport:
     deg = list(map(len, rows))
     weights = list(map(mul, counts, sizes))
     twice, nds = [], []
-    for b, k, z, clique, near in zip(bits, deg, sizes, cliques, links):
-        # the nodes of class j next to r: its runs there times their size
-        span = list(map(mul, near.values(), map(sizes.__getitem__, near)))
+    for i, (b, near) in enumerate(zip(bits, quotient)):
+        # r has k neighbors in common with itself, a mate in its run k - 1
         common = map(int.bit_count, map(b.__and__, map(bits.__getitem__, near)))
-        mates = (z - 1) * clique
-        twice.append(sum(map(mul, span, common)) + mates * (k - 1))
-        nds.append(sum(map(mul, span, map(deg.__getitem__, near))) + mates * k)
+        twice.append(sum(map(mul, near.values(), common)) - near[i])
+        nds.append(sum(map(mul, near.values(), map(deg.__getitem__, near))))
     squares = list(map(mul, deg, deg))
     t = sum(map(mul, weights, twice)) // 6
     # sum over edges of k_u * k_v

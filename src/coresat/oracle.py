@@ -3,10 +3,10 @@
 Everything here is deliberately independent of the closed forms: dense
 matrices, a full symmetric eigendecomposition, twin-reduced spectra,
 subgraph counts by listing every instance and local clustering from
-neighbor sets.  ``twin_reduced_spectra`` solves only the quotient over
-the classes of twin runs of ``graphs.twin_classes``, t + 1 cells for a
-core-satellite graph of t satellite sizes; every other eigenvalue is an
-exact contrast value.  It is what ``spectrum --method numeric|both``
+neighbor sets.  ``twin_reduced_spectra`` solves only the divisor
+matrix B of ``graphs.twin_classes``, t + 1 cells for a core-satellite
+graph of t satellite sizes; every other eigenvalue is an exact contrast
+value.  It is what ``spectrum --method numeric|both``
 runs, and the dense matrices stay as the brute-force check on it in
 ``verify`` and the tests.  The listing walks the rows instead of
 scanning every node subset, but it is still brute force: it reads only
@@ -95,39 +95,36 @@ def twin_reduced_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     ``graphs.twin_classes`` splits the nodes into C classes of twin runs,
     an equitable partition read from the rows alone (Cvetkovic, Rowlinson
-    & Simic, *An Introduction to the Theory of Graph Spectra*, 2010).  A
-    vector on one run that sums to zero is an eigenvector: of A with
-    eigenvalue -1 on a clique run and 0 on an independent one, and of
-    L = D - A with d + 1 or d; each run gives z - 1 of them.  So is a
-    vector constant on each run of a class that sums to zero over the
-    class, with eigenvalue z - 1 on clique runs and 0 on independent
-    ones for A, d minus that for L; each class gives count - 1 of them.
-    All of these are exact.  The other C eigenvalues are those of the
-    quotient, symmetrized to off-diagonal sqrt(links_ij * z_j * links_ji
-    * z_i) (negated for L) and diagonal as above, solved by
-    ``eigenvalues_symmetric``.  Guarded by ``DEFAULT_DENSE_LIMIT`` on C,
-    not on n.
+    & Simic, *An Introduction to the Theory of Graph Spectra*, 2010), and
+    gives its divisor matrix B: B_ij neighbors in class j for each node
+    of class i, and B_ii > 0 exactly on a clique run.  A vector on one
+    run that sums to zero is an eigenvector: of A with eigenvalue -1 on
+    a clique run and 0 on an independent one, and of L = D - A with
+    d + 1 or d; each run gives z - 1 of them.  So is a vector constant
+    on each run of a class that sums to zero over the class, with
+    eigenvalue B_ii for A and d - B_ii for L, where d is B's row sum;
+    each class gives count - 1 of them.  All of these are exact.  The
+    other C eigenvalues are those of B, symmetrized to sqrt(B_ij * B_ji),
+    whose diagonal is B_ii (for L: d - B_ii, and the off-diagonal
+    negated), solved by ``eigenvalues_symmetric``.  Guarded by
+    ``DEFAULT_DENSE_LIMIT`` on C, not on n.
     """
     import numpy as np
 
-    firsts, sizes, cliques, counts, links = twin_classes(g)
-    cells = len(firsts)
+    _, sizes, counts, quotient = twin_classes(g)
+    cells = len(sizes)
     if cells > DEFAULT_DENSE_LIMIT:
         raise SizeLimitError(
             f"{cells} classes of twins exceed dense limit {DEFAULT_DENSE_LIMIT}"
         )
     z, count = np.array(sizes, dtype=np.intp), np.array(counts, dtype=np.intp)
-    # a node of class i has links[i][j] * z_j neighbors in class j
-    quotient = np.zeros((cells, cells))
-    for row, near in zip(quotient, links):
+    b = np.zeros((cells, cells))
+    for row, near in zip(b, quotient):
         row[list(near)] = list(near.values())
-    quotient *= z
-    adjacency = np.sqrt(quotient * quotient.T)
+    adjacency = np.sqrt(b * b.T)
     laplacian = -adjacency
-    clique = np.array(cliques, dtype=bool)
-    degree = np.array([len(g.adj[u]) for u in firsts], dtype=float)
-    own = np.where(clique, z - 1, 0.0)
-    adjacency[np.diag_indices(cells)] = own
+    degree, own = b.sum(1), b.diagonal()
+    clique = own > 0
     laplacian[np.diag_indices(cells)] = degree - own
     # z - 1 contrasts inside each run, count - 1 across the runs of a class
     inside = np.repeat(np.arange(cells), count * (z - 1))
@@ -137,8 +134,8 @@ def twin_reduced_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         (laplacian, degree[inside] + clique[inside], degree[across] - own[across]),
     )
     return tuple(
-        np.sort(np.concatenate((eigenvalues_symmetric(quotient), *exact)))[::-1]
-        for quotient, *exact in spectra
+        np.sort(np.concatenate((eigenvalues_symmetric(matrix), *exact)))[::-1]
+        for matrix, *exact in spectra
     )
 
 

@@ -256,8 +256,11 @@ def run_checks(
 
     Each ``GRID`` and ``sample_generalized_params()`` graph is built once,
     with its direct and closed-form metrics, and shared by every check
-    that reads it.
+    that reads it.  ``tol`` must be finite and > 0: an infinite one
+    passes any spectrum, and a negative one fails a correct one.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"tol must be a finite number > 0, got {tol!r}")
     # the grid builds through the ``core_satellite`` alias, which the
     # benchmark's tracer wraps apart from ``generalized_core_satellite``
     grid = [_case(p, core_satellite(p), triangle_sign_fault) for p in GRID]

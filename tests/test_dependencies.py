@@ -3,10 +3,11 @@
 scipy, networkx and sympy may serve as independent references in the
 tests; numpy is the package's one runtime dependency.  The oracle and
 the direct metrics kernel share no module but ``graphs``, and
-``graphs.twin_classes`` is the one place that builds the twin quotient:
-the kernel reads it to weight its classes and the twin-reduced spectra
-to build their quotient matrix, only ``graphs`` calls the twin scan
-under it, and the subgraph listing that checks the kernel uses neither.
+``graphs.twin_classes`` is the one place that builds the twin quotient,
+its integer divisor matrix B: the kernel reads B to weight its common
+neighbor counts and the twin-reduced spectra to build their quotient
+matrix, only ``graphs`` calls the twin scan under it and knows its runs,
+and the subgraph listing that checks the kernel uses neither.
 numpy itself is imported only inside the functions that build a matrix
 or solve eigenvalues, so it loads on the first of those calls.
 """

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID_PARAMS, bfs_distances
+from conftest import GRID_PARAMS, bfs_distances, generalized_params
 from coresat import (
     GeneralizedParams,
     Graph,
@@ -25,6 +25,7 @@ from coresat import (
     star,
     windmill,
 )
+from coresat.graphs import twin_classes
 from coresat.verification import GRID, sample_generalized_params
 
 
@@ -270,3 +271,41 @@ def test_diameter_two_with_multiple_satellites():
 def test_satellite_count_one_gives_complete_graph():
     g = generalized_core_satellite(GeneralizedParams(2, [(3, 1)]))
     assert g.m == math.comb(5, 2)
+
+
+def _assert_papers_quotient(p):
+    """``twin_classes`` of the graph of ``p`` gives the paper's divisor matrix B exactly.
+
+    B00 = c - 1, B0i = eta_i * s_i, Bi0 = c and Bii = s_i - 1 over the
+    partition {core, class 1, ..., class t}, with no zero entry stored.
+    One satellite gives K_n, a single clique run.  Exact integers read
+    from the graph's rows, at any size and with no eigensolve.
+    """
+    _, sizes, counts, quotient = twin_classes(generalized_core_satellite(p))
+    quotient = list(map(dict, quotient))
+    if p.satellite_total == 1:
+        assert (sizes, counts, quotient) == ([p.n], [1], [{0: p.n - 1}])
+        return
+    c = p.core
+    core = {0: c - 1} if c > 1 else {}
+    core.update((i, cls.count * cls.size) for i, cls in enumerate(p.classes, 1))
+    rows = [{0: c, i: cls.size - 1} for i, cls in enumerate(p.classes, 1)]
+    assert quotient == [core] + [{j: x for j, x in row.items() if x} for row in rows]
+    nodes = [c] + [cls.count * cls.size for cls in p.classes]
+    assert [z * k for z, k in zip(sizes, counts)] == nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(generalized_params())
+@example(GeneralizedParams(1, [(1, 3), (2, 2)]))  # c = 1: a hub of one node, leaves in one run
+@example(GeneralizedParams(4, [(1, 1), (3, 1)]))  # a class of one leaf
+@example(GeneralizedParams(1, [(1, 1)]))  # K_2
+@example(GeneralizedParams(10, [(3, 100), (5, 100), (7, 100)]))
+@example(GeneralizedParams(1, [(2, 25000)]))
+def test_twin_classes_give_the_papers_integer_quotient(p):
+    _assert_papers_quotient(p)
+
+
+def test_twin_classes_give_the_papers_quotient_on_every_grid_point():
+    for p in GRID:
+        _assert_papers_quotient(p)

@@ -573,7 +573,7 @@ def test_kernel_classes_match_enumeration_and_set_sums(g):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(lookalike_runs(), relabelled_family_graphs()))
 def test_twin_classes_are_equitable_cells_of_runs_apart(g):
-    firsts, sizes, cliques, counts, links = twin_classes(g)
+    firsts, sizes, counts, quotient = twin_classes(g)
     # a run's class, found from node sets: its size, its kind and the
     # nodes next to it outside the run
     run_of, keys = {}, []
@@ -583,18 +583,23 @@ def test_twin_classes_are_equitable_cells_of_runs_apart(g):
         keys.append((r, (z, clique, frozenset(g.adj[r]) - set(run))))
     classes = list(dict.fromkeys(key for _, key in keys))
     assert [next(r for r, key in keys if key == c) for c in classes] == firsts
-    assert [(z, clique) for z, clique, _ in classes] == list(zip(sizes, cliques))
+    assert [z for z, _, _ in classes] == sizes
     assert [sum(key == c for _, key in keys) for c in classes] == counts
     class_of = {u: classes.index(key) for r, key in keys for u in range(r, r + key[0])}
     assert sum(map(mul, counts, sizes)) == g.n
+    for i, (z, clique, _) in enumerate(classes):
+        # B_ii holds a clique run's mates; nothing is stored for an independent run
+        if clique:
+            assert quotient[i][i] == z - 1 > 0
+        else:
+            assert i not in quotient[i]
     for u in range(g.n):
         i = class_of[u]
-        inside = [v for v in g.adj[u] if run_of[v] == run_of[u]]
-        outside = Counter(class_of[v] for v in g.adj[u] if run_of[v] != run_of[u])
-        assert len(inside) == (sizes[i] - 1 if cliques[i] else 0)
-        assert outside == {j: links[i][j] * sizes[j] for j in links[i]}
-        # no run of u's class is next to u's run
-        assert i not in outside
+        # B counts every neighbor of u, its own run's mates included, and
+        # stores no zero entry
+        assert dict(Counter(class_of[v] for v in g.adj[u])) == dict(quotient[i])
+        # no other run of u's class is next to u
+        assert all(run_of[v] == run_of[u] for v in g.adj[u] if class_of[v] == i)
 
 
 def test_kernel_builds_one_bitset_row_per_class(monkeypatch):

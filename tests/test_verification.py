@@ -71,10 +71,12 @@ def test_injected_fault_is_caught():
     assert [r.name for r in results if not r.passed] == ["clustering-closed-forms"]
 
 
-def test_nan_tolerance_fails_the_spectrum_checks():
-    by_name = {r.name: r for r in run_checks(tol=float("nan"))}
-    for name in ("adjacency-spectra", "generalized-spectra", "laplacian-spectra"):
-        assert not by_name[name].passed, name
+@pytest.mark.parametrize("tol", [0, -1, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # an infinite tolerance would pass a wrong spectrum and a negative
+    # one fail a right one; argparse refuses the same values for --tol
+    with pytest.raises(InvalidParameterError, match="tol must be a finite number > 0"):
+        run_checks(tol=tol)
 
 
 def test_closed_form_checks_cover_the_sampled_multiclass_graphs(monkeypatch):
