@@ -40,10 +40,10 @@ from .spectra import (
     SpectralIndices,
     SpectrumResult,
     adjacency_spectrum_gcs,
-    divisor_matrix,
     laplacian_spectrum_gcs,
     max_spectrum_deviation,
     principal_eigenvector,
+    quotient,
     spectral_indices,
     spectral_radius,
     spectral_radius_bounds,
@@ -75,7 +75,6 @@ __all__ = [
     "complete_split",
     "compute_metrics",
     "disjoint_union",
-    "divisor_matrix",
     "eigenvalues_symmetric",
     "empty_graph",
     "exhaustive_subgraph_counts",
@@ -92,6 +91,7 @@ __all__ = [
     "local_clustering",
     "max_spectrum_deviation",
     "principal_eigenvector",
+    "quotient",
     "run_checks",
     "sample_generalized_params",
     "spectral_indices",

@@ -3,22 +3,23 @@
 Everything here is deliberately independent of the closed forms: dense
 matrices, a full symmetric eigendecomposition, twin-reduced spectra,
 subgraph counts by listing every instance and local clustering from
-neighbor sets.  ``twin_reduced_spectra`` solves only the divisor
-matrix B of ``graphs.twin_classes``, t + 1 cells for a core-satellite
-graph of t satellite sizes; every other eigenvalue is an exact contrast
-value.  It is what ``spectrum --method numeric|both``
-runs, and the dense matrices stay as the brute-force check on it in
-``verify`` and the tests.  The listing walks the rows instead of
-scanning every node subset, but it is still brute force: it reads only
-the graph's rows, each triangle, path and star it counts is one it
-found, and no formula or identity of ``metrics`` stands in for a count.
-Size guards keep the dense and brute-force paths at brute-force scale.
-numpy is imported inside the functions that use it, so that importing
-the package does not load it.
+neighbor sets.  ``twin_reduced_spectra``, run by ``spectrum --method
+numeric|both``, solves only the integer divisor matrix B of
+``graphs.twin_classes``, t + 1 cells for a core-satellite graph of t
+satellite sizes; every other eigenvalue is an exact contrast value.  Its
+``symmetric_quotient`` serves the closed forms too, on their B, so the
+dense matrices of ``verify`` and the tests check it.  The listing walks
+the rows instead of scanning every node subset, but it is still brute
+force: it reads only the graph's rows, each triangle, path and star it
+counts is one it found, and no formula or identity of ``metrics`` stands
+in for a count.  Size guards keep the dense and brute-force paths at
+brute-force scale.  numpy is imported inside the functions that use it,
+so that importing the package does not load it.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,6 +36,7 @@ __all__ = [
     "adjacency_matrix",
     "laplacian_matrix",
     "eigenvalues_symmetric",
+    "symmetric_quotient",
     "twin_reduced_spectra",
     "exhaustive_subgraph_counts",
     "local_clustering",
@@ -90,6 +92,28 @@ def eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:
     return values[::-1]
 
 
+def symmetric_quotient(quotient: list[dict[int, int]]) -> np.ndarray:
+    """B_ii on the diagonal, sqrt(B_ij * B_ji) off it: B symmetrized, same eigenvalues.
+
+    B is a divisor matrix in integer rows, from ``graphs.twin_classes`` or
+    ``spectra.quotient``, and this is B conjugated by diag(sqrt(|C_i|)).
+    Each product is taken in exact ints and rounded once; past the float
+    range, ``OverflowError``.  Guarded by ``DEFAULT_DENSE_LIMIT`` on cells.
+    """
+    cells = len(quotient)
+    if cells > DEFAULT_DENSE_LIMIT:
+        raise SizeLimitError(
+            f"a quotient of {cells} cells exceeds the dense limit {DEFAULT_DENSE_LIMIT}"
+        )
+    import numpy as np
+
+    b = np.zeros((cells, cells))
+    for i, row in enumerate(quotient):
+        for j, links in row.items():
+            b[i, j] = links if i == j else math.sqrt(links * quotient[j].get(i, 0))
+    return b
+
+
 def twin_reduced_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency and Laplacian spectra of ``g``, each all n values sorted descending.
 
@@ -104,31 +128,22 @@ def twin_reduced_spectra(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     on each run of a class that sums to zero over the class, with
     eigenvalue B_ii for A and d - B_ii for L, where d is B's row sum;
     each class gives count - 1 of them.  All of these are exact.  The
-    other C eigenvalues are those of B, symmetrized to sqrt(B_ij * B_ji),
-    whose diagonal is B_ii (for L: d - B_ii, and the off-diagonal
-    negated), solved by ``eigenvalues_symmetric``.  Guarded by
-    ``DEFAULT_DENSE_LIMIT`` on C, not on n.
+    other C eigenvalues are those of ``symmetric_quotient(B)``, for L with
+    diagonal d - B_ii and the rest negated, solved by ``eigenvalues_symmetric``.
     """
     import numpy as np
 
     _, sizes, counts, quotient = twin_classes(g)
-    cells = len(sizes)
-    if cells > DEFAULT_DENSE_LIMIT:
-        raise SizeLimitError(
-            f"{cells} classes of twins exceed dense limit {DEFAULT_DENSE_LIMIT}"
-        )
+    adjacency = symmetric_quotient(quotient)
     z, count = np.array(sizes, dtype=np.intp), np.array(counts, dtype=np.intp)
-    b = np.zeros((cells, cells))
-    for row, near in zip(b, quotient):
-        row[list(near)] = list(near.values())
-    adjacency = np.sqrt(b * b.T)
-    laplacian = -adjacency
-    degree, own = b.sum(1), b.diagonal()
+    degree = np.array([sum(row.values()) for row in quotient], dtype=float)
+    own = adjacency.diagonal()
     clique = own > 0
-    laplacian[np.diag_indices(cells)] = degree - own
+    laplacian = -adjacency
+    np.fill_diagonal(laplacian, degree - own)
     # z - 1 contrasts inside each run, count - 1 across the runs of a class
-    inside = np.repeat(np.arange(cells), count * (z - 1))
-    across = np.repeat(np.arange(cells), count - 1)
+    inside = np.repeat(np.arange(len(z)), count * (z - 1))
+    across = np.repeat(np.arange(len(z)), count - 1)
     spectra = (
         (adjacency, np.where(clique, -1.0, 0.0)[inside], own[across]),
         (laplacian, degree[inside] + clique[inside], degree[across] - own[across]),

@@ -5,33 +5,29 @@ adjacency spectrum has three pieces: -1 from contrasts inside the core
 and inside each satellite clique, s_i-1 from contrasts across the
 copies of class i, and the t+1 eigenvalues of the (t+1)x(t+1) quotient
 over the partition.  A single class is the 2x2 case, with roots
-((c+s-2) +- sqrt((c-s)**2 + 4*eta*c*s)) / 2.  The quotient is evaluated
-as a symmetric matrix eigenproblem, never by expanding polynomial
-coefficients, and a root within 1e-10 of an integer is snapped to it:
-one satellite collapses the family to a complete graph, whose roots
-n-1 and -1 come out exact.
+((c+s-2) +- sqrt((c-s)**2 + 4*eta*c*s)) / 2.  ``quotient`` builds its
+divisor matrix B in integers, as ``graphs.twin_classes`` does from the
+graph, and ``oracle.symmetric_quotient``, shared by both sides, makes it
+a symmetric eigenproblem; no polynomial is expanded.  A root within
+1e-10 of an integer is snapped to it: one satellite collapses the family
+to a complete graph, whose roots n-1 and -1 come out exact.
 
 Laplacian spectra are integer-valued throughout.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .exceptions import InvalidParameterError
-from .oracle import eigenvalues_symmetric
+from .oracle import eigenvalues_symmetric, symmetric_quotient
 from .params import GeneralizedParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SpectrumResult",
     "PrincipalEigenvector",
     "SpectralIndices",
     "adjacency_spectrum_gcs",
-    "divisor_matrix",
+    "quotient",
     "spectral_radius",
     "spectral_radius_bounds",
     "principal_eigenvector",
@@ -100,18 +96,18 @@ def _merge_pairs(pairs: list[tuple[float, int]]) -> tuple[tuple[float, int], ...
         if mult > 0:
             merged[value] = merged.get(value, 0) + mult
     ordered = sorted(merged.items(), key=lambda p: -p[0])
-    return tuple((_float(value), mult) for value, mult in ordered)
+    return tuple((_in_float_range(float, value), mult) for value, mult in ordered)
 
 
-def _float(x: int) -> float:
-    """``float(x)``; ``InvalidParameterError`` past the float range."""
+def _in_float_range(fn, *args):
+    """``fn(*args)``; ``InvalidParameterError`` where it passes the float range."""
     try:
-        return float(x)
+        return fn(*args)
     except OverflowError:
         raise InvalidParameterError("parameters exceed the float range of the spectra") from None
 
 
-def _snap_integers(values: np.ndarray) -> list[float]:
+def _snap_integers(values) -> list[float]:
     out = []
     for v in values:
         r = round(float(v))
@@ -119,32 +115,26 @@ def _snap_integers(values: np.ndarray) -> list[float]:
     return out
 
 
-def divisor_matrix(params: GeneralizedParams) -> np.ndarray:
-    """Symmetrized quotient matrix over {core, class 1, ..., class t}.
+def quotient(params: GeneralizedParams) -> list[dict[int, int]]:
+    """The paper's divisor matrix B over {core, class 1, ..., class t}, in integers.
 
-    The raw quotient B (B[0][0]=c-1, B[0][i]=eta_i*s_i, B[i][0]=c,
-    B[i][i]=s_i-1) is conjugated by diag(sqrt(c), sqrt(eta_i*s_i)) into
-    a symmetric matrix with the same eigenvalues, so a symmetric solver
-    applies.
+    B00 = c - 1, B0i = eta_i * s_i, Bi0 = c and Bii = s_i - 1, one dict
+    per row with no zero entry stored: with two satellites or more, what
+    ``graphs.twin_classes`` reads from the graph.  One satellite keeps
+    its two cells here, where the graph, a K_n, is a single clique run.
     """
-    import numpy as np
-
     c = params.core
-    t = params.class_count
-    b = np.zeros((t + 1, t + 1))
+    rows = [{0: c - 1} if c > 1 else {}]
     for i, cls in enumerate(params.classes, start=1):
-        # c and s_i are at most this product, so its check covers them
-        coupling = math.sqrt(_float(c * cls.count * cls.size))
-        b[i, i] = cls.size - 1
-        b[0, i] = coupling
-        b[i, 0] = coupling
-    b[0, 0] = c - 1
-    return b
+        rows[0][i] = cls.count * cls.size
+        rows.append({0: c, i: cls.size - 1} if cls.size > 1 else {0: c})
+    return rows
 
 
 def _quotient_roots(params: GeneralizedParams) -> list[float]:
     """The t+1 quotient eigenvalues, descending, snapped to integers."""
-    return _snap_integers(eigenvalues_symmetric(divisor_matrix(params)))
+    matrix = _in_float_range(symmetric_quotient, quotient(params))
+    return _snap_integers(eigenvalues_symmetric(matrix))
 
 
 def adjacency_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:

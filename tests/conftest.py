@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import strategies as st
 
-from coresat import GeneralizedParams, Graph, generalized_core_satellite
+from coresat import GeneralizedParams, Graph, generalized_core_satellite, spectra
 
 # the standard verification grid: c, s in 1..5, eta in 2..6
 GRID_PARAMS = [
@@ -15,6 +15,17 @@ GRID_PARAMS = [
     for s in range(1, 6)
     for eta in range(2, 7)
 ]
+
+
+def add_one_to_a_multiplicity(monkeypatch, route: str) -> None:
+    """Patch ``spectra.<route>`` to count its top eigenvalue once more."""
+    real = getattr(spectra, route)
+
+    def one_too_many(params):
+        (value, mult), *rest = real(params).eigenpairs
+        return spectra.SpectrumResult(((value, mult + 1), *rest))
+
+    monkeypatch.setattr(spectra, route, one_too_many)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

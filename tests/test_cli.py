@@ -8,8 +8,10 @@ import re
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from conftest import add_one_to_a_multiplicity
 from coresat import cli, oracle, spectra
 from coresat import metrics as metrics_mod
 from coresat.cli import GENERATE_EDGE_LIMIT, SWEEP_EDGE_LIMIT, main
@@ -162,17 +164,33 @@ def test_spectrum_size_limits_are_read_before_building(method, capsys, monkeypat
 
 @pytest.mark.parametrize("method", ["analytic", "numeric", "both"])
 def test_spectrum_dense_limit_counts_classes(method, capsys, monkeypatch):
-    def refused(params):
-        raise AssertionError("divisor matrix built")
+    def refused(*args, **kwargs):
+        raise AssertionError("graph or matrix built")
 
-    # 2000 satellite sizes and the core: 2001 cells, read from the
-    # parameters before any quotient matrix or graph is built
-    monkeypatch.setattr(spectra, "divisor_matrix", refused)
+    # 2000 satellite sizes and the core: 2001 cells.  The closed forms
+    # build no graph and stop at the guard of oracle.symmetric_quotient,
+    # before its matrix; the numeric routes stop at the node limit, before
+    # any graph
+    monkeypatch.setattr(cli, "generalized_core_satellite", refused)
+    monkeypatch.setattr(np, "zeros", refused)
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", refused)
     satellites = ",".join(f"{size}:1" for size in range(1, 2001))
     argv = ["spectrum", "--core", "1", "--satellites", satellites, "--method", method]
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
-    assert err == "error: a quotient of 2001 cells exceeds the dense limit 2000\n"
+    if method == "analytic":
+        assert err == "error: a quotient of 2001 cells exceeds the dense limit 2000\n"
+    else:
+        assert err == "error: n=2001001 exceeds the limit 1000000\n"
+
+
+@pytest.mark.parametrize("route", ["adjacency", "laplacian"])
+def test_spectrum_wrong_multiplicity_exits_1(route, capsys, monkeypatch):
+    # one multiplicity too many: the sizes differ, so no deviation is taken
+    add_one_to_a_multiplicity(monkeypatch, f"{route}_spectrum_gcs")
+    code, out, err = run(["spectrum", "--core", "2", "--satellites", "2:3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"spectrum: 9 {route} eigenvalues for n=8\n"
 
 
 def test_metrics_admits_a_graph_of_many_satellite_pairs(capsys):

@@ -9,7 +9,9 @@ neighbor counts and the twin-reduced spectra to build their quotient
 matrix, only ``graphs`` calls the twin scan under it and knows its runs,
 and the subgraph listing that checks the kernel uses neither.
 numpy itself is imported only inside the functions that build a matrix
-or solve eigenvalues, so it loads on the first of those calls.
+or solve eigenvalues, so it loads on the first of those calls, and
+``spectra`` imports it nowhere: it builds its B in integers and leaves
+the matrix to ``oracle.symmetric_quotient``.
 """
 from __future__ import annotations
 
@@ -129,6 +131,12 @@ def test_no_module_imports_numpy_when_it_loads():
         if "numpy" in _imported_roots(node)
     }
     assert loaded == set()
+
+
+def test_spectra_imports_no_numpy_even_in_a_function():
+    tree = ast.parse((SRC / "spectra.py").read_text(encoding="utf-8"))
+    assert "numpy" not in set(_imported_roots(tree))
+    assert "np" not in _names(SRC / "spectra.py")
 
 
 # every module is imported and generate, metrics and sweep run in a child

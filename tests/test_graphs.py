@@ -22,6 +22,7 @@ from coresat import (
     generalized_core_satellite,
     is_connected,
     join,
+    spectra,
     star,
     windmill,
 )
@@ -279,7 +280,9 @@ def _assert_papers_quotient(p):
     B00 = c - 1, B0i = eta_i * s_i, Bi0 = c and Bii = s_i - 1 over the
     partition {core, class 1, ..., class t}, with no zero entry stored.
     One satellite gives K_n, a single clique run.  Exact integers read
-    from the graph's rows, at any size and with no eigensolve.
+    from the graph's rows, at any size and with no eigensolve.  With two
+    satellites or more, ``spectra.quotient`` builds the same B from the
+    parameters; the hand-written B below is the reference for both.
     """
     _, sizes, counts, quotient = twin_classes(generalized_core_satellite(p))
     quotient = list(map(dict, quotient))
@@ -291,6 +294,7 @@ def _assert_papers_quotient(p):
     core.update((i, cls.count * cls.size) for i, cls in enumerate(p.classes, 1))
     rows = [{0: c, i: cls.size - 1} for i, cls in enumerate(p.classes, 1)]
     assert quotient == [core] + [{j: x for j, x in row.items() if x} for row in rows]
+    assert spectra.quotient(p) == quotient
     nodes = [c] + [cls.count * cls.size for cls in p.classes]
     assert [z * k for z, k in zip(sizes, counts)] == nodes
 

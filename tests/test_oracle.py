@@ -33,7 +33,7 @@ from coresat import (
 )
 from coresat import oracle
 from coresat.graphs import twin_runs
-from coresat.oracle import twin_reduced_spectra
+from coresat.oracle import symmetric_quotient, twin_reduced_spectra
 
 
 def test_adjacency_matrix_butterfly():
@@ -236,10 +236,14 @@ def test_twin_reduced_spectra_on_named_graphs():
 
 def test_twin_reduced_spectra_guard_counts_runs():
     # 3000 isolated nodes are one class; a path of 2001 nodes is 2001,
-    # one more than the dense limit
+    # one more than the dense limit, which symmetric_quotient holds for
+    # both spectrum routes
     assert [v.shape for v in twin_reduced_spectra(Graph(3000, []))] == [(3000,)] * 2
     n = oracle.DEFAULT_DENSE_LIMIT + 1
+    message = f"a quotient of {n} cells exceeds the dense limit {oracle.DEFAULT_DENSE_LIMIT}"
     with mock.patch.object(oracle, "eigenvalues_symmetric") as solve:
-        with pytest.raises(SizeLimitError, match=f"{n} classes of twins"):
+        with pytest.raises(SizeLimitError, match=message):
             twin_reduced_spectra(Graph(n, [(u, u + 1) for u in range(n - 1)]))
+        with pytest.raises(SizeLimitError, match=message):
+            symmetric_quotient([{}] * n)
     solve.assert_not_called()

@@ -12,18 +12,19 @@ from coresat import (
     adjacency_matrix,
     adjacency_spectrum_gcs,
     analytic_metrics,
-    divisor_matrix,
     eigenvalues_symmetric,
     generalized_core_satellite,
     laplacian_matrix,
     laplacian_spectrum_gcs,
     max_spectrum_deviation,
     principal_eigenvector,
+    quotient,
     sample_generalized_params,
     spectral_indices,
     spectral_radius,
     spectral_radius_bounds,
 )
+from coresat.oracle import symmetric_quotient
 from coresat.spectra import _snap_integers
 
 BUTTERFLY = GeneralizedParams(1, [(2, 2)])
@@ -100,7 +101,9 @@ def test_adjacency_matches_oracle_on_grid():
 
 
 def test_divisor_matrix_entries():
-    b = divisor_matrix(MIXED)
+    # B00 = c - 1, B0i = eta_i * s_i, Bi0 = c, Bii = s_i - 1; B11 = 0 is not stored
+    assert quotient(MIXED) == [{0: 1, 1: 1, 2: 2}, {0: 2}, {0: 2, 2: 1}]
+    b = symmetric_quotient(quotient(MIXED))
     expected = np.array(
         [
             [1.0, math.sqrt(2.0), 2.0],
@@ -116,7 +119,7 @@ def test_divisor_roots_satisfy_cubic():
     # characteristic polynomial of the mixed example's quotient is
     # x^3 - 2x^2 - 5x + 2; the constant is +2, not +4 (a plausible slip
     # that the numeric route rejects)
-    roots = eigenvalues_symmetric(divisor_matrix(MIXED))
+    roots = eigenvalues_symmetric(symmetric_quotient(quotient(MIXED)))
     assert roots[0] == pytest.approx(3.323404, abs=1e-6)
     assert roots[1] == pytest.approx(0.357926, abs=1e-6)
     assert roots[2] == pytest.approx(-1.681331, abs=1e-6)
@@ -149,7 +152,10 @@ def test_single_class_quotient_roots_match_the_quadratic():
 
 def test_generalized_matches_oracle_on_samples():
     worst = 0.0
-    for p in sample_generalized_params(count=8, max_nodes=120):
+    # a spectral radius of 28.000884125608774, 8.8e-4 from 28: a snap to
+    # integers wider than 1e-10 would give 28.0
+    near_integer = GeneralizedParams(10, [(2, 1), (6, 7)])
+    for p in [*sample_generalized_params(count=8, max_nodes=120), near_integer]:
         result = adjacency_spectrum_gcs(p)
         numeric = eigenvalues_symmetric(
             adjacency_matrix(generalized_core_satellite(p))
@@ -237,13 +243,15 @@ def test_spectra_past_float_range_raise_invalid_parameters():
         GeneralizedParams(2, [(10**308, 2)]),
     )
     quotient_routes = (
-        divisor_matrix,
         adjacency_spectrum_gcs,
         spectral_radius,
         principal_eigenvector,
         spectral_indices,
     )
     for p in quotient_overflows:
+        # the shared builder raises the bare OverflowError that spectra maps
+        with pytest.raises(OverflowError):
+            symmetric_quotient(quotient(p))
         for route in quotient_routes:
             with pytest.raises(InvalidParameterError, match="float range"):
                 route(p)

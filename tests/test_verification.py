@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import add_one_to_a_multiplicity
 from coresat import (
     GeneralizedParams,
     InvalidParameterError,
@@ -152,3 +153,36 @@ def test_eigenvector_residual_is_read_from_the_rows(monkeypatch):
     by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
     assert not by_name["bounds-eigenvector"].passed
     assert "residual" in by_name["bounds-eigenvector"].detail
+
+
+@pytest.mark.parametrize(
+    "route, failed",
+    [
+        ("adjacency_spectrum_gcs", ["adjacency-spectra", "generalized-spectra"]),
+        ("laplacian_spectrum_gcs", ["laplacian-spectra"]),
+    ],
+)
+def test_a_wrong_multiplicity_fails_its_check(route, failed, monkeypatch):
+    # the sizes are compared before the deviation, which needs equal sizes
+    add_one_to_a_multiplicity(monkeypatch, route)
+    results = run_checks(max_enum_n=6)
+    assert [r.name for r in results if not r.passed] == failed
+    first = GRID[0]
+    assert results[EXPECTED_ORDER.index(failed[0])].detail == (
+        f"{first}: {first.n + 1} eigenvalues for n={first.n}"
+    )
+
+
+def test_the_infection_threshold_is_checked_exactly(monkeypatch):
+    # spectral_indices defines the threshold as 1.0 / rho, so one that is
+    # off by a factor of 1 + 1e-13 is a wrong one
+    real = verification.spectra.spectral_indices
+
+    def off(params):
+        idx = real(params)
+        return dataclasses.replace(idx, infection_threshold=idx.infection_threshold * (1 + 1e-13))
+
+    monkeypatch.setattr(verification.spectra, "spectral_indices", off)
+    by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
+    assert [name for name, r in by_name.items() if not r.passed] == ["spectral-indices"]
+    assert by_name["spectral-indices"].detail == f"{GRID[0]}: threshold mismatch"
