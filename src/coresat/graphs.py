@@ -105,7 +105,7 @@ class Graph:
         return len(self.adj[u])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adj)
+        return tuple(map(len, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

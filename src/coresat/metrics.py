@@ -141,7 +141,8 @@ def compute_metrics(g: Graph) -> MetricsReport:
     subgraph-count (Estrada) one, with t triangles, is
     (m*(p3 + 3t) - p2**2) / (m*(3*s13 + p2) - p2**2).  With T_k the
     triangles through the nodes of degree k, the average clustering is
-    the ``Fraction`` (sum over k of T_k / C(k, 2)) / n, rounded once.
+    (sum over k of T_k / C(k, 2)) / n: over the common denominator
+    n * lcm C(k, 2), one int division, which rounds correctly.
     """
     n, m = g.n, g.m
     firsts, sizes, counts, quotient = twin_classes(g)
@@ -176,7 +177,9 @@ def compute_metrics(g: Graph) -> MetricsReport:
     for x, k, z in zip(twice, deg, weights):
         if k >= 2:
             by_degree[k] = by_degree.get(k, 0) + z * (x // 2)
-    total = sum(Fraction(tk, math.comb(k, 2)) for k, tk in by_degree.items())
+    pairs = list(map(math.comb, by_degree, repeat(2)))
+    common = math.lcm(*pairs)
+    total = sum(tk * (common // p) for tk, p in zip(by_degree.values(), pairs))
     transitivity, r_estrada = _count_ratios(m, t, p2, p3, s13)
     den = 2 * m * sq - ss * ss
     return MetricsReport(
@@ -187,7 +190,7 @@ def compute_metrics(g: Graph) -> MetricsReport:
         p2=p2,
         p3=p3,
         s13=s13,
-        avg_clustering=float(total / n) if n else 0.0,
+        avg_clustering=total / (common * n) if n else 0.0,
         transitivity=transitivity,
         assortativity=(4 * m * se - ss * ss) / den if den else None,
         assortativity_estrada=r_estrada,
@@ -225,10 +228,8 @@ def _core_triangles(params: GeneralizedParams, sign_fault: bool = False) -> int:
     return math.comb(params.n - 1, 2) - (s * s + (q if sign_fault else -q)) // 2
 
 
-def _average_clustering_fraction(
-    params: GeneralizedParams, *, triangle_sign_fault: bool = False
-) -> Fraction:
-    """Exact average clustering.
+def _average_clustering_terms(params: GeneralizedParams, core_triangles: int) -> tuple[int, int]:
+    """Numerator and denominator of the exact average clustering.
 
     A core node has clustering t_core / C(n-1, 2).  A satellite node's
     neighborhood (its clique plus the core) is itself a clique, so its
@@ -238,9 +239,17 @@ def _average_clustering_fraction(
     c, n = params.core, params.n
     pairs = math.comb(n - 1, 2)
     if pairs == 0:  # n <= 2: every degree is at most 1
-        return Fraction(0)
+        return 0, 1
     closed = sum(cls.count * cls.size for cls in params.classes if c + cls.size >= 3)
-    return Fraction(c * _core_triangles(params, triangle_sign_fault) + closed * pairs, n * pairs)
+    return c * core_triangles + closed * pairs, n * pairs
+
+
+def _average_clustering_fraction(
+    params: GeneralizedParams, *, triangle_sign_fault: bool = False
+) -> Fraction:
+    """Exact average clustering, the rational that ``analytic_metrics`` rounds."""
+    core_triangles = _core_triangles(params, triangle_sign_fault)
+    return Fraction(*_average_clustering_terms(params, core_triangles))
 
 
 def analytic_metrics(
@@ -254,7 +263,7 @@ def analytic_metrics(
     summed over all nodes, every triangle is counted three times.
     Every count is the core term plus one term per class, in exact
     integers; each ratio is one exact rational, rounded to float once
-    (int / int rounds correctly).
+    (int / int rounds correctly), with no ``Fraction`` built.
 
     ``triangle_sign_fault`` flips the sign of Q in t_core.  The result
     is wrong on purpose: it is the negative control of the verification
@@ -273,10 +282,11 @@ def analytic_metrics(
         # the class's core-satellite edges, then its clique edges
         edge_sum += (c * nodes * (n - 2) + cls.count * math.comb(cls.size, 2) * (d - 1)) * (d - 1)
     p2 = c * math.comb(n - 1, 2) + sat_paths
-    tri = (c * _core_triangles(params, triangle_sign_fault) + sat_paths) // 3
+    core_triangles = _core_triangles(params, triangle_sign_fault)
+    tri = (c * core_triangles + sat_paths) // 3
     p3 = edge_sum - 3 * tri
     transitivity, r = _count_ratios(m, tri, p2, p3, s13)
-    avg = _average_clustering_fraction(params, triangle_sign_fault=triangle_sign_fault)
+    avg, nodes_by_pairs = _average_clustering_terms(params, core_triangles)
     return MetricsReport(
         n=n,
         m=m,
@@ -285,7 +295,7 @@ def analytic_metrics(
         p2=p2,
         p3=p3,
         s13=s13,
-        avg_clustering=float(avg),
+        avg_clustering=avg / nodes_by_pairs,
         transitivity=transitivity,
         assortativity=r,
         assortativity_estrada=r,

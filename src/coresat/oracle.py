@@ -62,34 +62,34 @@ def adjacency_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
 
 def laplacian_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense combinatorial Laplacian D - A as float64."""
-    import numpy as np
-
-    a = adjacency_matrix(g, max_n)
-    lap = -a
-    lap[np.diag_indices(g.n)] = [float(k) for k in g.degrees()]
+    lap = -adjacency_matrix(g, max_n)
+    lap.flat[:: g.n + 1] = g.degrees()
     return lap
 
 
 def eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric real matrix, sorted descending.
 
-    Raises NumericFailureError if the decomposition does not converge;
-    a silent bad answer is never returned.
+    A stack of same-size matrices, shape (k, n, n) or a list of k
+    matrices, is solved in one call and gives one row of values per
+    matrix, each bit for bit what the matrix alone gives.  Raises
+    NumericFailureError if the decomposition does not converge; a
+    silent bad answer is never returned.
     """
     import numpy as np
 
     a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, a.swapaxes(-2, -1)):
         raise ValueError("matrix must be exactly symmetric")
     try:
         values = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-    return values[::-1]
+    return values[..., ::-1]
 
 
 def symmetric_quotient(quotient: list[dict[int, int]]) -> np.ndarray:

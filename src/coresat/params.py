@@ -28,8 +28,7 @@ class SatelliteClass:
     count: int
 
     def __post_init__(self) -> None:
-        for name in ("size", "count"):
-            value = getattr(self, name)
+        for name, value in (("size", self.size), ("count", self.count)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidParameterError(f"{name} must be an int, got {value!r}")
             if value < 1:
@@ -44,6 +43,13 @@ class GeneralizedParams:
     size are merged by summing their counts, and the result is stored
     sorted by ascending size.  All downstream node ordering and spectrum
     assembly rely on this canonical form.
+
+    The derived totals are computed once, at construction, and kept as
+    plain attributes outside the fields, so they take no part in
+    ``==``, ``hash`` or ``repr``: ``n`` nodes, ``m`` edges (core clique
+    edges plus, per class, clique and core-link edges),
+    ``satellite_total`` cliques and ``satellite_nodes`` nodes in the
+    satellites.
     """
 
     core: int
@@ -54,7 +60,7 @@ class GeneralizedParams:
             raise InvalidParameterError(f"core must be an int, got {core!r}")
         if core < 1:
             raise InvalidParameterError(f"core must be >= 1, got {core}")
-        merged: dict[int, int] = {}
+        merged: dict[int, SatelliteClass] = {}
         try:  # ``classes``, or one of its entries, may not be iterable
             pairs = [(e.size, e.count) if isinstance(e, SatelliteClass) else tuple(e) for e in classes]
         except TypeError:
@@ -63,39 +69,31 @@ class GeneralizedParams:
             raise InvalidParameterError(f"a satellite class is a (size, count) pair, got {classes!r}")
         for size, count in pairs:
             cls = SatelliteClass(size, count)  # validates
-            merged[cls.size] = merged.get(cls.size, 0) + cls.count
+            if size in merged:
+                cls = SatelliteClass(size, merged[size].count + count)
+            merged[size] = cls
         if not merged:
             raise InvalidParameterError("at least one satellite class is required")
-        canonical = tuple(
-            SatelliteClass(size, merged[size]) for size in sorted(merged)
+        canonical = tuple(merged[size] for size in sorted(merged))
+        total = nodes = 0
+        edges = math.comb(core, 2)
+        for cls in canonical:
+            total += cls.count
+            nodes += cls.count * cls.size
+            edges += cls.count * (math.comb(cls.size, 2) + core * cls.size)
+        # frozen: the fields and the derived totals are set past __setattr__
+        self.__dict__.update(
+            core=core,
+            classes=canonical,
+            satellite_total=total,
+            satellite_nodes=nodes,
+            n=core + nodes,
+            m=edges,
         )
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "classes", canonical)
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-    @property
-    def satellite_total(self) -> int:
-        """Total number of satellite cliques across all classes."""
-        return sum(cls.count for cls in self.classes)
-
-    @property
-    def satellite_nodes(self) -> int:
-        return sum(cls.size * cls.count for cls in self.classes)
-
-    @property
-    def n(self) -> int:
-        return self.core + self.satellite_nodes
-
-    @property
-    def m(self) -> int:
-        """Core clique edges plus, per class, clique and core-link edges."""
-        edges = math.comb(self.core, 2)
-        for cls in self.classes:
-            edges += cls.count * (math.comb(cls.size, 2) + self.core * cls.size)
-        return edges
 
     # benchmark hook: benchmarks/workloads.py (the analytic workload)
     # calls it on one-class parameters

@@ -13,10 +13,20 @@ a symmetric eigenproblem; no polynomial is expanded.  A root within
 to a complete graph, whose roots n-1 and -1 come out exact.
 
 Laplacian spectra are integer-valued throughout.
+
+Inside a ``_computed_once`` block, which ``verification.run_checks``
+opens for the length of one call, each parameter set's quotient is
+solved once and its Laplacian spectrum built once: the adjacency
+spectrum, the radius, the eigenvector and the indices all take their
+roots from that one solve.  What the block kept is dropped when it
+closes, so no result outlives the call.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import wraps
+from operator import sub
 
 from .exceptions import InvalidParameterError
 from .oracle import eigenvalues_symmetric, symmetric_quotient
@@ -37,6 +47,40 @@ __all__ = [
 ]
 
 _INT_SNAP = 1e-10
+
+# (function, params) -> result, while a ``_computed_once`` block is open
+_kept: dict | None = None
+
+
+@contextmanager
+def _computed_once():
+    """Within the block, each ``_kept_in_block`` function runs once per parameter set.
+
+    Each result depends on the parameters alone, so a caller in another
+    thread that finds the store open reads the values it would compute.
+    """
+    global _kept
+    outer, _kept = _kept, {}
+    try:
+        yield
+    finally:
+        _kept = outer
+
+
+def _kept_in_block(fn):
+    """``fn(params)``, kept for the open ``_computed_once`` block; its result must not change."""
+
+    @wraps(fn)
+    def kept(params):
+        if _kept is None:
+            return fn(params)
+        key = fn, params
+        result = _kept.get(key)
+        if result is None:
+            result = _kept[key] = fn(params)
+        return result
+
+    return kept
 
 
 @dataclass(frozen=True)
@@ -107,12 +151,12 @@ def _in_float_range(fn, *args):
         raise InvalidParameterError("parameters exceed the float range of the spectra") from None
 
 
-def _snap_integers(values) -> list[float]:
+def _snap_integers(values) -> tuple[float, ...]:
     out = []
-    for v in values:
-        r = round(float(v))
-        out.append(float(r) if abs(v - r) <= _INT_SNAP else float(v))
-    return out
+    for v in map(float, values):
+        r = round(v)
+        out.append(float(r) if abs(v - r) <= _INT_SNAP else v)
+    return tuple(out)
 
 
 def quotient(params: GeneralizedParams) -> list[dict[int, int]]:
@@ -131,7 +175,8 @@ def quotient(params: GeneralizedParams) -> list[dict[int, int]]:
     return rows
 
 
-def _quotient_roots(params: GeneralizedParams) -> list[float]:
+@_kept_in_block
+def _quotient_roots(params: GeneralizedParams) -> tuple[float, ...]:
     """The t+1 quotient eigenvalues, descending, snapped to integers."""
     matrix = _in_float_range(symmetric_quotient, quotient(params))
     return _snap_integers(eigenvalues_symmetric(matrix))
@@ -186,6 +231,7 @@ def principal_eigenvector(params: GeneralizedParams) -> PrincipalEigenvector:
     return PrincipalEigenvector(eigenvalue=rho, core_value=1.0, class_values=betas)
 
 
+@_kept_in_block
 def laplacian_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
     """Laplacian spectrum of the generalized family; integer-valued.
 
@@ -221,12 +267,9 @@ def spectral_indices(params: GeneralizedParams) -> SpectralIndices:
 def max_spectrum_deviation(result: SpectrumResult, numeric_descending) -> float:
     """Max absolute gap between an analytic spectrum and numeric values."""
     analytic = result.expanded()
-    numeric = [float(v) for v in numeric_descending]
+    numeric = list(map(float, numeric_descending))
     if len(analytic) != len(numeric):
         raise ValueError(
             f"spectrum size mismatch: analytic {len(analytic)} vs numeric {len(numeric)}"
         )
-    return max(
-        (abs(a - b) for a, b in zip(analytic, numeric)),
-        default=0.0,
-    )
+    return max(map(abs, map(sub, analytic, numeric)), default=0.0)

@@ -5,19 +5,26 @@ the CLI renders them as a pass/fail table.  ``triangle_sign_fault``
 injects a known-wrong triangle closed form so the pipeline can prove it
 would catch a bad formula (negative control).
 
-Each case is one parameter set with its graph, the graph's direct
-metrics and its closed-form metrics (fault included), each computed
-once and shared by every check.  A per-case check returns a problem
-string, a deviation, or ``None`` when it skips the case.  ``_run``
-applies one such check to a list of cases: it counts the cases run,
-keeps the worst deviation and stops at the first problem.
+One ``run_checks`` call computes each object once and shares it with
+every check that reads it.  A case is one parameter set with its graph,
+the graph's direct metrics and its closed-form metrics (fault included).
+Each graph within the dense or the enumeration limit gets one dense
+adjacency matrix A: where n is within the dense limit, A and L = D - A
+of every graph of one size are solved in one stacked eigensolve, and
+where n is within the enumeration limit, A gives trace(A^3).  The
+closed-form spectra run inside ``spectra._computed_once``, so each
+parameter set's quotient is solved once and its Laplacian spectrum
+built once, whichever checks ask for them; nothing is kept past the
+call.  A per-case check returns a problem string, a deviation, or
+``None`` when it skips the case.  ``_run`` applies one such check to a
+list of cases: it counts the cases run, keeps the worst deviation and
+stops at the first problem.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -38,6 +45,12 @@ GRID = tuple(
 
 _SAMPLE_SEED = 20240612
 
+# run beside the sampled sets: its spectral radius 28.000884125608774
+# lies 8.8e-4 from an integer, nearer than any root of GRID or of the
+# samples that is not on one, so a snap of roots to integers that is
+# too wide fails on it
+_NEAR_INTEGER = GeneralizedParams(10, [(2, 1), (6, 7)])
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -46,17 +59,55 @@ class CheckResult:
     detail: str = ""
 
 
-# one case: its parameters, its graph, the graph's direct metrics and
-# the closed-form metrics.  A plain tuple: a frozen dataclass here would
-# add about 1.2 ms to every import of the package.
-_Case = tuple[GeneralizedParams, Graph, metrics.MetricsReport, metrics.MetricsReport]
+class _Case:
+    """One parameter set and what the checks read of its graph.
+
+    ``direct`` and ``closed`` are the graph's direct and closed-form
+    metrics.  ``_dense`` fills in the rest, ``None`` until then and past
+    its limits: the eigenvalues of A and of L = D - A, descending, and
+    trace(A^3).  A plain class: a frozen dataclass here would add about
+    1.2 ms to every import of the package.
+    """
+
+    __slots__ = ("params", "graph", "direct", "closed", "adjacency", "laplacian", "trace3")
+
+    def __init__(self, params: GeneralizedParams, graph: Graph, fault: bool) -> None:
+        self.params, self.graph = params, graph
+        self.direct = metrics.compute_metrics(graph)
+        self.closed = metrics.analytic_metrics(params, triangle_sign_fault=fault)
+        self.adjacency = self.laplacian = self.trace3 = None
+
+
 # a per-case check: a problem, a deviation, or None for a skipped case
 _Outcome = str | float | None
 
 
-def _case(params: GeneralizedParams, graph: Graph, fault: bool) -> _Case:
-    direct = metrics.compute_metrics(graph)
-    return params, graph, direct, metrics.analytic_metrics(params, triangle_sign_fault=fault)
+def _dense(cases: list[_Case], dense_limit: int, enum_limit: int) -> None:
+    """Build one dense A per graph within either limit and fill in what it gives.
+
+    Same-size graphs within the dense limit are solved together, A and
+    L of each in one stacked call: each row of values is bit for bit
+    what its matrix alone gives, and the stack holds one size at a time.
+    """
+    by_size: dict[int, list[_Case]] = {}
+    for case in cases:
+        if case.graph.n <= max(dense_limit, enum_limit):
+            by_size.setdefault(case.graph.n, []).append(case)
+    for n, group in by_size.items():
+        matrices = [oracle.adjacency_matrix(case.graph) for case in group]
+        if n <= enum_limit:
+            for case, a in zip(group, matrices):
+                case.trace3 = float((a @ a @ a).trace())
+        if n > dense_limit:
+            continue
+        laplacians = []
+        for case, a in zip(group, matrices):
+            lap = -a  # D - A, as ``oracle.laplacian_matrix`` builds it
+            lap.flat[:: n + 1] = case.graph.degrees()
+            laplacians.append(lap)
+        values = oracle.eigenvalues_symmetric(matrices + laplacians).tolist()
+        for case, adjacency, laplacian in zip(group, values, values[len(group):]):
+            case.adjacency, case.laplacian = adjacency, laplacian
 
 
 def sample_generalized_params(
@@ -92,7 +143,7 @@ def _run(
     for case in cases:
         outcome = check(case)
         if isinstance(outcome, str):
-            return CheckResult(name, False, f"{case[0]}: {outcome}")
+            return CheckResult(name, False, f"{case.params}: {outcome}")
         if outcome is not None:
             run += 1
             worst = max(worst, outcome)
@@ -103,7 +154,7 @@ def _run(
 
 
 def _counts_and_structure(case: _Case) -> _Outcome:
-    p, g, _, closed = case
+    p, g, closed = case.params, case.graph, case.closed
     if g.n != closed.n or g.m != closed.m:
         return f"n/m mismatch ({g.n},{g.m})"
     degs = sorted(set(g.degrees()))
@@ -116,14 +167,14 @@ def _counts_and_structure(case: _Case) -> _Outcome:
 
 
 def _clustering_closed_forms(case: _Case) -> _Outcome:
-    _, _, direct, closed = case
+    direct, closed = case.direct, case.closed
     if direct != closed:
         return f"reports differ (closed t={closed.triangles}, direct t={direct.triangles})"
     return 0.0
 
 
 def _assortativity(case: _Case) -> _Outcome:
-    _, _, direct, closed = case
+    direct, closed = case.direct, case.closed
     r, r2, r3 = direct.assortativity, direct.assortativity_estrada, closed.assortativity
     if (r is None) != (r2 is None) or (r is None) != (r3 is None):
         return "definedness differs"
@@ -136,11 +187,10 @@ def _assortativity(case: _Case) -> _Outcome:
     return 0.0
 
 
-def _enumeration(case: _Case, max_n: int) -> _Outcome:
-    p, g, rep, _ = case
-    if p.n > max_n:
+def _enumeration(case: _Case) -> _Outcome:
+    if case.trace3 is None:
         return None
-    counts = oracle.exhaustive_subgraph_counts(g)
+    counts, rep = oracle.exhaustive_subgraph_counts(case.graph), case.direct
     if (counts.triangles, counts.p2, counts.p3, counts.s13) != (
         rep.triangles,
         rep.p2,
@@ -148,23 +198,22 @@ def _enumeration(case: _Case, max_n: int) -> _Outcome:
         rep.s13,
     ):
         return "counts differ"
-    a = oracle.adjacency_matrix(g)
-    if round(float((a @ a @ a).trace()) / 6) != counts.triangles:
+    if round(case.trace3 / 6) != counts.triangles:
         return "trace(A^3)/6 differs"
     return 0.0
 
 
-def _dense_gap(result: spectra.SpectrumResult, g: Graph, matrix: Callable, tol: float) -> _Outcome:
-    """The worst gap from the eigenvalues of ``matrix(g)``, once the sizes agree."""
-    if result.size != g.n:
-        return f"{result.size} eigenvalues for n={g.n}"
-    dev = spectra.max_spectrum_deviation(result, oracle.eigenvalues_symmetric(matrix(g)))
+def _dense_gap(result: spectra.SpectrumResult, n: int, numeric, tol: float) -> _Outcome:
+    """The worst gap from the dense eigenvalues ``numeric``, once the sizes agree."""
+    if result.size != n:
+        return f"{result.size} eigenvalues for n={n}"
+    dev = spectra.max_spectrum_deviation(result, numeric)
     return dev if dev <= tol else f"deviation {dev:.3e}"
 
 
-def _adjacency(case: _Case, dense_limit: int, tol: float) -> _Outcome:
-    p, g, _, _ = case
-    if p.n > dense_limit:
+def _adjacency(case: _Case, tol: float) -> _Outcome:
+    p = case.params
+    if case.adjacency is None:
         return None
     result = spectra.adjacency_spectrum_gcs(p)
     # t+1 quotient roots, s_i-1 for each class of several copies, and
@@ -175,12 +224,12 @@ def _adjacency(case: _Case, dense_limit: int, tol: float) -> _Outcome:
     )
     if len(result.eigenpairs) != expected_distinct:
         return f"{len(result.eigenpairs)} distinct values, expected {expected_distinct}"
-    return _dense_gap(result, g, oracle.adjacency_matrix, tol)
+    return _dense_gap(result, p.n, case.adjacency, tol)
 
 
-def _laplacian(case: _Case, dense_limit: int, tol: float) -> _Outcome:
-    p, g, _, _ = case
-    if p.n > dense_limit:
+def _laplacian(case: _Case, tol: float) -> _Outcome:
+    p = case.params
+    if case.laplacian is None:
         return None
     result = spectra.laplacian_spectrum_gcs(p)
     for value, _ in result.eigenpairs:
@@ -189,11 +238,11 @@ def _laplacian(case: _Case, dense_limit: int, tol: float) -> _Outcome:
     values = [v for v, _ in result.eigenpairs]
     if values[0] != p.n or values[-1] != 0 or values[-2] != p.core:
         return "endpoints wrong"
-    return _dense_gap(result, g, oracle.laplacian_matrix, tol)
+    return _dense_gap(result, p.n, case.laplacian, tol)
 
 
 def _bounds_and_eigenvector(case: _Case) -> _Outcome:
-    p, g, _, _ = case
+    p = case.params
     rho = spectra.spectral_radius(p)
     lower, upper = spectra.spectral_radius_bounds(p)
     if not (lower < rho < upper):
@@ -204,21 +253,21 @@ def _bounds_and_eigenvector(case: _Case) -> _Outcome:
     if any(not 0.0 < beta < 1.0 for beta in pev.class_values):
         return "beta out of (0,1)"
     vec = pev.to_vector(p)
-    residual = max(
-        abs(math.fsum(vec[v] for v in row) - rho * vec[u]) for u, row in enumerate(g.adj)
-    )
+    get = vec.__getitem__
+    residual = max(abs(math.fsum(map(get, row)) - rho * x) for row, x in zip(case.graph.adj, vec))
     if not residual <= 1e-8 * rho:
         return f"residual {residual:.3e}"
     return 0.0
 
 
 def _indices(case: _Case) -> _Outcome:
-    p = case[0]
+    p = case.params
     idx = spectra.spectral_indices(p)
     lap = spectra.laplacian_spectrum_gcs(p)
     values = [v for v, _ in lap.eigenpairs]
     largest, smallest_positive = values[0], values[-2]
-    if Fraction(int(smallest_positive), int(largest)) != Fraction(p.core, p.n):
+    # the ratios cross-multiplied, in exact ints
+    if int(smallest_positive) * p.n != p.core * int(largest):
         return "sync ratio mismatch"
     if idx.sync_index != p.core / p.n:
         return "sync index mismatch"
@@ -254,34 +303,39 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the full verification battery; order is deterministic.
 
-    Each ``GRID`` and ``sample_generalized_params()`` graph is built once,
-    with its direct and closed-form metrics, and shared by every check
-    that reads it.  ``tol`` must be finite and > 0: an infinite one
-    passes any spectrum, and a negative one fails a correct one.
+    Each graph of ``GRID``, of ``sample_generalized_params()`` and of one
+    fixed set with a root near an integer is built once, with its direct
+    and closed-form metrics and its dense eigenvalues, and shared by
+    every check that reads it; each parameter set's quotient is solved
+    once.  ``tol`` must be finite and > 0: an infinite one passes any
+    spectrum, and a negative one fails a correct one.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be a finite number > 0, got {tol!r}")
     # the grid builds through the ``core_satellite`` alias, which the
     # benchmark's tracer wraps apart from ``generalized_core_satellite``
-    grid = [_case(p, core_satellite(p), triangle_sign_fault) for p in GRID]
+    grid = [_Case(p, core_satellite(p), triangle_sign_fault) for p in GRID]
     sample = [
-        _case(p, generalized_core_satellite(p), triangle_sign_fault)
-        for p in sample_generalized_params()
+        _Case(p, generalized_core_satellite(p), triangle_sign_fault)
+        for p in [*sample_generalized_params(), _NEAR_INTEGER]
     ]
     both = grid + sample
-    enumeration = partial(_enumeration, max_n=min(max_enum_n, oracle.DEFAULT_ENUM_LIMIT))
-    adjacency = partial(_adjacency, dense_limit=dense_limit, tol=tol)
-    laplacian = partial(_laplacian, dense_limit=dense_limit, tol=tol)
+    # only the grid is enumerated
+    _dense(grid, dense_limit, min(max_enum_n, oracle.DEFAULT_ENUM_LIMIT))
+    _dense(sample, dense_limit, 0)
+    adjacency = partial(_adjacency, tol=tol)
+    laplacian = partial(_laplacian, tol=tol)
     spread = "max deviation {worst:.1e}"
-    return [
-        _run("counts-closed-forms", _counts_and_structure, both, "{run} graphs"),
-        _run("clustering-closed-forms", _clustering_closed_forms, both, "max gap {worst:.1e}"),
-        _run("assortativity", _assortativity, both, "negative, three routes agree"),
-        _run("subgraph-enumeration", enumeration, grid, "{run} graphs enumerated"),
-        _run("adjacency-spectra", adjacency, grid, spread),
-        _run("generalized-spectra", adjacency, sample, spread),
-        _run("laplacian-spectra", laplacian, both, spread),
-        _run("bounds-eigenvector", _bounds_and_eigenvector, both, "{run} parameter sets"),
-        _run("spectral-indices", _indices, both, "sync = core/n, connectivity = core"),
-        _check_divergence(),
-    ]
+    with spectra._computed_once():
+        return [
+            _run("counts-closed-forms", _counts_and_structure, both, "{run} graphs"),
+            _run("clustering-closed-forms", _clustering_closed_forms, both, "max gap {worst:.1e}"),
+            _run("assortativity", _assortativity, both, "negative, three routes agree"),
+            _run("subgraph-enumeration", _enumeration, grid, "{run} graphs enumerated"),
+            _run("adjacency-spectra", adjacency, grid, spread),
+            _run("generalized-spectra", adjacency, sample, spread),
+            _run("laplacian-spectra", laplacian, both, spread),
+            _run("bounds-eigenvector", _bounds_and_eigenvector, both, "{run} parameter sets"),
+            _run("spectral-indices", _indices, both, "sync = core/n, connectivity = core"),
+            _check_divergence(),
+        ]

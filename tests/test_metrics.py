@@ -388,6 +388,35 @@ def test_one_pass_kernel_matches_enumeration_and_exact_ratios(g):
         assert rep.assortativity_estrada == float(r)
 
 
+# both routes round the average clustering by one int division, where
+# they summed ``Fraction`` terms; int / int rounds correctly, so the
+# float is the exact rational's, bit for bit (hex tells -0.0 from 0.0)
+_HUGE = st.integers(1, 10**30)
+
+
+@settings(max_examples=300)
+@given(
+    core=_HUGE,
+    classes=st.lists(st.tuples(_HUGE, _HUGE), min_size=1, max_size=4),
+    fault=st.booleans(),
+)
+@example(core=1, classes=[(1, 1)], fault=False)  # n = 2: no pair of neighbors anywhere
+@example(core=10**30, classes=[(10**30, 10**30), (1, 1)], fault=True)
+def test_closed_form_avg_clustering_is_the_exact_rational_rounded_once(core, classes, fault):
+    p = GeneralizedParams(core, classes)
+    rep = analytic_metrics(p, triangle_sign_fault=fault)
+    exact = _average_clustering_fraction(p, triangle_sign_fault=fault)
+    assert rep.avg_clustering.hex() == float(exact).hex()
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.just(Graph(0, [])), arbitrary_graphs(max_nodes=14)))
+@example(_threshold_graph(14))  # 13 distinct degrees: many C(k, 2) to a common denominator
+def test_direct_avg_clustering_is_the_exact_rational_rounded_once(g):
+    avg, _ = _exact_ratios(g)
+    assert compute_metrics(g).avg_clustering.hex() == float(avg).hex()
+
+
 def test_kernel_limit_counts_the_bits_it_allocates():
     # only the first node of each class of twins gets a bitset row: a
     # star on 2**15 + 1 nodes is two classes whether its hub is first or last

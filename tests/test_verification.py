@@ -122,7 +122,7 @@ def test_each_case_is_built_and_measured_once(monkeypatch):
     ):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     assert all(r.passed for r in run_checks())
-    sampled = len(sample_generalized_params())
+    sampled = len(sample_generalized_params()) + 1  # and the fixed near-integer case
     assert calls == Counter(
         core_satellite=len(GRID),
         generalized_core_satellite=sampled,
@@ -130,6 +130,34 @@ def test_each_case_is_built_and_measured_once(monkeypatch):
         # one per case, and the divergence series: eta = 1000, then 2..1000
         analytic_metrics=len(GRID) + sampled + 1000,
     )
+
+
+def test_each_quotient_is_solved_once_per_call(monkeypatch):
+    # counted where spectra calls the solver.  Every route of one call
+    # takes its roots from one solve, and nothing is kept for the next
+    # call: a cache across calls would make the second count lower
+    spectra = verification.spectra
+    quotients, solves = [], []
+
+    def counted(route, seen):
+        def wrapper(arg):
+            seen.append(arg)
+            return route(arg)
+
+        return wrapper
+
+    monkeypatch.setattr(spectra, "quotient", counted(spectra.quotient, quotients))
+    monkeypatch.setattr(
+        spectra, "eigenvalues_symmetric", counted(spectra.eigenvalues_symmetric, solves)
+    )
+    cases = {*GRID, *sample_generalized_params(), verification._NEAR_INTEGER}
+    for _ in range(2):
+        quotients.clear()
+        solves.clear()
+        assert all(r.passed for r in run_checks())
+        assert set(quotients) >= cases
+        assert len(solves) == len(quotients) == len(set(quotients))
+    assert spectra._kept is None
 
 
 def test_eigenvector_residual_is_read_from_the_rows(monkeypatch):
@@ -141,7 +169,7 @@ def test_eigenvector_residual_is_read_from_the_rows(monkeypatch):
         monkeypatch.setattr(verification.oracle, name, refused)
     by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
     assert all(r.passed for r in by_name.values())
-    assert by_name["bounds-eigenvector"].detail == f"{len(GRID) + 20} parameter sets"
+    assert by_name["bounds-eigenvector"].detail == f"{len(GRID) + 21} parameter sets"
 
     real = verification.spectra.principal_eigenvector
 
