@@ -37,9 +37,11 @@ from .oracle import (
 from .params import GeneralizedParams, SatelliteClass
 from .spectra import (
     PrincipalEigenvector,
+    SpectraReport,
     SpectralIndices,
     SpectrumResult,
     adjacency_spectrum_gcs,
+    analytic_spectra,
     laplacian_spectrum_gcs,
     max_spectrum_deviation,
     principal_eigenvector,
@@ -64,6 +66,7 @@ __all__ = [
     "PrincipalEigenvector",
     "SatelliteClass",
     "SizeLimitError",
+    "SpectraReport",
     "SpectralIndices",
     "SpectrumResult",
     "SubgraphCounts",
@@ -71,6 +74,7 @@ __all__ = [
     "adjacency_spectrum_gcs",
     "agave",
     "analytic_metrics",
+    "analytic_spectra",
     "complete_graph",
     "complete_split",
     "compute_metrics",

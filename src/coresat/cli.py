@@ -177,14 +177,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         # 310 MiB (2 cores, Python 3.11)
         _check_size(params)
         numerics = oracle.twin_reduced_spectra(generalized_core_satellite(params))
+    report = spectra.analytic_spectra(params)
     ok = True
-    for name, closed_form, numeric in (
-        ("adjacency", spectra.adjacency_spectrum_gcs, numerics[0]),
-        ("laplacian", spectra.laplacian_spectrum_gcs, numerics[1]),
+    for name, analytic, numeric in (
+        ("adjacency", report.adjacency, numerics[0]),
+        ("laplacian", report.laplacian, numerics[1]),
     ):
         block: dict = {"analytic": None, "numeric": None, "max_abs_deviation": None}
         if args.method != "numeric":
-            analytic = closed_form(params)
             block["analytic"] = [[_round12(value), mult] for value, mult in analytic.eigenpairs]
         if numeric is not None:
             # _round12 of each value, with no Python call per value
@@ -198,7 +198,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             ok = ok and deviation <= args.tol
         payload[name] = block
 
-    indices = spectra.spectral_indices(params)
+    indices = report.indices
     payload["spectral_radius"] = _round12(indices.spectral_radius)
     if params.satellite_total >= 2:
         lower, upper = spectra.spectral_radius_bounds(params)

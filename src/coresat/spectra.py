@@ -14,18 +14,16 @@ to a complete graph, whose roots n-1 and -1 come out exact.
 
 Laplacian spectra are integer-valued throughout.
 
-Inside a ``_computed_once`` block, which ``verification.run_checks``
-opens for the length of one call, each parameter set's quotient is
-solved once and its Laplacian spectrum built once: the adjacency
-spectrum, the radius, the eigenvector and the indices all take their
-roots from that one solve.  What the block kept is dropped when it
-closes, so no result outlives the call.
+``analytic_spectra`` returns every closed-form result of one parameter
+set in one ``SpectraReport``, from one quotient solve and one Laplacian
+spectrum: the radius is the adjacency spectrum's top value, and the
+eigenvector and the indices are derived from it.  ``spectral_radius``,
+``principal_eigenvector`` and ``spectral_indices`` are projections of
+that path; a caller that needs several fields asks for the report once.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import wraps
 from operator import sub
 
 from .exceptions import InvalidParameterError
@@ -36,7 +34,9 @@ __all__ = [
     "SpectrumResult",
     "PrincipalEigenvector",
     "SpectralIndices",
+    "SpectraReport",
     "adjacency_spectrum_gcs",
+    "analytic_spectra",
     "quotient",
     "spectral_radius",
     "spectral_radius_bounds",
@@ -47,41 +47,6 @@ __all__ = [
 ]
 
 _INT_SNAP = 1e-10
-
-# (function, params) -> result, while a ``_computed_once`` block is open
-_kept: dict | None = None
-
-
-@contextmanager
-def _computed_once():
-    """Within the block, each ``_kept_in_block`` function runs once per parameter set.
-
-    Each result depends on the parameters alone, so a caller in another
-    thread that finds the store open reads the values it would compute.
-    """
-    global _kept
-    outer, _kept = _kept, {}
-    try:
-        yield
-    finally:
-        _kept = outer
-
-
-def _kept_in_block(fn):
-    """``fn(params)``, kept for the open ``_computed_once`` block; its result must not change."""
-
-    @wraps(fn)
-    def kept(params):
-        if _kept is None:
-            return fn(params)
-        key = fn, params
-        result = _kept.get(key)
-        if result is None:
-            result = _kept[key] = fn(params)
-        return result
-
-    return kept
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -133,6 +98,16 @@ class SpectralIndices:
     algebraic_connectivity: float
 
 
+@dataclass(frozen=True)
+class SpectraReport:
+    """The closed-form spectra of one parameter set, as ``analytic_spectra`` gives them."""
+
+    adjacency: SpectrumResult
+    laplacian: SpectrumResult
+    eigenvector: PrincipalEigenvector
+    indices: SpectralIndices
+
+
 def _merge_pairs(pairs: list[tuple[float, int]]) -> tuple[tuple[float, int], ...]:
     """Drop zero multiplicities, merge equal values exactly, sort descending, round each once."""
     merged: dict[float, int] = {}
@@ -175,26 +150,20 @@ def quotient(params: GeneralizedParams) -> list[dict[int, int]]:
     return rows
 
 
-@_kept_in_block
-def _quotient_roots(params: GeneralizedParams) -> tuple[float, ...]:
-    """The t+1 quotient eigenvalues, descending, snapped to integers."""
-    matrix = _in_float_range(symmetric_quotient, quotient(params))
-    return _snap_integers(eigenvalues_symmetric(matrix))
-
-
 def adjacency_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
     """Adjacency spectrum of the generalized family.
 
     Structural eigenvalues are exact integers; the t+1 remaining simple
-    eigenvalues come from the symmetrized quotient.  A single satellite
-    gives a complete graph.
+    eigenvalues come from the symmetrized quotient, solved once per call
+    and snapped to integers.  A single satellite gives a complete graph.
     """
     c = params.core
     minus_one_mult = c + sum(cls.count * (cls.size - 1) for cls in params.classes) - 1
     pairs: list[tuple[float, int]] = [(-1.0, minus_one_mult)]
     for cls in params.classes:
         pairs.append((cls.size - 1, cls.count - 1))
-    pairs.extend((root, 1) for root in _quotient_roots(params))
+    matrix = _in_float_range(symmetric_quotient, quotient(params))
+    pairs.extend((root, 1) for root in _snap_integers(eigenvalues_symmetric(matrix)))
     return SpectrumResult(_merge_pairs(pairs))
 
 
@@ -203,8 +172,8 @@ adjacency_spectrum_cs = adjacency_spectrum_gcs
 
 
 def spectral_radius(params: GeneralizedParams) -> float:
-    """Largest adjacency eigenvalue: the top quotient root."""
-    return _quotient_roots(params)[0]
+    """Largest adjacency eigenvalue: the top value of ``adjacency_spectrum_gcs``."""
+    return adjacency_spectrum_gcs(params).eigenpairs[0][0]
 
 
 def spectral_radius_bounds(params: GeneralizedParams) -> tuple[int, int]:
@@ -220,18 +189,10 @@ def spectral_radius_bounds(params: GeneralizedParams) -> tuple[int, int]:
 
 
 def principal_eigenvector(params: GeneralizedParams) -> PrincipalEigenvector:
-    """Eigenvector at the spectral radius, core entries normalized to 1.
-
-    Every node of class i carries beta_i = c / (rho - s_i + 1); with at
-    least two satellites each beta_i lies strictly in (0, 1).
-    """
-    rho = spectral_radius(params)
-    c = params.core
-    betas = tuple(c / (rho - cls.size + 1) for cls in params.classes)
-    return PrincipalEigenvector(eigenvalue=rho, core_value=1.0, class_values=betas)
+    """Eigenvector at the spectral radius: ``analytic_spectra(params).eigenvector``."""
+    return analytic_spectra(params).eigenvector
 
 
-@_kept_in_block
 def laplacian_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
     """Laplacian spectrum of the generalized family; integer-valued.
 
@@ -245,22 +206,37 @@ def laplacian_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
 
 
 def spectral_indices(params: GeneralizedParams) -> SpectralIndices:
-    """Spectral radius, infection threshold 1/rho, sync index, connectivity.
+    """Radius, threshold, sync index, connectivity: ``analytic_spectra(params).indices``."""
+    return analytic_spectra(params).indices
 
+
+def analytic_spectra(params: GeneralizedParams) -> SpectraReport:
+    """Every closed-form spectral result of one parameter set, from one quotient solve.
+
+    rho is the adjacency spectrum's top value.  Every node of class i
+    carries beta_i = c / (rho - s_i + 1) in the principal eigenvector;
+    with at least two satellites each beta_i lies strictly in (0, 1).
     The algebraic connectivity is the smallest positive Laplacian
-    eigenvalue and the sync index its ratio to the largest, both read
-    from ``laplacian_spectrum_gcs``: exactly c and c/n with two
-    satellites or more, and n and 1 for the complete graph that a
-    single satellite gives.
+    eigenvalue and the sync index its ratio to the largest: exactly c
+    and c/n with two satellites or more, and n and 1 for the complete
+    graph that a single satellite gives.
     """
-    rho = spectral_radius(params)
-    laplacian = laplacian_spectrum_gcs(params).eigenpairs
-    largest, smallest_positive = laplacian[0][0], laplacian[-2][0]
-    return SpectralIndices(
-        spectral_radius=rho,
-        infection_threshold=1.0 / rho,
-        sync_index=smallest_positive / largest,
-        algebraic_connectivity=smallest_positive,
+    adjacency = adjacency_spectrum_gcs(params)
+    laplacian = laplacian_spectrum_gcs(params)
+    rho = adjacency.eigenpairs[0][0]
+    c = params.core
+    betas = tuple(c / (rho - cls.size + 1) for cls in params.classes)
+    largest, smallest_positive = laplacian.eigenpairs[0][0], laplacian.eigenpairs[-2][0]
+    return SpectraReport(
+        adjacency=adjacency,
+        laplacian=laplacian,
+        eigenvector=PrincipalEigenvector(eigenvalue=rho, core_value=1.0, class_values=betas),
+        indices=SpectralIndices(
+            spectral_radius=rho,
+            infection_threshold=1.0 / rho,
+            sync_index=smallest_positive / largest,
+            algebraic_connectivity=smallest_positive,
+        ),
     )
 
 

@@ -11,10 +11,10 @@ the graph's direct metrics and its closed-form metrics (fault included).
 Each graph within the dense or the enumeration limit gets one dense
 adjacency matrix A: where n is within the dense limit, A and L = D - A
 of every graph of one size are solved in one stacked eigensolve, and
-where n is within the enumeration limit, A gives trace(A^3).  The
-closed-form spectra run inside ``spectra._computed_once``, so each
-parameter set's quotient is solved once and its Laplacian spectrum
-built once, whichever checks ask for them; nothing is kept past the
+where n is within the enumeration limit, A gives trace(A^3).  Each
+case holds one ``spectra.analytic_spectra`` report, so its quotient is
+solved once and its Laplacian spectrum built once, whichever checks
+read them; the report lives with the case, and nothing outlives the
 call.  A per-case check returns a problem string, a deviation, or
 ``None`` when it skips the case.  ``_run`` applies one such check to a
 list of cases: it counts the cases run, keeps the worst deviation and
@@ -63,19 +63,22 @@ class _Case:
     """One parameter set and what the checks read of its graph.
 
     ``direct`` and ``closed`` are the graph's direct and closed-form
-    metrics.  ``_dense`` fills in the rest, ``None`` until then and past
-    its limits: the eigenvalues of A and of L = D - A, descending, and
-    trace(A^3).  A plain class: a frozen dataclass here would add about
-    1.2 ms to every import of the package.
+    metrics.  ``_dense`` fills in the eigenvalues of A and of L = D - A,
+    descending, and trace(A^3), ``None`` until then and past its limits.
+    ``spectra`` is the closed-form ``SpectraReport``, filled in by
+    ``run_checks``.  A plain class: a frozen dataclass here would add
+    about 1.2 ms to every import of the package.
     """
 
-    __slots__ = ("params", "graph", "direct", "closed", "adjacency", "laplacian", "trace3")
+    __slots__ = (
+        "params", "graph", "direct", "closed", "adjacency", "laplacian", "trace3", "spectra"
+    )
 
     def __init__(self, params: GeneralizedParams, graph: Graph, fault: bool) -> None:
         self.params, self.graph = params, graph
         self.direct = metrics.compute_metrics(graph)
         self.closed = metrics.analytic_metrics(params, triangle_sign_fault=fault)
-        self.adjacency = self.laplacian = self.trace3 = None
+        self.adjacency = self.laplacian = self.trace3 = self.spectra = None
 
 
 # a per-case check: a problem, a deviation, or None for a skipped case
@@ -215,7 +218,7 @@ def _adjacency(case: _Case, tol: float) -> _Outcome:
     p = case.params
     if case.adjacency is None:
         return None
-    result = spectra.adjacency_spectrum_gcs(p)
+    result = case.spectra.adjacency
     # t+1 quotient roots, s_i-1 for each class of several copies, and
     # -1 unless the graph is a star (c = 1, every s_i = 1)
     minus_one = p.core > 1 or any(cls.size > 1 for cls in p.classes)
@@ -231,7 +234,7 @@ def _laplacian(case: _Case, tol: float) -> _Outcome:
     p = case.params
     if case.laplacian is None:
         return None
-    result = spectra.laplacian_spectrum_gcs(p)
+    result = case.spectra.laplacian
     for value, _ in result.eigenpairs:
         if value != int(value):
             return f"non-integer {value}"
@@ -243,13 +246,13 @@ def _laplacian(case: _Case, tol: float) -> _Outcome:
 
 def _bounds_and_eigenvector(case: _Case) -> _Outcome:
     p = case.params
-    rho = spectra.spectral_radius(p)
+    rho = case.spectra.adjacency.eigenpairs[0][0]
     lower, upper = spectra.spectral_radius_bounds(p)
     if not (lower < rho < upper):
         return f"rho {rho} not in ({lower},{upper})"
     if rho < math.sqrt(p.n - 1) - 1e-12:
         return "rho below sqrt(n-1)"
-    pev = spectra.principal_eigenvector(p)
+    pev = case.spectra.eigenvector
     if any(not 0.0 < beta < 1.0 for beta in pev.class_values):
         return "beta out of (0,1)"
     vec = pev.to_vector(p)
@@ -262,9 +265,8 @@ def _bounds_and_eigenvector(case: _Case) -> _Outcome:
 
 def _indices(case: _Case) -> _Outcome:
     p = case.params
-    idx = spectra.spectral_indices(p)
-    lap = spectra.laplacian_spectrum_gcs(p)
-    values = [v for v, _ in lap.eigenpairs]
+    idx = case.spectra.indices
+    values = [v for v, _ in case.spectra.laplacian.eigenpairs]
     largest, smallest_positive = values[0], values[-2]
     # the ratios cross-multiplied, in exact ints
     if int(smallest_positive) * p.n != p.core * int(largest):
@@ -306,8 +308,10 @@ def run_checks(
     Each graph of ``GRID``, of ``sample_generalized_params()`` and of one
     fixed set with a root near an integer is built once, with its direct
     and closed-form metrics and its dense eigenvalues, and shared by
-    every check that reads it; each parameter set's quotient is solved
-    once.  ``tol`` must be finite and > 0: an infinite one passes any
+    every check that reads it.  After the dense eigenvalues, each case
+    gets its one ``spectra.analytic_spectra`` report, so each parameter
+    set's quotient is solved once per call and no result is kept for
+    the next.  ``tol`` must be finite and > 0: an infinite one passes any
     spectrum, and a negative one fails a correct one.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -323,19 +327,20 @@ def run_checks(
     # only the grid is enumerated
     _dense(grid, dense_limit, min(max_enum_n, oracle.DEFAULT_ENUM_LIMIT))
     _dense(sample, dense_limit, 0)
+    for case in both:
+        case.spectra = spectra.analytic_spectra(case.params)
     adjacency = partial(_adjacency, tol=tol)
     laplacian = partial(_laplacian, tol=tol)
     spread = "max deviation {worst:.1e}"
-    with spectra._computed_once():
-        return [
-            _run("counts-closed-forms", _counts_and_structure, both, "{run} graphs"),
-            _run("clustering-closed-forms", _clustering_closed_forms, both, "max gap {worst:.1e}"),
-            _run("assortativity", _assortativity, both, "negative, three routes agree"),
-            _run("subgraph-enumeration", _enumeration, grid, "{run} graphs enumerated"),
-            _run("adjacency-spectra", adjacency, grid, spread),
-            _run("generalized-spectra", adjacency, sample, spread),
-            _run("laplacian-spectra", laplacian, both, spread),
-            _run("bounds-eigenvector", _bounds_and_eigenvector, both, "{run} parameter sets"),
-            _run("spectral-indices", _indices, both, "sync = core/n, connectivity = core"),
-            _check_divergence(),
-        ]
+    return [
+        _run("counts-closed-forms", _counts_and_structure, both, "{run} graphs"),
+        _run("clustering-closed-forms", _clustering_closed_forms, both, "max gap {worst:.1e}"),
+        _run("assortativity", _assortativity, both, "negative, three routes agree"),
+        _run("subgraph-enumeration", _enumeration, grid, "{run} graphs enumerated"),
+        _run("adjacency-spectra", adjacency, grid, spread),
+        _run("generalized-spectra", adjacency, sample, spread),
+        _run("laplacian-spectra", laplacian, both, spread),
+        _run("bounds-eigenvector", _bounds_and_eigenvector, both, "{run} parameter sets"),
+        _run("spectral-indices", _indices, both, "sync = core/n, connectivity = core"),
+        _check_divergence(),
+    ]

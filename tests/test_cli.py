@@ -184,6 +184,22 @@ def test_spectrum_dense_limit_counts_classes(method, capsys, monkeypatch):
         assert err == "error: n=2001001 exceeds the limit 1000000\n"
 
 
+@pytest.mark.parametrize("method", ["analytic", "both"])
+def test_spectrum_solves_the_quotient_once(method, capsys, monkeypatch):
+    solves = []
+    real = spectra.eigenvalues_symmetric
+
+    def counted(matrix):
+        solves.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", counted)
+    argv = ["spectrum", "--core", "2", "--satellites", "1:1,2:3", "--method", method]
+    code, _, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert len(solves) == 1
+
+
 @pytest.mark.parametrize("route", ["adjacency", "laplacian"])
 def test_spectrum_wrong_multiplicity_exits_1(route, capsys, monkeypatch):
     # one multiplicity too many: the sizes differ, so no deviation is taken

@@ -45,6 +45,18 @@ def test_package_imports_only_stdlib_and_numpy():
     assert foreign == set()
 
 
+def test_no_module_rebinds_a_global():
+    # a result kept in module state outlives the call that made it and
+    # is shared by every thread; each result travels as a value instead
+    rebinding = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    }
+    assert rebinding == set()
+
+
 def _package_imports(tree: ast.AST):
     """Stems of the package files a module imports, relative or absolute.
 
@@ -189,7 +201,7 @@ for name in [m for m in sys.modules if m == "coresat" or m.startswith("coresat."
 for name in ("oracle", "spectra", "verification"):
     importlib.import_module(f"coresat.{name}")
 calls = []
-for module, attr in (("oracle", "twin_reduced_spectra"), ("spectra", "spectral_indices"), ("verification", "run_checks")):
+for module, attr in (("oracle", "twin_reduced_spectra"), ("spectra", "analytic_spectra"), ("verification", "run_checks")):
     module = first[f"coresat.{module}"]
     real = getattr(module, attr)
     setattr(module, attr, lambda *a, real=real, attr=attr, **k: calls.append(attr) or real(*a, **k))
@@ -201,7 +213,7 @@ print(codes, sorted(set(calls)))
 
 
 def test_cli_calls_the_numeric_modules_of_its_own_package():
-    expected = "[0, 0] ['run_checks', 'spectral_indices', 'twin_reduced_spectra']\n"
+    expected = "[0, 0] ['analytic_spectra', 'run_checks', 'twin_reduced_spectra']\n"
     assert _run_child(FRESH_PACKAGE_CHILD) == expected
 
 

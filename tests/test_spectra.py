@@ -12,6 +12,7 @@ from coresat import (
     adjacency_matrix,
     adjacency_spectrum_gcs,
     analytic_metrics,
+    analytic_spectra,
     eigenvalues_symmetric,
     generalized_core_satellite,
     laplacian_matrix,
@@ -26,6 +27,7 @@ from coresat import (
 )
 from coresat.oracle import symmetric_quotient
 from coresat.spectra import _snap_integers
+from coresat.verification import _NEAR_INTEGER, GRID
 
 BUTTERFLY = GeneralizedParams(1, [(2, 2)])
 MIXED = GeneralizedParams(2, [(1, 1), (2, 1)])
@@ -301,6 +303,37 @@ def test_principal_eigenvector_residual_on_samples():
         a = adjacency_matrix(generalized_core_satellite(p))
         residual = np.max(np.abs(a @ vec - pev.eigenvalue * vec))
         assert residual <= 1e-8 * pev.eigenvalue, p
+
+
+def test_each_projection_is_its_report_field():
+    for p in (
+        *GRID,
+        *sample_generalized_params(),
+        _NEAR_INTEGER,
+        GeneralizedParams(3, [(4, 1)]),  # K_7
+        GeneralizedParams(1, [(1, 7)]),  # the star K_{1,7}
+        GeneralizedParams(10**12, [(1, 2)]),
+    ):
+        report = analytic_spectra(p)
+        for projection, field in (
+            (adjacency_spectrum_gcs(p), report.adjacency),
+            (laplacian_spectrum_gcs(p), report.laplacian),
+            (spectral_radius(p), report.adjacency.eigenpairs[0][0]),
+            (spectral_radius(p), report.eigenvector.eigenvalue),
+            (spectral_radius(p), report.indices.spectral_radius),
+            (principal_eigenvector(p), report.eigenvector),
+            (spectral_indices(p), report.indices),
+        ):
+            assert repr(projection) == repr(field), p
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the float quotient root loses the gap to s - 1 at s near 1e16 (ROADMAP item 3)",
+)
+def test_principal_eigenvector_stays_in_range_near_the_float_limit():
+    pev = principal_eigenvector(GeneralizedParams(1, [(1, 1), (9999999999999999, 1)]))
+    assert all(0.0 < beta < 1.0 for beta in pev.class_values)
 
 
 def test_trace_identities_exact_integers():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
 from collections import Counter
 
 import pytest
@@ -157,7 +158,41 @@ def test_each_quotient_is_solved_once_per_call(monkeypatch):
         assert all(r.passed for r in run_checks())
         assert set(quotients) >= cases
         assert len(solves) == len(quotients) == len(set(quotients))
-    assert spectra._kept is None
+
+
+def test_concurrent_calls_give_the_serial_result_and_keep_nothing(monkeypatch):
+    spectra = verification.spectra
+    solves = []
+    real = spectra.eigenvalues_symmetric
+
+    def counted(matrix):
+        solves.append(matrix)
+        return real(matrix)
+
+    serial = run_checks()
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", counted)
+    # the two calls overlap in most rounds, not in every one
+    for _ in range(3):
+        start = threading.Barrier(2, timeout=60)
+        results = [None, None]
+
+        def worker(i):
+            start.wait()
+            results[i] = run_checks()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial, serial]
+
+        # nothing from either call answers a later one: each call solves
+        solves.clear()
+        spectra.spectral_radius(GRID[0])
+        spectra.spectral_radius(GRID[0])
+        assert len(solves) == 2
 
 
 def test_eigenvector_residual_is_read_from_the_rows(monkeypatch):
@@ -171,13 +206,15 @@ def test_eigenvector_residual_is_read_from_the_rows(monkeypatch):
     assert all(r.passed for r in by_name.values())
     assert by_name["bounds-eigenvector"].detail == f"{len(GRID) + 21} parameter sets"
 
-    real = verification.spectra.principal_eigenvector
+    real = verification.spectra.analytic_spectra
 
     def off(params):
-        pev = real(params)
-        return dataclasses.replace(pev, core_value=pev.core_value * (1 + 1e-6))
+        report = real(params)
+        pev = report.eigenvector
+        pev = dataclasses.replace(pev, core_value=pev.core_value * (1 + 1e-6))
+        return dataclasses.replace(report, eigenvector=pev)
 
-    monkeypatch.setattr(verification.spectra, "principal_eigenvector", off)
+    monkeypatch.setattr(verification.spectra, "analytic_spectra", off)
     by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
     assert not by_name["bounds-eigenvector"].passed
     assert "residual" in by_name["bounds-eigenvector"].detail
@@ -202,15 +239,17 @@ def test_a_wrong_multiplicity_fails_its_check(route, failed, monkeypatch):
 
 
 def test_the_infection_threshold_is_checked_exactly(monkeypatch):
-    # spectral_indices defines the threshold as 1.0 / rho, so one that is
+    # analytic_spectra defines the threshold as 1.0 / rho, so one that is
     # off by a factor of 1 + 1e-13 is a wrong one
-    real = verification.spectra.spectral_indices
+    real = verification.spectra.analytic_spectra
 
     def off(params):
-        idx = real(params)
-        return dataclasses.replace(idx, infection_threshold=idx.infection_threshold * (1 + 1e-13))
+        report = real(params)
+        idx = report.indices
+        idx = dataclasses.replace(idx, infection_threshold=idx.infection_threshold * (1 + 1e-13))
+        return dataclasses.replace(report, indices=idx)
 
-    monkeypatch.setattr(verification.spectra, "spectral_indices", off)
+    monkeypatch.setattr(verification.spectra, "analytic_spectra", off)
     by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
     assert [name for name, r in by_name.items() if not r.passed] == ["spectral-indices"]
     assert by_name["spectral-indices"].detail == f"{GRID[0]}: threshold mismatch"
