@@ -11,7 +11,9 @@ formula and spectrum in the package assumes this block layout.  The
 layout fixes every row, so the generator writes the rows directly, with
 no edge list.  ``Graph(n, edges)`` validates any other graph's edges;
 the graph operations build through it, and composed they are the
-independent route the generator is tested against.
+independent route the generator is tested against.  ``twin_classes``
+is the one entry point to a graph's twin quotient; the scan for runs
+of twins under it is private.
 """
 from __future__ import annotations
 
@@ -37,8 +39,6 @@ __all__ = [
     "agave",
     "complete_split",
     "is_connected",
-    "twin_runs",
-    "run_neighbors",
     "twin_classes",
 ]
 
@@ -111,7 +111,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
+def _twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
     """First nodes, sizes and clique flags of the runs of consecutive twins, in O(m).
 
     True twins have equal closed neighborhoods N[u] = N(u) + {u}, so a
@@ -126,7 +126,9 @@ def twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
     order is the same with u and w swapped.  So a run is flagged a
     clique when its second node joined as a true twin; a run of one
     node is flagged False.  Only proven twins are merged; a graph
-    without consecutive twins gives n runs of one node.
+    without consecutive twins gives n runs of one node.  ``twin_classes``
+    is its one caller, so a scan for twins in any labelling replaces it
+    there alone.
     """
     adj = g.adj
     firsts, sizes, cliques = ([0], [1], [False]) if adj else ([], [], [])
@@ -147,54 +149,47 @@ def twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
     return firsts, sizes, cliques
 
 
-def run_neighbors(g: Graph, firsts: list[int]) -> list[tuple[int, ...]]:
-    """For each run of ``twin_runs``, the first nodes of the runs next to it, ascending.
-
-    Twins agree on every node outside their run, so a run next to a
-    node r lies wholly in r's sorted row, and its first node is there
-    too.  The rest of r's own run is never a first node, so the row's
-    first nodes are exactly the runs next to r's run.  Each row is
-    filtered once, in O(m) over all runs.
-    """
-    starts = frozenset(firsts)
-    rows = map(g.adj.__getitem__, firsts)
-    return [tuple(compress(row, map(starts.__contains__, row))) for row in rows]
-
-
 def twin_classes(g: Graph) -> tuple[list[int], list[int], list[int], list[Counter[int]]]:
     """First nodes, run sizes, run counts and the divisor matrix B of the classes of runs.
 
     This is the one place that builds the twin quotient, and the only
-    one that knows its unit, the run.  The runs of ``twin_runs`` with
-    the same size z, kind and runs next to them (``run_neighbors``) form
-    a class, in the order of their first runs.  Runs of one class share
-    their neighbor runs, so a run next to one is next to all, and no two
-    are adjacent, which would put a run next to itself.  So the union of
-    a class is an equitable cell, and B[i][j] counts the neighbors in
-    class j of each node of class i: the class-j runs next to its run
-    times z_j, and on the diagonal the z - 1 mates of a clique run.
-    Nothing is stored for an independent run's diagonal, so a run is a
-    clique exactly when B[i][i] > 0.  A core-satellite graph of t
-    satellite sizes gives t + 1 classes and the paper's B: B00 = c - 1,
-    B0i = eta_i * s_i, Bi0 = c and Bii = s_i - 1 (a K_n gives [{0: n - 1}]).
+    one that knows its unit, the run of ``_twin_runs``.  Twins agree on
+    every node outside their run, so a run next to a run's first node r
+    lies wholly in r's sorted row, and its first node is there too; the
+    rest of r's own run is never a first node.  So the row's entries
+    that are first nodes are exactly the runs next to r's run, read in
+    O(m) over all runs.  The runs with the same size z, kind and runs
+    next to them form a class, in the order of their first runs.  Runs
+    of one class share their neighbor runs, so a run next to one is next
+    to all, and no two are adjacent, which would put a run next to
+    itself.  So the union of a class is an equitable cell, and B[i][j]
+    counts the neighbors in class j of each node of class i: the class-j
+    runs next to its run times z_j, and on the diagonal the z - 1 mates
+    of a clique run.  Nothing is stored for an independent run's
+    diagonal, so a run is a clique exactly when B[i][i] > 0.  A
+    core-satellite graph of t satellite sizes gives t + 1 classes and
+    the paper's B: B00 = c - 1, B0i = eta_i * s_i, Bi0 = c and
+    Bii = s_i - 1 (a K_n gives [{0: n - 1}]).
     """
-    firsts, sizes, cliques = twin_runs(g)
-    keys = list(zip(sizes, cliques, run_neighbors(g, firsts)))
-    counts = Counter(keys)  # runs per class, in first-seen order
-    index = dict(zip(counts, range(len(counts))))
-    of_run = dict(zip(firsts, map(index.__getitem__, keys)))
-    # the last value per key wins, so reversed it is the first run's
-    reps = dict(zip(reversed(keys), reversed(firsts)))
-    zs = [z for z, _, _ in counts]
+    firsts, sizes, cliques = _twin_runs(g)
+    starts = frozenset(firsts)
+    # each class's first nodes of its runs, keyed by size, kind and the runs next to them
+    classes: dict[tuple[int, bool, tuple[int, ...]], list[int]] = {}
+    for r, z, clique in zip(firsts, sizes, cliques):
+        row = g.adj[r]
+        near = tuple(compress(row, map(starts.__contains__, row)))
+        classes.setdefault((z, clique, near), []).append(r)
+    of_run = {r: i for i, runs in enumerate(classes.values()) for r in runs}
+    zs = [z for z, _, _ in classes]
     quotient = []
-    for i, (z, clique, near) in enumerate(counts):
+    for i, (z, clique, near) in enumerate(classes):
         row = Counter(map(of_run.__getitem__, near))
         for j, links in row.items():
             row[j] = links * zs[j]
         if clique:
             row[i] = z - 1
         quotient.append(row)
-    return list(map(reps.__getitem__, counts)), zs, list(counts.values()), quotient
+    return [runs[0] for runs in classes.values()], zs, list(map(len, classes.values())), quotient
 
 
 def complete_graph(p: int) -> Graph:

@@ -3,20 +3,20 @@
 Direct routines work on any Graph.  ``compute_metrics`` is the direct
 kernel, in the node-iterator style of triangle listing (Schank & Wagner,
 WEA 2005; Latapy, TCS 2008), with neighbor rows held as Python int
-bitsets.  It works on the quotient of ``graphs.twin_classes``, never
-node by node.  Runs of true twins (equal closed neighborhoods) or false
-twins (equal open ones) with one size and kind and the same runs next
-to them form a class, an equitable cell (Cvetkovic, Rowlinson & Simic,
-*An Introduction to the Theory of Graph Spectra*, 2010), and an
-automorphism swaps any two runs of a class, so they share degree,
-triangles and neighbor degree sum.  The kernel reads the cells' integer
-divisor matrix B, the neighbors each node of class i has in class j,
-and evaluates each class once, at its first node, weighted by its node
-count: t + 1 classes for t satellite sizes, 4 for every sweep graph.
-Only proven twins are merged, so the result is exact on any graph; a
-graph without twins gives classes of one node each.  Every metric is a
-field of its one ``MetricsReport``; ``oracle.local_clustering`` gives
-one node's clustering by brute force.
+bitsets.  It works on the quotient of ``graphs.twin_classes``, the one
+entry point to the twin classes, never node by node.  Runs of true twins
+(equal closed neighborhoods) or false twins (equal open ones) with one
+size and kind and the same runs next to them form a class, an equitable
+cell (Cvetkovic, Rowlinson & Simic, *An Introduction to the Theory of
+Graph Spectra*, 2010), and an automorphism swaps any two runs of a
+class, so they share degree, triangles and neighbor degree sum.  The
+kernel reads the cells' integer divisor matrix B, the neighbors each
+node of class i has in class j, and evaluates each class once, at its
+first node, weighted by its node count: t + 1 classes for t satellite
+sizes, 4 for every sweep graph.  Only proven twins are merged, so the
+result is exact on any graph; a graph without twins gives classes of one
+node each.  Every metric is a field of its one ``MetricsReport``;
+``oracle.local_clustering`` gives one node's clustering by brute force.
 
 Only the first node of each class gets a bitset row, indexed by node,
 so that an AND of two rows counts common neighbors exactly.  Row u spans

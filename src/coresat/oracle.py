@@ -5,16 +5,17 @@ matrices, a full symmetric eigendecomposition, twin-reduced spectra,
 subgraph counts by listing every instance and local clustering from
 neighbor sets.  ``twin_reduced_spectra``, run by ``spectrum --method
 numeric|both``, solves only the integer divisor matrix B of
-``graphs.twin_classes``, t + 1 cells for a core-satellite graph of t
-satellite sizes; every other eigenvalue is an exact contrast value.  Its
-``symmetric_quotient`` serves the closed forms too, on their B, so the
-dense matrices of ``verify`` and the tests check it.  The listing walks
-the rows instead of scanning every node subset, but it is still brute
-force: it reads only the graph's rows, each triangle, path and star it
-counts is one it found, and no formula or identity of ``metrics`` stands
-in for a count.  Size guards keep the dense and brute-force paths at
-brute-force scale.  numpy is imported inside the functions that use it,
-so that importing the package does not load it.
+``graphs.twin_classes``, the one entry point to the twin classes, t + 1
+cells for a core-satellite graph of t satellite sizes; every other
+eigenvalue is an exact contrast value.  Its ``symmetric_quotient``
+serves the closed forms too, on their B, so the dense matrices of
+``verify`` and the tests check it.  The listing walks the rows instead
+of scanning every node subset, but it is still brute force: it reads
+only the graph's rows, each triangle, path and star it counts is one it
+found, and no formula or identity of ``metrics`` stands in for a count.
+Size guards keep the dense and brute-force paths at brute-force scale.
+numpy is imported inside the functions that use it, so that importing
+the package does not load it.
 """
 from __future__ import annotations
 

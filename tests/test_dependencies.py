@@ -4,10 +4,12 @@ scipy, networkx and sympy may serve as independent references in the
 tests; numpy is the package's one runtime dependency.  The oracle and
 the direct metrics kernel share no module but ``graphs``, and
 ``graphs.twin_classes`` is the one place that builds the twin quotient,
-its integer divisor matrix B: the kernel reads B to weight its common
-neighbor counts and the twin-reduced spectra to build their quotient
-matrix, only ``graphs`` calls the twin scan under it and knows its runs,
-and the subgraph listing that checks the kernel uses neither.
+its integer divisor matrix B, and the one entry point to it: the kernel
+reads B to weight its common neighbor counts and the twin-reduced
+spectra to build their quotient matrix.  Only ``twin_classes`` calls the
+private twin scan under it and knows its runs, no module exports a
+function of runs, and the subgraph listing that checks the kernel uses
+neither.
 numpy itself is imported only inside the functions that build a matrix
 or solve eigenvalues, so it loads on the first of those calls, and
 ``spectra`` imports it nowhere: it builds its B in integers and leaves
@@ -16,6 +18,7 @@ the matrix to ``oracle.symmetric_quotient``.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -115,10 +118,25 @@ def _names(path: Path) -> set[str]:
 
 def test_only_graphs_builds_the_twin_quotient():
     names = {path.stem: _names(path) for path in SRC.glob("*.py")}
-    scan = {"twin_runs", "run_neighbors"}
+    scan = {"_twin_runs"}
     assert {stem for stem, used in names.items() if used & scan} == {"graphs"}
     quotient = {stem for stem, used in names.items() if "twin_classes" in used}
     assert quotient - {"graphs"} == {"metrics", "oracle"}
+    # within graphs, twin_classes is the scan's one caller
+    body = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8")).body
+    callers = {
+        getattr(node, "name", "<module>")
+        for node in body
+        if not (isinstance(node, ast.FunctionDef) and node.name in scan)
+        and scan & {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+    }
+    assert callers == {"twin_classes"}
+    # and no module exports a function of runs
+    run_level = {"twin_runs", "_twin_runs", "run_neighbors"}
+    for path in SRC.glob("*.py"):
+        name = "coresat" if path.stem == "__init__" else f"coresat.{path.stem}"
+        exported = getattr(importlib.import_module(name), "__all__", ())
+        assert run_level & set(exported) == set(), path.name
 
 
 def _module_level_imports(body):

@@ -33,7 +33,7 @@ from coresat import (
     star,
 )
 from coresat import metrics as metrics_mod
-from coresat.graphs import run_neighbors, twin_classes, twin_runs
+from coresat.graphs import _twin_runs, twin_classes
 from coresat.metrics import (
     DIRECT_BITSET_LIMIT,
     _SHIFT_ROW_LIMIT,
@@ -477,7 +477,7 @@ def test_kernel_on_wide_rows_matches_set_counts_and_exact_ratios(g):
 
 
 def _assert_runs_by_brute_force(g):
-    """``twin_runs(g)`` are the maximal runs of consecutive twins.
+    """``_twin_runs(g)`` are the maximal runs of consecutive twins.
 
     They are found here from neighbor sets: true twins (equal closed
     sets) in a clique run, false twins (equal open sets) in an
@@ -492,7 +492,7 @@ def _assert_runs_by_brute_force(g):
     ]
     sizes = [b - a for a, b in zip(starts, starts[1:] + [g.n])]
     cliques = [z > 1 and closed[r] == closed[r + 1] for r, z in zip(starts, sizes)]
-    assert twin_runs(g) == (starts, sizes, cliques)
+    assert _twin_runs(g) == (starts, sizes, cliques)
     for r, z, clique in zip(starts, sizes, cliques):
         links = sum(v in nbrs[u] for u, v in itertools.combinations(range(r, r + z), 2))
         assert links == (math.comb(z, 2) if clique else 0)
@@ -571,7 +571,7 @@ def twin_free_wide_graphs(draw):
     n = draw(st.integers(min_value=18, max_value=22))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     g = Graph(n, [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.8])
-    assume(len(twin_runs(g)[0]) == n and max(map(len, g.adj)) > _SHIFT_ROW_LIMIT)
+    assume(len(_twin_runs(g)[0]) == n and max(map(len, g.adj)) > _SHIFT_ROW_LIMIT)
     return g
 
 
@@ -579,9 +579,14 @@ def test_lookalike_runs_differ_only_in_the_runs_next_to_them():
     # clique runs {0, 1} and {2, 3}: the same size and kind, but only the
     # first is next to node 5, so they are two classes
     g = Graph(6, [(0, 1), (2, 3), (0, 4), (1, 4), (0, 5), (1, 5), (2, 4), (3, 4)])
-    firsts, sizes, cliques = twin_runs(g)
-    assert (firsts, sizes, cliques) == ([0, 2, 4, 5], [2, 2, 1, 1], [True, True, False, False])
-    assert run_neighbors(g, firsts) == [(4, 5), (4,), (0, 2), (0,)]
+    assert _twin_runs(g) == ([0, 2, 4, 5], [2, 2, 1, 1], [True, True, False, False])
+    # B's rows name the runs next to each: {4, 5} next to {0, 1}, only 4 next to {2, 3}
+    assert twin_classes(g) == (
+        [0, 2, 4, 5],
+        [2, 2, 1, 1],
+        [1, 1, 1, 1],
+        [{0: 1, 2: 1, 3: 1}, {1: 1, 2: 1}, {0: 2, 1: 2}, {0: 2}],
+    )
     assert compute_metrics(g) == _independent_report(g)
 
 
@@ -592,24 +597,27 @@ def test_lookalike_runs_differ_only_in_the_runs_next_to_them():
 def test_kernel_classes_match_enumeration_and_set_sums(g):
     rep = compute_metrics(g)
     assert rep == _independent_report(g)
-    firsts, sizes, _ = twin_runs(g)
-    for r, z, near in zip(firsts, sizes, run_neighbors(g, firsts)):
-        # whole runs next to r, and nothing of r's own run
-        members = {v for d in near for v in range(d, d + sizes[firsts.index(d)])}
-        assert members == set(g.adj[r]) - set(range(r, r + z))
+    _assert_classes_by_node_sets(g)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(lookalike_runs(), relabelled_family_graphs()))
-def test_twin_classes_are_equitable_cells_of_runs_apart(g):
+def _assert_classes_by_node_sets(g):
+    """``twin_classes(g)`` are the classes of runs found from node sets.
+
+    A run's class is its size, its kind and the nodes next to it outside
+    the run, which must form whole runs.  Each class must be an
+    equitable cell whose B row counts every neighbor of each of its
+    nodes, and no two runs of a class may be adjacent.
+    """
     firsts, sizes, counts, quotient = twin_classes(g)
-    # a run's class, found from node sets: its size, its kind and the
-    # nodes next to it outside the run
     run_of, keys = {}, []
-    for r, z, clique in zip(*twin_runs(g)):
+    for r, z, clique in zip(*_twin_runs(g)):
         run = range(r, r + z)
         run_of.update(dict.fromkeys(run, r))
         keys.append((r, (z, clique, frozenset(g.adj[r]) - set(run))))
+    for _, (_, _, outside) in keys:
+        # the nodes next to a run, outside it, form whole runs
+        near = {run_of[v] for v in outside}
+        assert outside == {v for v in range(g.n) if run_of[v] in near}
     classes = list(dict.fromkeys(key for _, key in keys))
     assert [next(r for r, key in keys if key == c) for c in classes] == firsts
     assert [z for z, _, _ in classes] == sizes
@@ -629,6 +637,20 @@ def test_twin_classes_are_equitable_cells_of_runs_apart(g):
         assert dict(Counter(class_of[v] for v in g.adj[u])) == dict(quotient[i])
         # no other run of u's class is next to u
         assert all(run_of[v] == run_of[u] for v in g.adj[u] if class_of[v] == i)
+
+
+def _every_labelled_graph(test):
+    """``test`` with every graph of at most five nodes as an explicit example."""
+    for g in _labelled_graphs(5):
+        test = example(g)(test)
+    return test
+
+
+@_every_labelled_graph
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(lookalike_runs(), relabelled_family_graphs()))
+def test_twin_classes_are_equitable_cells_of_runs_apart(g):
+    _assert_classes_by_node_sets(g)
 
 
 def test_kernel_builds_one_bitset_row_per_class(monkeypatch):
@@ -660,22 +682,22 @@ def test_sweep_graph_report_survives_relabelling():
     perm = list(range(g.n))
     random.Random(1510).shuffle(perm)
     shuffled = relabel(g, perm)
-    assert len(twin_runs(shuffled)[0]) == 1503
+    assert len(_twin_runs(shuffled)[0]) == 1503
     assert compute_metrics(shuffled) == compute_metrics(g)
 
 
 def test_twin_class_counts():
     # the core and each satellite clique: 1 + 300 clique runs
-    firsts, _, cliques = twin_runs(generalized_core_satellite(SWEEP_LARGEST))
+    firsts, _, cliques = _twin_runs(generalized_core_satellite(SWEEP_LARGEST))
     assert len(firsts) == 301 and all(cliques)
     for n in (2, 7):
-        assert twin_runs(complete_graph(n)) == ([0], [n], [True])
-    assert twin_runs(complete_graph(1)) == ([0], [1], [False])
+        assert _twin_runs(complete_graph(n)) == ([0], [n], [True])
+    assert _twin_runs(complete_graph(1)) == ([0], [1], [False])
     for n in (3, 4, 9):
         path = Graph(n, [(u, u + 1) for u in range(n - 1)])
-        assert twin_runs(path) == (list(range(n)), [1] * n, [False] * n)
+        assert _twin_runs(path) == (list(range(n)), [1] * n, [False] * n)
     # the hub, then the leaves as one run of false twins
     for b in (2, 5):
-        assert twin_runs(star(b)) == ([0, 1], [1, b], [False, False])
-    assert twin_runs(Graph(3, [])) == ([0], [3], [False])
-    assert twin_runs(Graph(0, [])) == ([], [], [])
+        assert _twin_runs(star(b)) == ([0, 1], [1, b], [False, False])
+    assert _twin_runs(Graph(3, [])) == ([0], [3], [False])
+    assert _twin_runs(Graph(0, [])) == ([], [], [])

@@ -32,7 +32,7 @@ from coresat import (
     star,
 )
 from coresat import oracle
-from coresat.graphs import twin_runs
+from coresat.graphs import _twin_runs
 from coresat.oracle import symmetric_quotient, twin_reduced_spectra
 
 
@@ -175,7 +175,7 @@ def _assert_reduced_matches_dense(g):
         assert np.max(np.abs(values - expected), initial=0.0) <= 1e-12 * max(g.n, 1), g
     # z - 1 contrasts per run: -1 or 0 (adjacency), d + 1 or d (Laplacian)
     contrasts = Counter(), Counter()
-    for r, z, clique in zip(*twin_runs(g)):
+    for r, z, clique in zip(*_twin_runs(g)):
         d = len(g.adj[r])
         contrasts[0][-1.0 if clique else 0.0] += z - 1
         contrasts[1][float(d + clique)] += z - 1

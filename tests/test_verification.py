@@ -160,6 +160,41 @@ def test_each_quotient_is_solved_once_per_call(monkeypatch):
         assert len(solves) == len(quotients) == len(set(quotients))
 
 
+def test_each_dense_laplacian_is_the_oracles_matrix(monkeypatch):
+    # the dense solve builds L = D - A from each A in place; every L it
+    # solves is ``oracle.laplacian_matrix`` of its graph, byte for byte,
+    # so a -0.0 in place of 0.0 shows too
+    oracle = verification.oracle
+    real_adjacency, real_solve = oracle.adjacency_matrix, oracle.eigenvalues_symmetric
+    graph_of, stacks = {}, []
+
+    def adjacency(g):
+        a = real_adjacency(g)
+        graph_of[id(a)] = g, a  # holding a keeps its id unique
+        return a
+
+    def solve(stack):
+        stacks.append(list(stack))
+        return real_solve(stack)
+
+    monkeypatch.setattr(oracle, "adjacency_matrix", adjacency)
+    monkeypatch.setattr(oracle, "eigenvalues_symmetric", solve)
+    assert all(r.passed for r in run_checks())
+    monkeypatch.undo()
+    checked = 0
+    for stack in stacks:
+        # one stack per size: the adjacency matrices, then their Laplacians
+        half = len(stack) // 2
+        for a, lap in zip(stack[:half], stack[half:]):
+            g, built = graph_of[id(a)]
+            assert built is a
+            expected = oracle.laplacian_matrix(g)
+            assert (lap.dtype, lap.shape) == (expected.dtype, expected.shape)
+            assert lap.tobytes() == expected.tobytes(), g
+            checked += 1
+    assert checked == len(GRID) + len(sample_generalized_params()) + 1
+
+
 def test_concurrent_calls_give_the_serial_result_and_keep_nothing(monkeypatch):
     spectra = verification.spectra
     solves = []
