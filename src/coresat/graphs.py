@@ -149,7 +149,7 @@ def _twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
     return firsts, sizes, cliques
 
 
-def twin_classes(g: Graph) -> tuple[list[int], list[int], list[int], list[Counter[int]]]:
+def twin_classes(g: Graph) -> tuple[list[int], list[int], list[int], list[dict[int, int]]]:
     """First nodes, run sizes, run counts and the divisor matrix B of the classes of runs.
 
     This is the one place that builds the twin quotient, and the only
@@ -165,7 +165,9 @@ def twin_classes(g: Graph) -> tuple[list[int], list[int], list[int], list[Counte
     itself.  So the union of a class is an equitable cell, and B[i][j]
     counts the neighbors in class j of each node of class i: the class-j
     runs next to its run times z_j, and on the diagonal the z - 1 mates
-    of a clique run.  Nothing is stored for an independent run's
+    of a clique run.  Each row is one dict, as ``spectra.quotient``
+    gives it, built once from the counted class-j runs of its first run,
+    each scaled by z_j.  Nothing is stored for an independent run's
     diagonal, so a run is a clique exactly when B[i][i] > 0.  A
     core-satellite graph of t satellite sizes gives t + 1 classes and
     the paper's B: B00 = c - 1, B0i = eta_i * s_i, Bi0 = c and
@@ -183,9 +185,8 @@ def twin_classes(g: Graph) -> tuple[list[int], list[int], list[int], list[Counte
     zs = [z for z, _, _ in classes]
     quotient = []
     for i, (z, clique, near) in enumerate(classes):
-        row = Counter(map(of_run.__getitem__, near))
-        for j, links in row.items():
-            row[j] = links * zs[j]
+        runs = Counter(map(of_run.__getitem__, near))
+        row = {j: links * zs[j] for j, links in runs.items()}
         if clique:
             row[i] = z - 1
         quotient.append(row)

@@ -139,10 +139,11 @@ def compute_metrics(g: Graph) -> MetricsReport:
     sum k**2 and sq = sum (k_u**2 + k_v**2) is sum k**3.  The Pearson
     assortativity is (4*m*se - ss**2) / (2*m*sq - ss**2), and the
     subgraph-count (Estrada) one, with t triangles, is
-    (m*(p3 + 3t) - p2**2) / (m*(3*s13 + p2) - p2**2).  With T_k the
-    triangles through the nodes of degree k, the average clustering is
-    (sum over k of T_k / C(k, 2)) / n: over the common denominator
-    n * lcm C(k, 2), one int division, which rounds correctly.
+    (m*(p3 + 3t) - p2**2) / (m*(3*s13 + p2) - p2**2).  The average
+    clustering is the sum over the classes with k >= 2 of their weight
+    times triangles(r) / C(k, 2), over n.  Each class adds its term over
+    the common denominator n * lcm C(k, 2) of the classes, and one int
+    division, which rounds correctly, ends the sum.
     """
     n, m = g.n, g.m
     firsts, sizes, counts, quotient = twin_classes(g)
@@ -160,7 +161,7 @@ def compute_metrics(g: Graph) -> MetricsReport:
     for i, (b, near) in enumerate(zip(bits, quotient)):
         # r has k neighbors in common with itself, a mate in its run k - 1
         common = map(int.bit_count, map(b.__and__, map(bits.__getitem__, near)))
-        twice.append(sum(map(mul, near.values(), common)) - near[i])
+        twice.append(sum(map(mul, near.values(), common)) - near.get(i, 0))
         nds.append(sum(map(mul, near.values(), map(deg.__getitem__, near))))
     squares = list(map(mul, deg, deg))
     t = sum(map(mul, weights, twice)) // 6
@@ -168,18 +169,13 @@ def compute_metrics(g: Graph) -> MetricsReport:
     se = sum(map(mul, weights, map(mul, deg, nds))) // 2
     ss = sum(map(mul, weights, squares))  # sum over edges of k_u + k_v
     sq = sum(map(mul, weights, map(mul, squares, deg)))  # sum over edges of k_u**2 + k_v**2
-    p2 = sum(map(mul, weights, map(math.comb, deg, repeat(2))))
+    pairs = list(map(math.comb, deg, repeat(2)))
+    p2 = sum(map(mul, weights, pairs))
     p3 = se - ss + m - 3 * t  # sum over edges of (k_u - 1)(k_v - 1), minus 3t
     s13 = sum(map(mul, weights, map(math.comb, deg, repeat(3))))
-
-    # triangles through the nodes of each degree k >= 2
-    by_degree: dict[int, int] = {}
-    for x, k, z in zip(twice, deg, weights):
-        if k >= 2:
-            by_degree[k] = by_degree.get(k, 0) + z * (x // 2)
-    pairs = list(map(math.comb, by_degree, repeat(2)))
-    common = math.lcm(*pairs)
-    total = sum(tk * (common // p) for tk, p in zip(by_degree.values(), pairs))
+    # C(k, 2) is 0 exactly for k < 2, where clustering is 0
+    common = math.lcm(*filter(None, pairs))
+    total = sum(z * (x // 2) * (common // p) for z, x, p in zip(weights, twice, pairs) if p)
     transitivity, r_estrada = _count_ratios(m, t, p2, p3, s13)
     den = 2 * m * sq - ss * ss
     return MetricsReport(

@@ -6,19 +6,19 @@ injects a known-wrong triangle closed form so the pipeline can prove it
 would catch a bad formula (negative control).
 
 One ``run_checks`` call computes each object once and shares it with
-every check that reads it.  A case is one parameter set with its graph,
-the graph's direct metrics and its closed-form metrics (fault included).
-Each graph within the dense or the enumeration limit gets one dense
-adjacency matrix A: where n is within the dense limit, A and L = D - A
-of every graph of one size are solved in one stacked eigensolve, and
-where n is within the enumeration limit, A gives trace(A^3).  Each
-case holds one ``spectra.analytic_spectra`` report, so its quotient is
-solved once and its Laplacian spectrum built once, whichever checks
-read them; the report lives with the case, and nothing outlives the
-call.  A per-case check returns a problem string, a deviation, or
-``None`` when it skips the case.  ``_run`` applies one such check to a
-list of cases: it counts the cases run, keeps the worst deviation and
-stops at the first problem.
+every check that reads it.  A case is built whole: one parameter set
+with its graph, the graph's direct metrics, its closed-form metrics
+(fault included) and its one ``spectra.analytic_spectra`` report, so
+its quotient is solved once and its Laplacian spectrum built once,
+whichever checks read them.  Each graph within the dense or the
+enumeration limit gets one dense adjacency matrix A: where n is within
+the dense limit, A and L = D - A of every graph of one size are solved
+in one stacked eigensolve, and where n is within the enumeration limit,
+A gives trace(A^3).  Everything lives with the case, and nothing
+outlives the call.  A per-case check returns a problem string, a
+deviation, or ``None`` when it skips the case.  ``_run`` applies one
+such check to a list of cases: it counts the cases run, keeps the worst
+deviation and stops at the first problem.
 """
 from __future__ import annotations
 
@@ -63,10 +63,10 @@ class _Case:
     """One parameter set and what the checks read of its graph.
 
     ``direct`` and ``closed`` are the graph's direct and closed-form
-    metrics.  ``_dense`` fills in the eigenvalues of A and of L = D - A,
-    descending, and trace(A^3), ``None`` until then and past its limits.
-    ``spectra`` is the closed-form ``SpectraReport``, filled in by
-    ``run_checks``.  A plain class: a frozen dataclass here would add
+    metrics, and ``spectra`` its closed-form ``SpectraReport``, all
+    computed here.  ``_dense`` fills in the eigenvalues of A and of
+    L = D - A, descending, and trace(A^3), ``None`` until then and past
+    its limits.  A plain class: a frozen dataclass here would add
     about 1.2 ms to every import of the package.
     """
 
@@ -78,7 +78,8 @@ class _Case:
         self.params, self.graph = params, graph
         self.direct = metrics.compute_metrics(graph)
         self.closed = metrics.analytic_metrics(params, triangle_sign_fault=fault)
-        self.adjacency = self.laplacian = self.trace3 = self.spectra = None
+        self.spectra = spectra.analytic_spectra(params)
+        self.adjacency = self.laplacian = self.trace3 = None
 
 
 # a per-case check: a problem, a deviation, or None for a skipped case
@@ -307,12 +308,12 @@ def run_checks(
 
     Each graph of ``GRID``, of ``sample_generalized_params()`` and of one
     fixed set with a root near an integer is built once, with its direct
-    and closed-form metrics and its dense eigenvalues, and shared by
-    every check that reads it.  After the dense eigenvalues, each case
-    gets its one ``spectra.analytic_spectra`` report, so each parameter
-    set's quotient is solved once per call and no result is kept for
-    the next.  ``tol`` must be finite and > 0: an infinite one passes any
-    spectrum, and a negative one fails a correct one.
+    and closed-form metrics, its one ``spectra.analytic_spectra`` report
+    and its dense eigenvalues, and shared by every check that reads it.
+    So each parameter set's quotient is solved once per call, and no
+    result is kept for the next.  ``tol`` must be finite and > 0: an
+    infinite one passes any spectrum, and a negative one fails a correct
+    one.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be a finite number > 0, got {tol!r}")
@@ -327,8 +328,6 @@ def run_checks(
     # only the grid is enumerated
     _dense(grid, dense_limit, min(max_enum_n, oracle.DEFAULT_ENUM_LIMIT))
     _dense(sample, dense_limit, 0)
-    for case in both:
-        case.spectra = spectra.analytic_spectra(case.params)
     adjacency = partial(_adjacency, tol=tol)
     laplacian = partial(_laplacian, tol=tol)
     spread = "max deviation {worst:.1e}"

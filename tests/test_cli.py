@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -534,6 +537,31 @@ def test_usage_errors_exit_2(capsys):
             main(["sweep", "--pmax", value])
         assert exc.value.code == 2
         assert "--pmax" in capsys.readouterr().err
+
+
+def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m coresat.cli`` in a child process, with the package on its path."""
+    src = str(SCHEMA_DIR.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "coresat.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+    )
+
+
+def test_module_entry_point_runs_main(capsys):
+    # only a process of its own runs the module's ``__main__`` line
+    argv = ["sweep", "--pmax", "2"]
+    child = _run_module(argv)
+    code, out, err = run(argv, capsys)
+    assert (child.returncode, code) == (0, 0)
+    assert child.stdout == out.encode("ascii")
+    assert child.stderr == err.encode("ascii") == b""
+    usage = _run_module(["sweep", "--pmax", "0"])
+    assert usage.returncode == 2
+    assert usage.stdout == b""
+    assert b"--pmax" in usage.stderr
 
 
 # sha256 of `metrics` stdout, unchanged since its `tolerance` key was dropped

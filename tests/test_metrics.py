@@ -412,6 +412,9 @@ def test_closed_form_avg_clustering_is_the_exact_rational_rounded_once(core, cla
 @settings(max_examples=300)
 @given(st.one_of(st.just(Graph(0, [])), arbitrary_graphs(max_nodes=14)))
 @example(_threshold_graph(14))  # 13 distinct degrees: many C(k, 2) to a common denominator
+# a triangle with a two-edge tail: nodes 0 and 1 and node 3 have degree
+# 2, but only 0 and 1 lie on a triangle
+@example(Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]))
 def test_direct_avg_clustering_is_the_exact_rational_rounded_once(g):
     avg, _ = _exact_ratios(g)
     assert compute_metrics(g).avg_clustering.hex() == float(avg).hex()
