@@ -42,6 +42,7 @@ from .spectra import (
     SpectrumResult,
     adjacency_spectrum_gcs,
     analytic_spectra,
+    analytic_spectra_batch,
     laplacian_spectrum_gcs,
     max_spectrum_deviation,
     principal_eigenvector,
@@ -75,6 +76,7 @@ __all__ = [
     "agave",
     "analytic_metrics",
     "analytic_spectra",
+    "analytic_spectra_batch",
     "complete_graph",
     "complete_split",
     "compute_metrics",

@@ -18,7 +18,7 @@ of twins under it is private.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from itertools import combinations, compress, islice
 from operator import eq
 from typing import Iterable, Sequence
@@ -165,13 +165,14 @@ def twin_classes(g: Graph) -> tuple[list[int], list[int], list[int], list[dict[i
     itself.  So the union of a class is an equitable cell, and B[i][j]
     counts the neighbors in class j of each node of class i: the class-j
     runs next to its run times z_j, and on the diagonal the z - 1 mates
-    of a clique run.  Each row is one dict, as ``spectra.quotient``
-    gives it, built once from the counted class-j runs of its first run,
-    each scaled by z_j.  Nothing is stored for an independent run's
-    diagonal, so a run is a clique exactly when B[i][i] > 0.  A
-    core-satellite graph of t satellite sizes gives t + 1 classes and
-    the paper's B: B00 = c - 1, B0i = eta_i * s_i, Bi0 = c and
-    Bii = s_i - 1 (a K_n gives [{0: n - 1}]).
+    of a clique run.  Each row is one plain dict, as ``spectra.quotient``
+    gives it, keyed in the order of its first run's row: each class-j
+    run next to that run adds z_j to entry j as it is counted.  Nothing
+    is stored for an independent run's diagonal, so a run is a clique
+    exactly when B[i][i] > 0.  A core-satellite graph of t satellite
+    sizes gives t + 1 classes and the paper's B: B00 = c - 1,
+    B0i = eta_i * s_i, Bi0 = c and Bii = s_i - 1 (a K_n gives
+    [{0: n - 1}]).
     """
     firsts, sizes, cliques = _twin_runs(g)
     starts = frozenset(firsts)
@@ -185,8 +186,9 @@ def twin_classes(g: Graph) -> tuple[list[int], list[int], list[int], list[dict[i
     zs = [z for z, _, _ in classes]
     quotient = []
     for i, (z, clique, near) in enumerate(classes):
-        runs = Counter(map(of_run.__getitem__, near))
-        row = {j: links * zs[j] for j, links in runs.items()}
+        row: dict[int, int] = {}
+        for j in map(of_run.__getitem__, near):
+            row[j] = row.get(j, 0) + zs[j]
         if clique:
             row[i] = z - 1
         quotient.append(row)

@@ -210,18 +210,50 @@ def assortativity_estrada(g: Graph) -> float | None:
 # closed forms over GeneralizedParams
 # ---------------------------------------------------------------------------
 
-def _core_triangles(params: GeneralizedParams, sign_fault: bool = False) -> int:
-    """Triangles through one core node.
+def _closed_counts(
+    core: int, classes: list[tuple[int, int]], sign_fault: bool = False
+) -> tuple[int, int, int, int, int]:
+    """Core triangles, triangles, p2, p3 and s13 of ``core`` and (size, count) classes.
 
-    Its n - 1 neighbors are all the other nodes, and the only
-    non-adjacent pairs among them are satellite nodes in different
-    cliques.  With S = sum eta_i*s_i and Q = sum eta_i*s_i**2 there are
-    (S**2 - Q) / 2 such pairs.  ``sign_fault`` adds Q instead of
-    subtracting it: the negative control of ``analytic_metrics``.
+    The integer core of ``analytic_metrics``, shared with the divergence
+    series of ``verify``, which asks only for counts.  One core node's
+    n - 1 neighbors are all the other nodes, and the only non-adjacent
+    pairs among them are satellite nodes in different cliques.  With
+    S = sum eta_i*s_i and Q = sum eta_i*s_i**2 there are (S**2 - Q) / 2
+    such pairs.  A node of class i has degree d_i = c+s_i-1 and its
+    neighbors form a clique, so it lies on C(d_i, 2) triangles; summed
+    over all nodes, every triangle is counted three times.  p3 is the
+    sum over edges of (k_u - 1)(k_v - 1), minus 3 per triangle.
+    ``sign_fault`` adds Q instead of subtracting it: the negative
+    control of ``analytic_metrics``.
     """
-    s = params.satellite_nodes
-    q = sum(cls.count * cls.size * cls.size for cls in params.classes)
-    return math.comb(params.n - 1, 2) - (s * s + (q if sign_fault else -q)) // 2
+    s = q = 0
+    for size, count in classes:
+        s += count * size
+        q += count * size * size
+    c, n = core, core + s
+    core_triangles = math.comb(n - 1, 2) - (s * s + (q if sign_fault else -q)) // 2
+    sat_paths = 0  # 2-paths centered on satellite nodes, all closed
+    s13 = c * math.comb(n - 1, 3)
+    # sum of (k_u - 1)(k_v - 1) over edges, core-core edges first
+    edge_sum = math.comb(c, 2) * (n - 2) ** 2
+    for size, count in classes:
+        nodes, d = count * size, c + size - 1
+        sat_paths += nodes * math.comb(d, 2)
+        s13 += nodes * math.comb(d, 3)
+        # the class's core-satellite edges, then its clique edges
+        edge_sum += (c * nodes * (n - 2) + count * math.comb(size, 2) * (d - 1)) * (d - 1)
+    tri = (c * core_triangles + sat_paths) // 3
+    return core_triangles, tri, c * math.comb(n - 1, 2) + sat_paths, edge_sum - 3 * tri, s13
+
+
+def _size_counts(params: GeneralizedParams) -> list[tuple[int, int]]:
+    return [(cls.size, cls.count) for cls in params.classes]
+
+
+def _core_triangles(params: GeneralizedParams, sign_fault: bool = False) -> int:
+    """Triangles through one core node (``_closed_counts``)."""
+    return _closed_counts(params.core, _size_counts(params), sign_fault)[0]
 
 
 def _average_clustering_terms(params: GeneralizedParams, core_triangles: int) -> tuple[int, int]:
@@ -253,34 +285,20 @@ def analytic_metrics(
 ) -> MetricsReport:
     """MetricsReport evaluated from closed forms alone.
 
-    The c core nodes have degree n - 1 and t_core triangles each
-    (``_core_triangles``).  A node of class i has degree d_i = c+s_i-1
-    and its neighbors form a clique, so it lies on C(d_i, 2) triangles;
-    summed over all nodes, every triangle is counted three times.
-    Every count is the core term plus one term per class, in exact
-    integers; each ratio is one exact rational, rounded to float once
-    (int / int rounds correctly), with no ``Fraction`` built.
+    Every count comes from ``_closed_counts``, a core term plus one term
+    per class in exact integers; the c core nodes have degree n - 1 and
+    t_core triangles each.  Each ratio is one exact rational, rounded to
+    float once (int / int rounds correctly), with no ``Fraction`` built.
 
     ``triangle_sign_fault`` flips the sign of Q in t_core.  The result
     is wrong on purpose: it is the negative control of the verification
     pipeline, and it reaches both the triangle count and the average
     clustering through that one term.
     """
-    c, n, m = params.core, params.n, params.m
-    sat_paths = 0  # 2-paths centered on satellite nodes, all closed
-    s13 = c * math.comb(n - 1, 3)
-    # sum of (k_u - 1)(k_v - 1) over edges, core-core edges first
-    edge_sum = math.comb(c, 2) * (n - 2) ** 2
-    for cls in params.classes:
-        nodes, d = cls.count * cls.size, c + cls.size - 1
-        sat_paths += nodes * math.comb(d, 2)
-        s13 += nodes * math.comb(d, 3)
-        # the class's core-satellite edges, then its clique edges
-        edge_sum += (c * nodes * (n - 2) + cls.count * math.comb(cls.size, 2) * (d - 1)) * (d - 1)
-    p2 = c * math.comb(n - 1, 2) + sat_paths
-    core_triangles = _core_triangles(params, triangle_sign_fault)
-    tri = (c * core_triangles + sat_paths) // 3
-    p3 = edge_sum - 3 * tri
+    n, m = params.n, params.m
+    core_triangles, tri, p2, p3, s13 = _closed_counts(
+        params.core, _size_counts(params), triangle_sign_fault
+    )
     transitivity, r = _count_ratios(m, tri, p2, p3, s13)
     avg, nodes_by_pairs = _average_clustering_terms(params, core_triangles)
     return MetricsReport(

@@ -168,9 +168,9 @@ def exhaustive_subgraph_counts(g: Graph, max_n: int = DEFAULT_ENUM_LIMIT) -> Sub
 
     Every count is a tally of the instances listed from the sorted rows,
     never a counting identity: a triangle as a < b < c, a 2-path or a
-    3-star as a pair or triple of one node's neighbors, and a 3-path as
-    a walk a-b-c-d on four distinct nodes, found once from each end.
-    Guarded by ``max_n``.
+    3-star as a pair or triple of one node's neighbors, and a 3-path
+    a-b-c-d on four distinct nodes once, from the lower end b < c of its
+    middle edge.  Guarded by ``max_n``.
     """
     if g.n > max_n:
         raise SizeLimitError(f"n={g.n} exceeds enumeration limit {max_n}")
@@ -181,17 +181,18 @@ def exhaustive_subgraph_counts(g: Graph, max_n: int = DEFAULT_ENUM_LIMIT) -> Sub
         for b, c in itertools.combinations([v for v in row if v > a], 2)
     )
     p2 = sum(1 for row in g.adj for _ in itertools.combinations(row, 2))
-    walks = sum(
+    p3 = sum(
         1
         for b, row in enumerate(g.adj)
-        for a in row
         for c in row
-        if c != a
+        if c > b
+        for a in row
+        if a != c
         for d in g.adj[c]
         if d != a and d != b
     )
     s13 = sum(1 for row in g.adj for _ in itertools.combinations(row, 3))
-    return SubgraphCounts(triangles=triangles, p2=p2, p3=walks // 2, s13=s13)
+    return SubgraphCounts(triangles=triangles, p2=p2, p3=p3, s13=s13)
 
 
 def local_clustering(g: Graph, u: int) -> float:

@@ -6,11 +6,12 @@ injects a known-wrong triangle closed form so the pipeline can prove it
 would catch a bad formula (negative control).
 
 One ``run_checks`` call computes each object once and shares it with
-every check that reads it.  A case is built whole: one parameter set
-with its graph, the graph's direct metrics, its closed-form metrics
-(fault included) and its one ``spectra.analytic_spectra`` report, so
-its quotient is solved once and its Laplacian spectrum built once,
-whichever checks read them.  Each graph within the dense or the
+every check that reads it.  All closed-form spectra come first, in one
+``spectra.analytic_spectra_batch`` call: every quotient of one size is
+solved in one stacked eigensolve, and each set's report is the one it
+gets alone.  Then each case is built: one parameter set with its
+report, its graph, the graph's direct metrics and its closed-form
+metrics (fault included).  Each graph within the dense or the
 enumeration limit gets one dense adjacency matrix A: where n is within
 the dense limit, A and L = D - A of every graph of one size are solved
 in one stacked eigensolve, and where n is within the enumeration limit,
@@ -18,7 +19,9 @@ A gives trace(A^3).  Everything lives with the case, and nothing
 outlives the call.  A per-case check returns a problem string, a
 deviation, or ``None`` when it skips the case.  ``_run`` applies one
 such check to a list of cases: it counts the cases run, keeps the worst
-deviation and stops at the first problem.
+deviation and stops at the first problem.  The divergence series is
+exact: it compares transitivities over eta = 2..1000 as cross-multiplied
+integer counts, and builds a metrics report only at eta = 1000.
 """
 from __future__ import annotations
 
@@ -63,22 +66,24 @@ class _Case:
     """One parameter set and what the checks read of its graph.
 
     ``direct`` and ``closed`` are the graph's direct and closed-form
-    metrics, and ``spectra`` its closed-form ``SpectraReport``, all
-    computed here.  ``_dense`` fills in the eigenvalues of A and of
-    L = D - A, descending, and trace(A^3), ``None`` until then and past
-    its limits.  A plain class: a frozen dataclass here would add
-    about 1.2 ms to every import of the package.
+    metrics, computed here, and ``spectra`` its closed-form
+    ``SpectraReport``, one of a batch solved before any case is built.
+    ``_dense`` fills in the eigenvalues of A and of L = D - A,
+    descending, and trace(A^3), ``None`` until then and past its limits.
+    A plain class: a frozen dataclass here would add about 1.2 ms to
+    every import of the package.
     """
 
     __slots__ = (
         "params", "graph", "direct", "closed", "adjacency", "laplacian", "trace3", "spectra"
     )
 
-    def __init__(self, params: GeneralizedParams, graph: Graph, fault: bool) -> None:
-        self.params, self.graph = params, graph
+    def __init__(
+        self, params: GeneralizedParams, graph: Graph, fault: bool, report: spectra.SpectraReport
+    ) -> None:
+        self.params, self.graph, self.spectra = params, graph, report
         self.direct = metrics.compute_metrics(graph)
         self.closed = metrics.analytic_metrics(params, triangle_sign_fault=fault)
-        self.spectra = spectra.analytic_spectra(params)
         self.adjacency = self.laplacian = self.trace3 = None
 
 
@@ -282,18 +287,21 @@ def _indices(case: _Case) -> _Outcome:
 
 
 def _check_divergence() -> CheckResult:
-    base = GeneralizedParams(2, [(3, 1000)])
-    rep = metrics.analytic_metrics(base)
+    """C -> 1 and T -> 0 at eta = 1000, and T falling over eta = 2..1000, exactly.
+
+    T = 3t / p2, so T(eta + 1) <= T(eta) is t(eta + 1) * p2(eta) <=
+    t(eta) * p2(eta + 1) in ints, with t and p2 from the integer counts
+    of ``analytic_metrics``.
+    """
+    rep = metrics.analytic_metrics(GeneralizedParams(2, [(3, 1000)]))
     if not rep.avg_clustering > 0.999:
         return CheckResult("divergence", False, f"avg clustering {rep.avg_clustering}")
     if not rep.transitivity < 0.01:
         return CheckResult("divergence", False, f"transitivity {rep.transitivity}")
-    prev = None
-    for eta in range(2, 1001):
-        rep = metrics.analytic_metrics(GeneralizedParams(2, [(3, eta)]))
-        if prev is not None and rep.transitivity > prev:
+    counts = [metrics._closed_counts(2, [(3, eta)])[1:3] for eta in range(2, 1001)]
+    for eta, (t0, p0), (t1, p1) in zip(range(3, 1001), counts, counts[1:]):
+        if t1 * p0 > t0 * p1:
             return CheckResult("divergence", False, f"transitivity rose at eta={eta}")
-        prev = rep.transitivity
     return CheckResult("divergence", True, "endpoints hold, transitivity decreasing")
 
 
@@ -308,21 +316,27 @@ def run_checks(
 
     Each graph of ``GRID``, of ``sample_generalized_params()`` and of one
     fixed set with a root near an integer is built once, with its direct
-    and closed-form metrics, its one ``spectra.analytic_spectra`` report
-    and its dense eigenvalues, and shared by every check that reads it.
-    So each parameter set's quotient is solved once per call, and no
-    result is kept for the next.  ``tol`` must be finite and > 0: an
+    and closed-form metrics, its report from one
+    ``spectra.analytic_spectra_batch`` over all the sets and its dense
+    eigenvalues, and shared by every check that reads it.  So each
+    parameter set's quotient is solved once per call, and no result is
+    kept for the next.  ``tol`` must be finite and > 0: an
     infinite one passes any spectrum, and a negative one fails a correct
     one.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be a finite number > 0, got {tol!r}")
+    sampled = [*sample_generalized_params(), _NEAR_INTEGER]
+    reports = spectra.analytic_spectra_batch([*GRID, *sampled])
     # the grid builds through the ``core_satellite`` alias, which the
     # benchmark's tracer wraps apart from ``generalized_core_satellite``
-    grid = [_Case(p, core_satellite(p), triangle_sign_fault) for p in GRID]
+    grid = [
+        _Case(p, core_satellite(p), triangle_sign_fault, report)
+        for p, report in zip(GRID, reports)
+    ]
     sample = [
-        _Case(p, generalized_core_satellite(p), triangle_sign_fault)
-        for p in [*sample_generalized_params(), _NEAR_INTEGER]
+        _Case(p, generalized_core_satellite(p), triangle_sign_fault, report)
+        for p, report in zip(sampled, reports[len(GRID):])
     ]
     both = grid + sample
     # only the grid is enumerated

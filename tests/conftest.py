@@ -17,15 +17,25 @@ GRID_PARAMS = [
 ]
 
 
-def add_one_to_a_multiplicity(monkeypatch, route: str) -> None:
-    """Patch ``spectra.<route>`` to count its top eigenvalue once more."""
-    real = getattr(spectra, route)
+# where the closed forms build the spectrum that each public route gives:
+# the route itself, ``analytic_spectra`` and the batch of ``verify`` all
+# read it there, so a fault planted there reaches every one of them
+_SPECTRUM_BUILDERS = {
+    "adjacency_spectrum_gcs": "_adjacency_spectrum",  # (params, roots)
+    "laplacian_spectrum_gcs": "laplacian_spectrum_gcs",  # (params)
+}
 
-    def one_too_many(params):
-        (value, mult), *rest = real(params).eigenpairs
+
+def add_one_to_a_multiplicity(monkeypatch, route: str) -> None:
+    """Make the spectrum of ``spectra.<route>`` count its top eigenvalue once more."""
+    builder = _SPECTRUM_BUILDERS[route]
+    real = getattr(spectra, builder)
+
+    def one_too_many(*args):
+        (value, mult), *rest = real(*args).eigenpairs
         return spectra.SpectrumResult(((value, mult + 1), *rest))
 
-    monkeypatch.setattr(spectra, route, one_too_many)
+    monkeypatch.setattr(spectra, builder, one_too_many)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -52,6 +62,14 @@ def arbitrary_graphs(draw, max_nodes: int = 8):
     else:
         edges = []
     return Graph(n, edges)
+
+
+def labelled_graphs(max_n: int):
+    """Every labelled graph on 0 to ``max_n`` nodes: 1,100 up to 5 nodes."""
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
 
 
 def relabel(g, perm):

@@ -16,6 +16,7 @@ from conftest import (
     GRID_PARAMS,
     arbitrary_graphs,
     generalized_params,
+    labelled_graphs,
     lookalike_runs,
     planted_twin_graphs,
     relabel,
@@ -551,17 +552,9 @@ def _independent_report(g):
     )
 
 
-def _labelled_graphs(max_n):
-    """Every labelled graph on 0 to ``max_n`` nodes."""
-    for n in range(max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            yield Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
-
-
 def test_runs_and_kernel_on_every_graph_of_five_nodes_or_fewer():
     # 1 + 1 + 2 + 8 + 64 + 1024 graphs
-    graphs = list(_labelled_graphs(5))
+    graphs = list(labelled_graphs(5))
     assert len(graphs) == 1100
     for g in graphs:
         _assert_runs_by_brute_force(g)
@@ -644,7 +637,7 @@ def _assert_classes_by_node_sets(g):
 
 def _every_labelled_graph(test):
     """``test`` with every graph of at most five nodes as an explicit example."""
-    for g in _labelled_graphs(5):
+    for g in labelled_graphs(5):
         test = example(g)(test)
     return test
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from unittest import mock
@@ -13,6 +14,7 @@ from conftest import (
     GRID_PARAMS,
     arbitrary_graphs,
     generalized_params,
+    labelled_graphs,
     lookalike_runs,
     planted_twin_graphs,
     relabelled_family_graphs,
@@ -136,6 +138,21 @@ def test_exhaustive_counts_on_named_graphs():
         for g, expected in families:
             counts = exhaustive_subgraph_counts(g)
             assert (counts.triangles, counts.p2, counts.p3, counts.s13) == expected, (g, n)
+
+
+def test_each_3_path_is_listed_once():
+    # an independent listing: every ordered 4-tuple of distinct nodes
+    # that forms a path, each path once from each end
+    graphs = [*labelled_graphs(5)]
+    assert len(graphs) == 1100
+    graphs += [generalized_core_satellite(p) for p in GRID_PARAMS if p.n <= 8]
+    for g in graphs:
+        nbrs = [set(row) for row in g.adj]
+        ordered = sum(
+            b in nbrs[a] and c in nbrs[b] and d in nbrs[c]
+            for a, b, c, d in itertools.permutations(range(g.n), 4)
+        )
+        assert exhaustive_subgraph_counts(g).p3 == ordered // 2, g.edges
 
 
 def test_exhaustive_guard():

@@ -81,6 +81,29 @@ def test_tolerance_must_be_finite_and_positive(tol):
         run_checks(tol=tol)
 
 
+def test_a_rise_in_the_divergence_series_fails_its_check(monkeypatch):
+    # the series reads the integer counts that analytic_metrics is built
+    # from, so a rise planted there, the least one at eta = 500, fails it
+    real = verification.metrics._closed_counts
+    eta_500 = [(3, 500)]
+
+    def risen(core, classes, sign_fault=False):
+        counts = real(core, classes, sign_fault)
+        if (core, classes) == (2, eta_500):
+            core_triangles, t, p2, p3, s13 = counts
+            before = real(2, [(3, 499)])
+            # the least t with t / p2 above t(499) / p2(499)
+            t = before[1] * p2 // before[2] + 1
+            counts = core_triangles, t, p2, p3, s13
+        return counts
+
+    monkeypatch.setattr(verification.metrics, "_closed_counts", risen)
+    results = run_checks(dense_limit=1, max_enum_n=1)
+    assert [(r.name, r.detail) for r in results if not r.passed] == [
+        ("divergence", "transitivity rose at eta=500")
+    ]
+
+
 def test_closed_form_checks_cover_the_sampled_multiclass_graphs(monkeypatch):
     real = verification.metrics.analytic_metrics
 
@@ -128,15 +151,17 @@ def test_each_case_is_built_and_measured_once(monkeypatch):
         core_satellite=len(GRID),
         generalized_core_satellite=sampled,
         compute_metrics=len(GRID) + sampled,
-        # one per case, and the divergence series: eta = 1000, then 2..1000
-        analytic_metrics=len(GRID) + sampled + 1000,
+        # one per case, and the divergence endpoints at eta = 1000; the
+        # series over eta = 2..1000 reads integer counts, not reports
+        analytic_metrics=len(GRID) + sampled + 1,
     )
 
 
 def test_each_quotient_is_solved_once_per_call(monkeypatch):
-    # counted where spectra calls the solver.  Every route of one call
-    # takes its roots from one solve, and nothing is kept for the next
-    # call: a cache across calls would make the second count lower
+    # counted where spectra calls the solver, matrix by matrix inside
+    # each stacked solve.  Every route of one call takes its roots from
+    # one solve, and nothing is kept for the next call: a cache across
+    # calls would make the second count lower
     spectra = verification.spectra
     quotients, solves = [], []
 
@@ -157,7 +182,11 @@ def test_each_quotient_is_solved_once_per_call(monkeypatch):
         solves.clear()
         assert all(r.passed for r in run_checks())
         assert set(quotients) >= cases
-        assert len(solves) == len(quotients) == len(set(quotients))
+        # one stack per quotient size: 2 cells on the grid, 3 to 6 in the samples
+        sizes = [len(stack[0]) for stack in solves]
+        assert len(sizes) == len(set(sizes))
+        solved = sum(map(len, solves))
+        assert solved == len(quotients) == len(set(quotients))
 
 
 def test_each_dense_laplacian_is_the_oracles_matrix(monkeypatch):
@@ -241,15 +270,17 @@ def test_eigenvector_residual_is_read_from_the_rows(monkeypatch):
     assert all(r.passed for r in by_name.values())
     assert by_name["bounds-eigenvector"].detail == f"{len(GRID) + 21} parameter sets"
 
-    real = verification.spectra.analytic_spectra
+    real = verification.spectra.analytic_spectra_batch
 
-    def off(params):
-        report = real(params)
-        pev = report.eigenvector
-        pev = dataclasses.replace(pev, core_value=pev.core_value * (1 + 1e-6))
-        return dataclasses.replace(report, eigenvector=pev)
+    def off(batch):
+        reports = []
+        for report in real(batch):
+            pev = report.eigenvector
+            pev = dataclasses.replace(pev, core_value=pev.core_value * (1 + 1e-6))
+            reports.append(dataclasses.replace(report, eigenvector=pev))
+        return reports
 
-    monkeypatch.setattr(verification.spectra, "analytic_spectra", off)
+    monkeypatch.setattr(verification.spectra, "analytic_spectra_batch", off)
     by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
     assert not by_name["bounds-eigenvector"].passed
     assert "residual" in by_name["bounds-eigenvector"].detail
@@ -276,15 +307,18 @@ def test_a_wrong_multiplicity_fails_its_check(route, failed, monkeypatch):
 def test_the_infection_threshold_is_checked_exactly(monkeypatch):
     # analytic_spectra defines the threshold as 1.0 / rho, so one that is
     # off by a factor of 1 + 1e-13 is a wrong one
-    real = verification.spectra.analytic_spectra
+    real = verification.spectra.analytic_spectra_batch
 
-    def off(params):
-        report = real(params)
-        idx = report.indices
-        idx = dataclasses.replace(idx, infection_threshold=idx.infection_threshold * (1 + 1e-13))
-        return dataclasses.replace(report, indices=idx)
+    def off(batch):
+        reports = []
+        for report in real(batch):
+            idx = report.indices
+            scaled = idx.infection_threshold * (1 + 1e-13)
+            idx = dataclasses.replace(idx, infection_threshold=scaled)
+            reports.append(dataclasses.replace(report, indices=idx))
+        return reports
 
-    monkeypatch.setattr(verification.spectra, "analytic_spectra", off)
+    monkeypatch.setattr(verification.spectra, "analytic_spectra_batch", off)
     by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
     assert [name for name, r in by_name.items() if not r.passed] == ["spectral-indices"]
     assert by_name["spectral-indices"].detail == f"{GRID[0]}: threshold mismatch"
