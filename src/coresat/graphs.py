@@ -18,7 +18,6 @@ of twins under it is private.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from itertools import combinations, compress, islice
 from operator import eq
 from typing import Iterable, Sequence
@@ -285,18 +284,11 @@ def complete_split(a: int, b: int) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from node 0; empty graph counts as connected."""
+    """Reachability from node 0, one level at a time; a graph of n <= 1 counts as connected."""
     if g.n <= 1:
         return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                reached += 1
-                queue.append(v)
-    return reached == g.n
+    seen, level = {0}, {0}
+    while level:
+        level = set().union(*map(g.adj.__getitem__, level)) - seen
+        seen |= level
+    return len(seen) == g.n

@@ -6,16 +6,16 @@ injects a known-wrong triangle closed form so the pipeline can prove it
 would catch a bad formula (negative control).
 
 One ``run_checks`` call computes each object once and shares it with
-every check that reads it.  All closed-form spectra come first, in one
+every check that reads it.  It builds each graph, then runs the batched
+passes.  All closed-form spectra come from one
 ``spectra.analytic_spectra_batch`` call: every quotient of one size is
 solved in one stacked eigensolve, and each set's report is the one it
-gets alone.  Then each case is built: one parameter set with its
-report, its graph, the graph's direct metrics and its closed-form
-metrics (fault included).  Each graph within the dense or the
-enumeration limit gets one dense adjacency matrix A: where n is within
-the dense limit, A and L = D - A of every graph of one size are solved
-in one stacked eigensolve, and where n is within the enumeration limit,
-A gives trace(A^3).  Everything lives with the case, and nothing
+gets alone.  ``_dense`` builds one dense adjacency matrix A per graph
+within the dense or the enumeration limit and returns, per graph in
+order, the eigenvalues of A and of L = D - A within the dense limit
+(all of one size in one stacked eigensolve) and trace(A^3) within the
+enumeration limit.  Then each case is built whole from its set, graph,
+report and dense values; no case is written to after.  Nothing
 outlives the call.  A per-case check returns a problem string, a
 deviation, or ``None`` when it skips the case.  ``_run`` applies one
 such check to a list of cases: it counts the cases run, keeps the worst
@@ -65,13 +65,12 @@ class CheckResult:
 class _Case:
     """One parameter set and what the checks read of its graph.
 
+    ``spectra`` is the set's closed-form ``SpectraReport``, and
+    ``adjacency``, ``laplacian`` and ``trace3`` its graph's triple from
+    ``_dense``, both from batches run before any case is built.
     ``direct`` and ``closed`` are the graph's direct and closed-form
-    metrics, computed here, and ``spectra`` its closed-form
-    ``SpectraReport``, one of a batch solved before any case is built.
-    ``_dense`` fills in the eigenvalues of A and of L = D - A,
-    descending, and trace(A^3), ``None`` until then and past its limits.
-    A plain class: a frozen dataclass here would add about 1.2 ms to
-    every import of the package.
+    metrics, computed here.  A plain class: a frozen dataclass here
+    would add about 1.2 ms to every import of the package.
     """
 
     __slots__ = (
@@ -79,44 +78,49 @@ class _Case:
     )
 
     def __init__(
-        self, params: GeneralizedParams, graph: Graph, fault: bool, report: spectra.SpectraReport
+        self,
+        params: GeneralizedParams,
+        graph: Graph,
+        report: spectra.SpectraReport,
+        dense: tuple,
+        fault: bool,
     ) -> None:
         self.params, self.graph, self.spectra = params, graph, report
+        self.adjacency, self.laplacian, self.trace3 = dense
         self.direct = metrics.compute_metrics(graph)
         self.closed = metrics.analytic_metrics(params, triangle_sign_fault=fault)
-        self.adjacency = self.laplacian = self.trace3 = None
 
 
 # a per-case check: a problem, a deviation, or None for a skipped case
 _Outcome = str | float | None
 
 
-def _dense(cases: list[_Case], dense_limit: int, enum_limit: int) -> None:
-    """Build one dense A per graph within either limit and fill in what it gives.
+def _dense(graphs: list[Graph], dense_limit: int, enum_limit: int) -> list[tuple]:
+    """Per graph, in order: the eigenvalues of A and of L = D - A, and trace(A^3).
 
+    The eigenvalues are descending, and each value is ``None`` past its
+    limit.  One dense A is built per graph within either limit.
     Same-size graphs within the dense limit are solved together, A and
     L of each in one stacked call: each row of values is bit for bit
     what its matrix alone gives, and the stack holds one size at a time.
     """
-    by_size: dict[int, list[_Case]] = {}
-    for case in cases:
-        if case.graph.n <= max(dense_limit, enum_limit):
-            by_size.setdefault(case.graph.n, []).append(case)
+    out: list[tuple] = [(None, None, None)] * len(graphs)
+    by_size: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        if g.n <= max(dense_limit, enum_limit):
+            by_size.setdefault(g.n, []).append(i)
     for n, group in by_size.items():
-        matrices = [oracle.adjacency_matrix(case.graph) for case in group]
-        if n <= enum_limit:
-            for case, a in zip(group, matrices):
-                case.trace3 = float((a @ a @ a).trace())
-        if n > dense_limit:
-            continue
-        laplacians = []
-        for case, a in zip(group, matrices):
-            lap = -a  # D - A, as ``oracle.laplacian_matrix`` builds it
-            lap.flat[:: n + 1] = case.graph.degrees()
-            laplacians.append(lap)
-        values = oracle.eigenvalues_symmetric(matrices + laplacians).tolist()
-        for case, adjacency, laplacian in zip(group, values, values[len(group):]):
-            case.adjacency, case.laplacian = adjacency, laplacian
+        matrices = [oracle.adjacency_matrix(graphs[i]) for i in group]
+        traces = [float((a @ a @ a).trace()) if n <= enum_limit else None for a in matrices]
+        values = [None] * (2 * len(group))
+        if n <= dense_limit:
+            laplacians = [-a for a in matrices]  # D - A, as ``oracle.laplacian_matrix`` builds it
+            for i, lap in zip(group, laplacians):
+                lap.flat[:: n + 1] = graphs[i].degrees()
+            values = oracle.eigenvalues_symmetric(matrices + laplacians).tolist()
+        for i, adjacency, laplacian, trace3 in zip(group, values, values[len(group):], traces):
+            out[i] = adjacency, laplacian, trace3
+    return out
 
 
 def sample_generalized_params(
@@ -315,33 +319,30 @@ def run_checks(
     """Run the full verification battery; order is deterministic.
 
     Each graph of ``GRID``, of ``sample_generalized_params()`` and of one
-    fixed set with a root near an integer is built once, with its direct
-    and closed-form metrics, its report from one
-    ``spectra.analytic_spectra_batch`` over all the sets and its dense
-    eigenvalues, and shared by every check that reads it.  So each
-    parameter set's quotient is solved once per call, and no result is
-    kept for the next.  ``tol`` must be finite and > 0: an
-    infinite one passes any spectrum, and a negative one fails a correct
-    one.
+    fixed set with a root near an integer is built once.  Its case is
+    built whole, with its report from one
+    ``spectra.analytic_spectra_batch`` over all the sets, its values
+    from ``_dense`` and its direct and closed-form metrics, and shared
+    by every check that reads it.  So each parameter set's quotient is
+    solved once per call, and no result is kept for the next.  ``tol``
+    must be finite and > 0: an infinite one passes any spectrum, and a
+    negative one fails a correct one.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be a finite number > 0, got {tol!r}")
     sampled = [*sample_generalized_params(), _NEAR_INTEGER]
-    reports = spectra.analytic_spectra_batch([*GRID, *sampled])
     # the grid builds through the ``core_satellite`` alias, which the
     # benchmark's tracer wraps apart from ``generalized_core_satellite``
-    grid = [
-        _Case(p, core_satellite(p), triangle_sign_fault, report)
-        for p, report in zip(GRID, reports)
-    ]
-    sample = [
-        _Case(p, generalized_core_satellite(p), triangle_sign_fault, report)
-        for p, report in zip(sampled, reports[len(GRID):])
-    ]
-    both = grid + sample
+    graphs = [*map(core_satellite, GRID), *map(generalized_core_satellite, sampled)]
+    reports = spectra.analytic_spectra_batch([*GRID, *sampled])
     # only the grid is enumerated
-    _dense(grid, dense_limit, min(max_enum_n, oracle.DEFAULT_ENUM_LIMIT))
-    _dense(sample, dense_limit, 0)
+    dense = _dense(graphs[: len(GRID)], dense_limit, min(max_enum_n, oracle.DEFAULT_ENUM_LIMIT))
+    dense += _dense(graphs[len(GRID):], dense_limit, 0)
+    both = [
+        _Case(*case, triangle_sign_fault)
+        for case in zip([*GRID, *sampled], graphs, reports, dense)
+    ]
+    grid, sample = both[: len(GRID)], both[len(GRID):]
     adjacency = partial(_adjacency, tol=tol)
     laplacian = partial(_laplacian, tol=tol)
     spread = "max deviation {worst:.1e}"

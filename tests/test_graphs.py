@@ -193,6 +193,29 @@ def test_grid_counts_and_degrees():
         assert is_connected(g)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(2, []),
+        Graph(3, [(0, 1)]),
+        Graph(3, [(1, 2)]),
+        disjoint_union([complete_graph(3), complete_graph(3)]),
+    ],
+    ids=["two-isolated", "edge-and-isolated", "isolated-start", "two-triangles"],
+)
+def test_a_disconnected_graph_is_not_connected(g):
+    assert not is_connected(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(0, []), Graph(1, []), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])],
+    ids=["empty", "one-node", "path"],
+)
+def test_a_connected_graph_is_connected(g):
+    assert is_connected(g)
+
+
 def test_one_class_params_are_equal_however_built():
     # one graph, one value: equal parameters must also hash alike
     ways = [

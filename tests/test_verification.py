@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from conftest import add_one_to_a_multiplicity
 from coresat import (
     GeneralizedParams,
     InvalidParameterError,
+    generalized_core_satellite,
     run_checks,
     sample_generalized_params,
     verification,
@@ -222,6 +225,54 @@ def test_each_dense_laplacian_is_the_oracles_matrix(monkeypatch):
             assert lap.tobytes() == expected.tobytes(), g
             checked += 1
     assert checked == len(GRID) + len(sample_generalized_params()) + 1
+
+
+@pytest.mark.parametrize(
+    "dense_limit, enum_limit", [(2000, 50), (8, 12), (12, 8), (25, 0), (1, 1)]
+)
+def test_dense_returns_each_graphs_values_in_order(dense_limit, enum_limit):
+    oracle = verification.oracle
+    params = [*GRID[::7], *sample_generalized_params(6, max_nodes=40)]
+    graphs = [generalized_core_satellite(p) for p in params]
+    solve = oracle.eigenvalues_symmetric
+    triples = verification._dense(graphs, dense_limit, enum_limit)
+    assert len(triples) == len(graphs)
+    for g, (adjacency, laplacian, trace3) in zip(graphs, triples):
+        if g.n <= dense_limit:
+            # bit for bit what each matrix solved alone gives: repr tells -0.0 from 0.0
+            assert repr(adjacency) == repr(solve(oracle.adjacency_matrix(g)).tolist())
+            assert repr(laplacian) == repr(solve(oracle.laplacian_matrix(g)).tolist())
+            assert len(adjacency) == len(laplacian) == g.n
+        else:
+            assert adjacency is None and laplacian is None
+        if g.n <= enum_limit:
+            assert trace3 == 6.0 * oracle.exhaustive_subgraph_counts(g).triangles
+        else:
+            assert trace3 is None
+
+
+def test_no_case_is_written_to_after_construction():
+    # every attribute that verification assigns is assigned in
+    # ``_Case.__init__``, so each case is built whole
+    tree = ast.parse(Path(verification.__file__).read_text(encoding="utf-8"))
+    (init,) = [
+        node
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "_Case"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    inside = {id(node) for node in ast.walk(init)}
+    written = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            written.append(node.lineno)
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) in ("setattr", "__setattr__"):
+            written.append(node.lineno)
+    assert written == []
 
 
 def test_concurrent_calls_give_the_serial_result_and_keep_nothing(monkeypatch):
