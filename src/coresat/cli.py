@@ -28,8 +28,9 @@ __all__ = ["main"]
 
 GENERATE_NODE_LIMIT = 10**6
 # checked from the parameters before any graph is built; building and
-# writing a graph of this many edges peaks at about 0.2 GB (206 MiB for
-# `metrics --core 1 --satellites 1:999999`, 2 cores, Python 3.11)
+# writing a graph of this many edges peaks below 0.2 GB.  `metrics --core 1
+# --satellites 1:999999` takes 1.4-1.5 s and 77 MiB, one child process
+# with its peak RSS from os.wait4 (2-core Intel Xeon, Python 3.11.7)
 GENERATE_EDGE_LIMIT = 10**6
 # the summed m over a sweep's rows, checked before the first row is
 # built.  A sweep holds one row's graph at a time, so this bounds its
@@ -173,8 +174,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     numerics = (None, None)
     if args.method != "analytic":
         # at the node limit, `--core 1 --satellites 1:999999` is two
-        # classes; with the JSON it takes about 5-6 s and peaks at about
-        # 310 MiB (2 cores, Python 3.11)
+        # classes; with the JSON it takes 3.6-4.4 s and peaks at 305 MiB,
+        # measured as for GENERATE_EDGE_LIMIT
         _check_size(params)
         numerics = oracle.twin_reduced_spectra(generalized_core_satellite(params))
     report = spectra.analytic_spectra(params)

@@ -32,14 +32,16 @@ expressions over the same kernel integers (p3 is derived from the
 Pearson edge sum), so their agreement is not an independent check;
 ``analytic_metrics`` and ``oracle.exhaustive_subgraph_counts`` are.
 
-The ``analytic_*`` routines evaluate closed forms over
-``GeneralizedParams``, for any number of satellite classes; every
-closed form here is cross-validated against the direct route and the
-exhaustive oracle by the test suite and the ``verify`` command.  Every
-count is a core term plus one term per class, the subgraph-count route
-of Estrada (Phys. Rev. E 84, 047101, 2011), in exact integer
-arithmetic.  On both routes every ratio is one exact rational, rounded
-to float once, so the two reports compare with ``==``.
+``analytic_metrics`` evaluates the closed forms over
+``GeneralizedParams``, for any number of satellite classes; they are
+cross-validated against the direct route and the exhaustive oracle by
+the test suite and the ``verify`` command.  One private pass,
+``_closed_counts``, gives every integer it rounds: each count is a core
+term plus one term per class, the subgraph-count route of Estrada
+(Phys. Rev. E 84, 047101, 2011), in exact integer arithmetic, and the
+average clustering is one numerator over one denominator.  On both
+routes every ratio is one exact rational, rounded to float once, so the
+two reports compare with ``==``.
 
 Conventions
 -----------
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from operator import mul
 
@@ -212,28 +213,34 @@ def assortativity_estrada(g: Graph) -> float | None:
 
 def _closed_counts(
     core: int, classes: list[tuple[int, int]], sign_fault: bool = False
-) -> tuple[int, int, int, int, int]:
-    """Core triangles, triangles, p2, p3 and s13 of ``core`` and (size, count) classes.
+) -> tuple[int, int, int, int, int, int]:
+    """Every integer ``analytic_metrics`` rounds, for ``core`` and (size, count) classes.
 
-    The integer core of ``analytic_metrics``, shared with the divergence
-    series of ``verify``, which asks only for counts.  One core node's
-    n - 1 neighbors are all the other nodes, and the only non-adjacent
-    pairs among them are satellite nodes in different cliques.  With
-    S = sum eta_i*s_i and Q = sum eta_i*s_i**2 there are (S**2 - Q) / 2
-    such pairs.  A node of class i has degree d_i = c+s_i-1 and its
-    neighbors form a clique, so it lies on C(d_i, 2) triangles; summed
-    over all nodes, every triangle is counted three times.  p3 is the
-    sum over edges of (k_u - 1)(k_v - 1), minus 3 per triangle.
-    ``sign_fault`` adds Q instead of subtracting it: the negative
-    control of ``analytic_metrics``.
+    Triangles, p2, p3 and s13, then the numerator and denominator of
+    the exact average clustering; ``verify``'s divergence series reads
+    the first two.  One core node's n - 1 neighbors are all the other
+    nodes, and the only non-adjacent pairs among them are satellite
+    nodes in different cliques.  With S = sum eta_i*s_i and Q = sum
+    eta_i*s_i**2 there are (S**2 - Q) / 2 such pairs, so a core node
+    lies on t_core = C(n-1, 2) - (S**2 - Q) / 2 triangles.  A node of
+    class i has degree d_i = c+s_i-1 and its neighbors form a clique, so
+    it lies on C(d_i, 2) triangles; summed over all nodes, every
+    triangle is counted three times.  p3 is the sum over edges of
+    (k_u - 1)(k_v - 1), minus 3 per triangle.  A core node has
+    clustering t_core / C(n-1, 2), and a satellite node 1, unless its
+    degree is below 2; for n = 2 every degree is, and the average is
+    0 / 1.  ``sign_fault`` adds Q instead of subtracting it: the
+    negative control of ``analytic_metrics``.
     """
     s = q = 0
     for size, count in classes:
         s += count * size
         q += count * size * size
     c, n = core, core + s
-    core_triangles = math.comb(n - 1, 2) - (s * s + (q if sign_fault else -q)) // 2
+    pairs = math.comb(n - 1, 2)
+    core_triangles = pairs - (s * s + (q if sign_fault else -q)) // 2
     sat_paths = 0  # 2-paths centered on satellite nodes, all closed
+    clustered = 0  # satellite nodes of degree >= 2, each of clustering 1
     s13 = c * math.comb(n - 1, 3)
     # sum of (k_u - 1)(k_v - 1) over edges, core-core edges first
     edge_sum = math.comb(c, 2) * (n - 2) ** 2
@@ -243,41 +250,11 @@ def _closed_counts(
         s13 += nodes * math.comb(d, 3)
         # the class's core-satellite edges, then its clique edges
         edge_sum += (c * nodes * (n - 2) + count * math.comb(size, 2) * (d - 1)) * (d - 1)
+        if d > 1:
+            clustered += nodes
     tri = (c * core_triangles + sat_paths) // 3
-    return core_triangles, tri, c * math.comb(n - 1, 2) + sat_paths, edge_sum - 3 * tri, s13
-
-
-def _size_counts(params: GeneralizedParams) -> list[tuple[int, int]]:
-    return [(cls.size, cls.count) for cls in params.classes]
-
-
-def _core_triangles(params: GeneralizedParams, sign_fault: bool = False) -> int:
-    """Triangles through one core node (``_closed_counts``)."""
-    return _closed_counts(params.core, _size_counts(params), sign_fault)[0]
-
-
-def _average_clustering_terms(params: GeneralizedParams, core_triangles: int) -> tuple[int, int]:
-    """Numerator and denominator of the exact average clustering.
-
-    A core node has clustering t_core / C(n-1, 2).  A satellite node's
-    neighborhood (its clique plus the core) is itself a clique, so its
-    clustering is 1, unless its degree c+s_i-1 is below 2, where the
-    convention value 0 applies.
-    """
-    c, n = params.core, params.n
-    pairs = math.comb(n - 1, 2)
-    if pairs == 0:  # n <= 2: every degree is at most 1
-        return 0, 1
-    closed = sum(cls.count * cls.size for cls in params.classes if c + cls.size >= 3)
-    return c * core_triangles + closed * pairs, n * pairs
-
-
-def _average_clustering_fraction(
-    params: GeneralizedParams, *, triangle_sign_fault: bool = False
-) -> Fraction:
-    """Exact average clustering, the rational that ``analytic_metrics`` rounds."""
-    core_triangles = _core_triangles(params, triangle_sign_fault)
-    return Fraction(*_average_clustering_terms(params, core_triangles))
+    average = (c * core_triangles + clustered * pairs, n * pairs) if pairs else (0, 1)
+    return tri, c * pairs + sat_paths, edge_sum - 3 * tri, s13, *average
 
 
 def analytic_metrics(
@@ -296,11 +273,10 @@ def analytic_metrics(
     clustering through that one term.
     """
     n, m = params.n, params.m
-    core_triangles, tri, p2, p3, s13 = _closed_counts(
-        params.core, _size_counts(params), triangle_sign_fault
+    tri, p2, p3, s13, avg, nodes_by_pairs = _closed_counts(
+        params.core, [(cls.size, cls.count) for cls in params.classes], triangle_sign_fault
     )
     transitivity, r = _count_ratios(m, tri, p2, p3, s13)
-    avg, nodes_by_pairs = _average_clustering_terms(params, core_triangles)
     return MetricsReport(
         n=n,
         m=m,

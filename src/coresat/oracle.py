@@ -13,7 +13,9 @@ serves the closed forms too, on their B, so the dense matrices of
 of scanning every node subset, but it is still brute force: it reads
 only the graph's rows, each triangle, path and star it counts is one it
 found, and no formula or identity of ``metrics`` stands in for a count.
-Size guards keep the dense and brute-force paths at brute-force scale.
+Two constants keep the dense and brute-force paths at brute-force
+scale: ``DEFAULT_DENSE_LIMIT`` nodes of a dense matrix or cells of a
+quotient, and ``DEFAULT_ENUM_LIMIT`` nodes of a listed graph.
 numpy is imported inside the functions that use it, so that importing
 the package does not load it.
 """
@@ -48,12 +50,12 @@ DEFAULT_DENSE_LIMIT = 2000
 DEFAULT_ENUM_LIMIT = 50
 
 
-def adjacency_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Dense 0/1 adjacency matrix as float64; refused when n exceeds ``max_n``."""
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix as float64; refused past ``DEFAULT_DENSE_LIMIT`` nodes."""
     import numpy as np
 
-    if g.n > max_n:
-        raise SizeLimitError(f"n={g.n} exceeds dense limit {max_n}")
+    if g.n > DEFAULT_DENSE_LIMIT:
+        raise SizeLimitError(f"n={g.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
     a = np.zeros((g.n, g.n))
     rows = np.repeat(np.arange(g.n), g.degrees())
     cols = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.intp, count=2 * g.m)
@@ -61,9 +63,9 @@ def adjacency_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     return a
 
 
-def laplacian_matrix(g: Graph, max_n: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Dense combinatorial Laplacian D - A as float64."""
-    lap = -adjacency_matrix(g, max_n)
+def laplacian_matrix(g: Graph) -> np.ndarray:
+    """Dense combinatorial Laplacian D - A as float64, guarded as ``adjacency_matrix``."""
+    lap = -adjacency_matrix(g)
     lap.flat[:: g.n + 1] = g.degrees()
     return lap
 
@@ -163,17 +165,17 @@ class SubgraphCounts:
     s13: int
 
 
-def exhaustive_subgraph_counts(g: Graph, max_n: int = DEFAULT_ENUM_LIMIT) -> SubgraphCounts:
+def exhaustive_subgraph_counts(g: Graph) -> SubgraphCounts:
     """Count triangles, 2-paths, 3-paths, and 3-stars by listing each one.
 
     Every count is a tally of the instances listed from the sorted rows,
     never a counting identity: a triangle as a < b < c, a 2-path or a
     3-star as a pair or triple of one node's neighbors, and a 3-path
     a-b-c-d on four distinct nodes once, from the lower end b < c of its
-    middle edge.  Guarded by ``max_n``.
+    middle edge.  Refused past ``DEFAULT_ENUM_LIMIT`` nodes.
     """
-    if g.n > max_n:
-        raise SizeLimitError(f"n={g.n} exceeds enumeration limit {max_n}")
+    if g.n > DEFAULT_ENUM_LIMIT:
+        raise SizeLimitError(f"n={g.n} exceeds enumeration limit {DEFAULT_ENUM_LIMIT}")
     nbrs = tuple(map(frozenset, g.adj))
     triangles = sum(
         c in nbrs[b]

@@ -1,9 +1,11 @@
 """Self-verification: every closed form against an independent route.
 
 ``run_checks`` executes the whole battery and returns per-check results;
-the CLI renders them as a pass/fail table.  ``triangle_sign_fault``
-injects a known-wrong triangle closed form so the pipeline can prove it
-would catch a bad formula (negative control).
+the CLI renders them as a pass/fail table.  Beside the 125 sets of
+``GRID`` it reads the twenty fixed multi-class sets of
+``sample_generalized_params``.  ``triangle_sign_fault`` injects a
+known-wrong triangle closed form so the pipeline can prove it would
+catch a bad formula (negative control).
 
 One ``run_checks`` call computes each object once and shares it with
 every check that reads it.  It builds each graph, then runs the batched
@@ -123,24 +125,17 @@ def _dense(graphs: list[Graph], dense_limit: int, enum_limit: int) -> list[tuple
     return out
 
 
-def sample_generalized_params(
-    count: int = 20,
-    *,
-    max_nodes: int = 200,
-    seed: int = _SAMPLE_SEED,
-) -> list[GeneralizedParams]:
-    """Deterministic random multi-class parameter sets, 2..5 classes."""
-    if max_nodes < 4:  # the smallest draw: core 1, sizes 1 and 2
-        raise InvalidParameterError(f"max_nodes must be >= 4, got {max_nodes}")
-    rng = random.Random(seed)
+def sample_generalized_params() -> list[GeneralizedParams]:
+    """Twenty deterministic random parameter sets of 2..5 classes and at most 200 nodes."""
+    rng = random.Random(_SAMPLE_SEED)
     out: list[GeneralizedParams] = []
-    while len(out) < count:
+    while len(out) < 20:
         t = rng.randint(2, 5)
         sizes = rng.sample(range(1, 10), t)
         classes = [(size, rng.randint(1, 6)) for size in sorted(sizes)]
         core = rng.randint(1, 8)
         candidate = GeneralizedParams(core, classes)
-        if candidate.n <= max_nodes:
+        if candidate.n <= 200:
             out.append(candidate)
     return out
 
@@ -302,7 +297,7 @@ def _check_divergence() -> CheckResult:
         return CheckResult("divergence", False, f"avg clustering {rep.avg_clustering}")
     if not rep.transitivity < 0.01:
         return CheckResult("divergence", False, f"transitivity {rep.transitivity}")
-    counts = [metrics._closed_counts(2, [(3, eta)])[1:3] for eta in range(2, 1001)]
+    counts = [metrics._closed_counts(2, [(3, eta)])[:2] for eta in range(2, 1001)]
     for eta, (t0, p0), (t1, p1) in zip(range(3, 1001), counts, counts[1:]):
         if t1 * p0 > t0 * p1:
             return CheckResult("divergence", False, f"transitivity rose at eta={eta}")

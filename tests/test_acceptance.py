@@ -21,24 +21,24 @@ import pytest
 from conftest import ACCEPTANCE_LINES, GRID_PARAMS
 from coresat import (
     GeneralizedParams,
-    adjacency_matrix,
-    adjacency_spectrum_gcs,
     analytic_metrics,
-    complete_graph,
     compute_metrics,
-    eigenvalues_symmetric,
     generalized_core_satellite,
-    laplacian_matrix,
+    spectral_radius_bounds,
+)
+from coresat.graphs import complete_graph
+from coresat.oracle import adjacency_matrix, eigenvalues_symmetric, laplacian_matrix
+from coresat.spectra import (
+    adjacency_spectrum_gcs,
     laplacian_spectrum_gcs,
     max_spectrum_deviation,
     principal_eigenvector,
-    sample_generalized_params,
     spectral_indices,
     spectral_radius,
-    spectral_radius_bounds,
 )
 from coresat.cli import main
-from coresat.metrics import _average_clustering_fraction
+from coresat.metrics import _closed_counts
+from coresat.verification import sample_generalized_params
 
 BUTTERFLY = GeneralizedParams(1, [(2, 2)])
 SWEEP_SIZES = (3, 5, 7)
@@ -184,9 +184,7 @@ def test_c3_avg_clustering_monotone():
     # 49/55 at eta=3 and rises strictly toward 1 after it; checked in
     # exact rationals against the independent derivation
     etas = range(2, 1001)
-    exact = [
-        _average_clustering_fraction(GeneralizedParams(2, [(3, eta)])) for eta in etas
-    ]
+    exact = [Fraction(*_closed_counts(2, [(3, eta)])[4:]) for eta in etas]
     formula = [1 - _clustering_deficit(2, [(3, eta)]) for eta in etas]
     k = _valley(exact, strict=True)
     eta_star = None if k is None else etas[k]

@@ -48,6 +48,37 @@ def test_package_imports_only_stdlib_and_numpy():
     assert foreign == set()
 
 
+def test_package_exports_one_path_per_result():
+    # the family and its named graphs, the two metric routes, the
+    # closed-form spectra, the graph writer, the verification battery
+    # and the errors; every other name is imported from its own module
+    import coresat
+
+    assert coresat.__all__ == [
+        "CheckResult",
+        "GeneralizedParams",
+        "Graph",
+        "InvalidParameterError",
+        "MetricsReport",
+        "NumericFailureError",
+        "SatelliteClass",
+        "SizeLimitError",
+        "SpectraReport",
+        "agave",
+        "analytic_metrics",
+        "analytic_spectra",
+        "complete_split",
+        "compute_metrics",
+        "format_graph",
+        "friendship",
+        "generalized_core_satellite",
+        "run_checks",
+        "spectral_radius_bounds",
+        "star",
+        "windmill",
+    ]
+
+
 def test_no_module_rebinds_a_global():
     # a result kept in module state outlives the call that made it and
     # is shared by every thread; each result travels as a value instead
@@ -170,8 +201,8 @@ def test_spectra_imports_no_numpy_even_in_a_function():
 
 
 # every module is imported and generate, metrics and sweep run in a child
-# process, which then says whether numpy is loaded, before and after one
-# spectral radius is solved
+# process, which then says whether numpy is loaded, before and after the
+# closed-form spectra of one parameter set are solved
 NO_NUMPY_CHILD = """
 import contextlib, io, sys
 import coresat
@@ -186,7 +217,7 @@ argvs = (
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in argvs]
 print(codes, "numpy" in sys.modules)
-coresat.spectral_radius(coresat.GeneralizedParams(2, [(3, 2)]))
+coresat.analytic_spectra(coresat.GeneralizedParams(2, [(3, 2)]))
 print("numpy" in sys.modules)
 """
 

@@ -14,19 +14,21 @@ from coresat import (
     InvalidParameterError,
     SatelliteClass,
     agave,
-    complete_graph,
     complete_split,
-    disjoint_union,
-    empty_graph,
     friendship,
     generalized_core_satellite,
-    is_connected,
-    join,
     spectra,
     star,
     windmill,
 )
-from coresat.graphs import twin_classes
+from coresat.graphs import (
+    complete_graph,
+    disjoint_union,
+    empty_graph,
+    is_connected,
+    join,
+    twin_classes,
+)
 from coresat.verification import GRID, sample_generalized_params
 
 

@@ -8,12 +8,10 @@ from coresat import (
     GeneralizedParams,
     Graph,
     InvalidParameterError,
-    format_dot,
-    format_edgelist,
     format_graph,
-    format_matrix_market,
     generalized_core_satellite,
 )
+from coresat.io import format_dot, format_edgelist, format_matrix_market
 
 BUTTERFLY = generalized_core_satellite(GeneralizedParams(1, [(2, 2)]))
 

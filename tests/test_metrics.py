@@ -28,24 +28,27 @@ from coresat import (
     InvalidParameterError,
     SizeLimitError,
     analytic_metrics,
-    complete_graph,
     compute_metrics,
     generalized_core_satellite,
     star,
 )
 from coresat import metrics as metrics_mod
-from coresat.graphs import _twin_runs, twin_classes
+from coresat.graphs import _twin_runs, complete_graph, twin_classes
 from coresat.metrics import (
     DIRECT_BITSET_LIMIT,
     _SHIFT_ROW_LIMIT,
     MetricsReport,
-    _average_clustering_fraction,
     _bitset,
-    _core_triangles,
+    _closed_counts,
 )
 from coresat.oracle import exhaustive_subgraph_counts, local_clustering
 
 BUTTERFLY = generalized_core_satellite(GeneralizedParams(1, [(2, 2)]))
+
+
+def _closed_average(p: GeneralizedParams, fault: bool = False) -> Fraction:
+    """The exact average clustering that ``analytic_metrics`` rounds."""
+    return Fraction(*_closed_counts(p.core, [(c.size, c.count) for c in p.classes], fault)[4:])
 
 
 def test_butterfly_direct_golden_values():
@@ -83,14 +86,15 @@ def test_local_clustering_conventions():
 
 
 def test_core_clustering_closed_form_examples():
-    # the core triangles over C(n - 1, 2) pairs, against node 0 of the graph
+    # the closed-form average clustering, less its satellite nodes of
+    # degree >= 2 at clustering 1, over the c core nodes, against node 0
     for p, expected in (
         (GeneralizedParams(1, [(2, 2)]), 1 / 3),
         (GeneralizedParams(3, [(1, 2)]), 5 / 6),
         (GeneralizedParams(1, [(1, 1)]), 0.0),  # n = 2: degree-1 convention value
     ):
-        pairs = math.comb(p.n - 1, 2)
-        closed = _core_triangles(p) / pairs if pairs else 0.0
+        clustered = sum(cls.count * cls.size for cls in p.classes if p.core + cls.size >= 3)
+        closed = (_closed_average(p) * p.n - clustered) / p.core
         assert closed == pytest.approx(expected), p
         assert local_clustering(generalized_core_satellite(p), 0) == pytest.approx(expected), p
 
@@ -168,7 +172,7 @@ def test_generalized_closed_forms_match_direct_enumeration_and_exact_ratios(p):
         assert counts[2:] == [enum.triangles, g.m, enum.p2, enum.p3, enum.s13]
 
     avg, r = _exact_ratios(g)
-    assert _average_clustering_fraction(p) == avg
+    assert _closed_average(p) == avg
     trans = Fraction(3 * closed.triangles, closed.p2) if closed.p2 else 0
     assert closed.avg_clustering == float(avg)
     assert closed.transitivity == float(trans)
@@ -406,7 +410,7 @@ _HUGE = st.integers(1, 10**30)
 def test_closed_form_avg_clustering_is_the_exact_rational_rounded_once(core, classes, fault):
     p = GeneralizedParams(core, classes)
     rep = analytic_metrics(p, triangle_sign_fault=fault)
-    exact = _average_clustering_fraction(p, triangle_sign_fault=fault)
+    exact = _closed_average(p, fault)
     assert rep.avg_clustering.hex() == float(exact).hex()
 
 

@@ -23,19 +23,21 @@ from coresat import (
     GeneralizedParams,
     Graph,
     SizeLimitError,
-    adjacency_matrix,
-    complete_graph,
-    eigenvalues_symmetric,
-    exhaustive_subgraph_counts,
     generalized_core_satellite,
     compute_metrics,
-    laplacian_matrix,
-    sample_generalized_params,
     star,
 )
 from coresat import oracle
-from coresat.graphs import _twin_runs
-from coresat.oracle import symmetric_quotient, twin_reduced_spectra
+from coresat.graphs import _twin_runs, complete_graph
+from coresat.oracle import (
+    adjacency_matrix,
+    eigenvalues_symmetric,
+    exhaustive_subgraph_counts,
+    laplacian_matrix,
+    symmetric_quotient,
+    twin_reduced_spectra,
+)
+from coresat.verification import sample_generalized_params
 
 
 def test_adjacency_matrix_butterfly():
@@ -69,11 +71,16 @@ def test_laplacian_matrix_rows_sum_to_zero():
 
 
 def test_size_guard():
-    g = complete_graph(12)
-    with pytest.raises(SizeLimitError):
-        adjacency_matrix(g, max_n=10)
-    with pytest.raises(SizeLimitError):
-        laplacian_matrix(g, max_n=10)
+    # n = DEFAULT_DENSE_LIMIT is built; one node more is refused before numpy allocates
+    limit = oracle.DEFAULT_DENSE_LIMIT
+    assert adjacency_matrix(Graph(limit, [])).shape == (limit, limit)
+    assert laplacian_matrix(Graph(limit, [(0, 1)])).trace() == 2.0
+    message = f"n={limit + 1} exceeds dense limit {limit}"
+    with mock.patch.object(np, "zeros") as zeros:
+        for build in (adjacency_matrix, laplacian_matrix):
+            with pytest.raises(SizeLimitError, match=message):
+                build(Graph(limit + 1, []))
+    zeros.assert_not_called()
 
 
 def test_eigenvalues_known_small_cases():
@@ -156,8 +163,17 @@ def test_each_3_path_is_listed_once():
 
 
 def test_exhaustive_guard():
-    with pytest.raises(SizeLimitError):
-        exhaustive_subgraph_counts(complete_graph(9), max_n=8)
+    # a path of DEFAULT_ENUM_LIMIT nodes is listed; one node more is refused
+    # before any neighbor set is built
+    limit = oracle.DEFAULT_ENUM_LIMIT
+    path = Graph(limit, [(u, u + 1) for u in range(limit - 1)])
+    counts = exhaustive_subgraph_counts(path)
+    assert (counts.triangles, counts.p2, counts.p3, counts.s13) == (0, limit - 2, limit - 3, 0)
+    longer = Graph(limit + 1, [(u, u + 1) for u in range(limit)])
+    with mock.patch.object(oracle, "frozenset", create=True) as built:
+        with pytest.raises(SizeLimitError, match=f"n={limit + 1} exceeds enumeration limit {limit}"):
+            exhaustive_subgraph_counts(longer)
+    built.assert_not_called()
 
 
 @settings(max_examples=60)

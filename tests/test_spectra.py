@@ -10,27 +10,30 @@ from conftest import GRID_PARAMS
 from coresat import (
     GeneralizedParams,
     InvalidParameterError,
-    adjacency_matrix,
-    adjacency_spectrum_gcs,
     analytic_metrics,
     analytic_spectra,
-    analytic_spectra_batch,
-    eigenvalues_symmetric,
     generalized_core_satellite,
+    spectral_radius_bounds,
+)
+from coresat import spectra
+from coresat.oracle import (
+    adjacency_matrix,
+    eigenvalues_symmetric,
     laplacian_matrix,
+    symmetric_quotient,
+)
+from coresat.spectra import (
+    _snap_integers,
+    adjacency_spectrum_gcs,
+    analytic_spectra_batch,
     laplacian_spectrum_gcs,
     max_spectrum_deviation,
     principal_eigenvector,
     quotient,
-    sample_generalized_params,
     spectral_indices,
     spectral_radius,
-    spectral_radius_bounds,
 )
-from coresat import spectra
-from coresat.oracle import symmetric_quotient
-from coresat.spectra import _snap_integers
-from coresat.verification import _NEAR_INTEGER, GRID
+from coresat.verification import GRID, _NEAR_INTEGER, sample_generalized_params
 
 BUTTERFLY = GeneralizedParams(1, [(2, 2)])
 MIXED = GeneralizedParams(2, [(1, 1), (2, 1)])
@@ -160,7 +163,9 @@ def test_generalized_matches_oracle_on_samples():
     # a spectral radius of 28.000884125608774, 8.8e-4 from 28: a snap to
     # integers wider than 1e-10 would give 28.0
     near_integer = GeneralizedParams(10, [(2, 1), (6, 7)])
-    for p in [*sample_generalized_params(count=8, max_nodes=120), near_integer]:
+    # the first 8 sampled sets of at most 120 nodes
+    small = [p for p in sample_generalized_params() if p.n <= 120][:8]
+    for p in [*small, near_integer]:
         result = adjacency_spectrum_gcs(p)
         numeric = eigenvalues_symmetric(
             adjacency_matrix(generalized_core_satellite(p))
@@ -298,7 +303,7 @@ def test_principal_eigenvector_butterfly():
 
 
 def test_principal_eigenvector_residual_on_samples():
-    for p in sample_generalized_params(count=6, max_nodes=100):
+    for p in [p for p in sample_generalized_params() if p.n <= 100][:6]:
         pev = principal_eigenvector(p)
         assert all(0.0 < beta < 1.0 for beta in pev.class_values), p
         vec = np.array(pev.to_vector(p))
