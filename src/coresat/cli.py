@@ -349,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--max-n",
         type=_positive_int,
-        default=14,
-        help="largest n for exhaustive-enumeration checks (default 14)",
+        default=verification.DEFAULT_MAX_ENUM_N,
+        help="largest n for exhaustive-enumeration checks (default %(default)s)",
     )
     p_ver.add_argument(
         "--fault-triangle-sign",

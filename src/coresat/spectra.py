@@ -14,12 +14,11 @@ to a complete graph, whose roots n-1 and -1 come out exact.
 
 Laplacian spectra are integer-valued throughout.
 
-``analytic_spectra`` returns every closed-form result of one parameter
-set in one ``SpectraReport``, from one quotient solve and one Laplacian
-spectrum: the radius is the adjacency spectrum's top value, and the
-eigenvector and the indices are derived from it.  It is
-``analytic_spectra_batch`` of one set; the batch solves the quotients of
-one size in one stacked call, bit for bit what each gives alone.
+``analytic_spectra`` is the one closed-form path: it builds every
+result of one parameter set, as one ``SpectraReport``, from
+``adjacency_spectrum_gcs`` (one quotient solve) and
+``laplacian_spectrum_gcs``.  The radius is the adjacency spectrum's top
+value, and the eigenvector and the indices are derived from it.
 ``spectral_radius``, ``principal_eigenvector`` and ``spectral_indices``
 are projections of that path; a caller that needs several fields asks
 for the report once.
@@ -40,7 +39,6 @@ __all__ = [
     "SpectraReport",
     "adjacency_spectrum_gcs",
     "analytic_spectra",
-    "analytic_spectra_batch",
     "quotient",
     "spectral_radius",
     "spectral_radius_bounds",
@@ -154,13 +152,14 @@ def quotient(params: GeneralizedParams) -> list[dict[int, int]]:
     return rows
 
 
-def _adjacency_spectrum(params: GeneralizedParams, roots: list[float]) -> SpectrumResult:
-    """Adjacency spectrum of the generalized family, given the quotient's ``roots``.
+def adjacency_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
+    """Adjacency spectrum of the generalized family, from one quotient solve.
 
     Structural eigenvalues are exact integers; the t+1 remaining simple
     eigenvalues are the roots of the symmetrized quotient, snapped to
     integers.  A single satellite gives a complete graph.
     """
+    roots = eigenvalues_symmetric(_in_float_range(symmetric_quotient, quotient(params)))
     c = params.core
     minus_one_mult = c + sum(cls.count * (cls.size - 1) for cls in params.classes) - 1
     pairs: list[tuple[float, int]] = [(-1.0, minus_one_mult)]
@@ -168,11 +167,6 @@ def _adjacency_spectrum(params: GeneralizedParams, roots: list[float]) -> Spectr
         pairs.append((cls.size - 1, cls.count - 1))
     pairs.extend((root, 1) for root in _snap_integers(roots))
     return SpectrumResult(_merge_pairs(pairs))
-
-
-def adjacency_spectrum_gcs(params: GeneralizedParams) -> SpectrumResult:
-    """Adjacency spectrum of the generalized family, from one quotient solve."""
-    return _adjacency_spectrum(params, _quotient_roots([params])[0])
 
 
 # not in __all__: benchmarks/tracing.py still wraps this name
@@ -218,60 +212,34 @@ def spectral_indices(params: GeneralizedParams) -> SpectralIndices:
     return analytic_spectra(params).indices
 
 
-def _quotient_roots(batch: list[GeneralizedParams]) -> list[list[float]]:
-    """The eigenvalues of each set's symmetrized quotient, descending, in order.
-
-    Every quotient is built first, and the quotients of one size are
-    solved in one stacked ``eigenvalues_symmetric`` call, whose rows are
-    each bit for bit what the matrix alone gives.
-    """
-    matrices = [_in_float_range(symmetric_quotient, quotient(p)) for p in batch]
-    by_cells: dict[int, list[int]] = {}
-    for i, matrix in enumerate(matrices):
-        by_cells.setdefault(len(matrix), []).append(i)
-    roots: list[list[float]] = [[]] * len(batch)
-    for group in by_cells.values():
-        values = eigenvalues_symmetric([matrices[i] for i in group]).tolist()
-        for i, row in zip(group, values):
-            roots[i] = row
-    return roots
-
-
-def analytic_spectra_batch(batch: list[GeneralizedParams]) -> list[SpectraReport]:
-    """The ``analytic_spectra`` report of each parameter set, in order.
-
-    The quotients are solved stacked (``_quotient_roots``), so each
-    report equals the one its set gets alone, and each quotient is
-    solved once per call.  rho is the adjacency spectrum's top value.
-    Every node of class i carries beta_i = c / (rho - s_i + 1) in the
-    principal eigenvector; with at least two satellites each beta_i lies
-    strictly in (0, 1).  The algebraic connectivity is the smallest
-    positive Laplacian eigenvalue and the sync index its ratio to the
-    largest: exactly c and c/n with two satellites or more, and n and 1
-    for the complete graph that a single satellite gives.
-    """
-    reports = []
-    for params, roots in zip(batch, _quotient_roots(batch)):
-        adjacency = _adjacency_spectrum(params, roots)
-        laplacian = laplacian_spectrum_gcs(params)
-        rho = adjacency.eigenpairs[0][0]
-        c = params.core
-        betas = tuple(c / (rho - cls.size + 1) for cls in params.classes)
-        largest, smallest_positive = laplacian.eigenpairs[0][0], laplacian.eigenpairs[-2][0]
-        pev = PrincipalEigenvector(eigenvalue=rho, core_value=1.0, class_values=betas)
-        indices = SpectralIndices(
-            spectral_radius=rho,
-            infection_threshold=1.0 / rho,
-            sync_index=smallest_positive / largest,
-            algebraic_connectivity=smallest_positive,
-        )
-        reports.append(SpectraReport(adjacency, laplacian, pev, indices))
-    return reports
-
-
 def analytic_spectra(params: GeneralizedParams) -> SpectraReport:
-    """Every closed-form spectral result of one parameter set: its batch of one."""
-    return analytic_spectra_batch([params])[0]
+    """Every closed-form spectral result of one parameter set.
+
+    One call each of ``adjacency_spectrum_gcs`` and
+    ``laplacian_spectrum_gcs``, looked up by module name, so a wrapper
+    on either sees every report.  rho is the adjacency spectrum's top
+    value.  Every node of class i carries beta_i = c / (rho - s_i + 1)
+    in the principal eigenvector; with two satellites or more each
+    beta_i lies in (0, 1), which floats break near s_i = 1e16 (the
+    strict xfail, ROADMAP item 3).  The algebraic connectivity is the
+    smallest positive Laplacian eigenvalue and the sync index its ratio
+    to the largest: exactly c and c/n with two satellites or more, and
+    n and 1 for the complete graph that a single satellite gives.
+    """
+    adjacency = adjacency_spectrum_gcs(params)
+    laplacian = laplacian_spectrum_gcs(params)
+    rho = adjacency.eigenpairs[0][0]
+    c = params.core
+    betas = tuple(c / (rho - cls.size + 1) for cls in params.classes)
+    largest, smallest_positive = laplacian.eigenpairs[0][0], laplacian.eigenpairs[-2][0]
+    pev = PrincipalEigenvector(eigenvalue=rho, core_value=1.0, class_values=betas)
+    indices = SpectralIndices(
+        spectral_radius=rho,
+        infection_threshold=1.0 / rho,
+        sync_index=smallest_positive / largest,
+        algebraic_connectivity=smallest_positive,
+    )
+    return SpectraReport(adjacency, laplacian, pev, indices)
 
 
 def max_spectrum_deviation(result: SpectrumResult, numeric_descending) -> float:

@@ -8,11 +8,9 @@ known-wrong triangle closed form so the pipeline can prove it would
 catch a bad formula (negative control).
 
 One ``run_checks`` call computes each object once and shares it with
-every check that reads it.  It builds each graph, then runs the batched
-passes.  All closed-form spectra come from one
-``spectra.analytic_spectra_batch`` call: every quotient of one size is
-solved in one stacked eigensolve, and each set's report is the one it
-gets alone.  ``_dense`` builds one dense adjacency matrix A per graph
+every check that reads it.  It builds each graph, takes one
+``spectra.analytic_spectra`` report per parameter set, then runs the
+dense passes.  ``_dense`` builds one dense adjacency matrix A per graph
 within the dense or the enumeration limit and returns, per graph in
 order, the eigenvalues of A and of L = D - A within the dense limit
 (all of one size in one stacked eigensolve) and trace(A^3) within the
@@ -50,6 +48,9 @@ GRID = tuple(
 
 _SAMPLE_SEED = 20240612
 
+# largest n for the exhaustive-enumeration checks; ``verify --max-n`` reads it
+DEFAULT_MAX_ENUM_N = 14
+
 # run beside the sampled sets: its spectral radius 28.000884125608774
 # lies 8.8e-4 from an integer, nearer than any root of GRID or of the
 # samples that is not on one, so a snap of roots to integers that is
@@ -69,7 +70,7 @@ class _Case:
 
     ``spectra`` is the set's closed-form ``SpectraReport``, and
     ``adjacency``, ``laplacian`` and ``trace3`` its graph's triple from
-    ``_dense``, both from batches run before any case is built.
+    ``_dense``, both computed before any case is built.
     ``direct`` and ``closed`` are the graph's direct and closed-form
     metrics, computed here.  A plain class: a frozen dataclass here
     would add about 1.2 ms to every import of the package.
@@ -308,20 +309,19 @@ def run_checks(
     *,
     tol: float = 1e-9,
     dense_limit: int = oracle.DEFAULT_DENSE_LIMIT,
-    max_enum_n: int = 14,
+    max_enum_n: int = DEFAULT_MAX_ENUM_N,
     triangle_sign_fault: bool = False,
 ) -> list[CheckResult]:
     """Run the full verification battery; order is deterministic.
 
     Each graph of ``GRID``, of ``sample_generalized_params()`` and of one
     fixed set with a root near an integer is built once.  Its case is
-    built whole, with its report from one
-    ``spectra.analytic_spectra_batch`` over all the sets, its values
-    from ``_dense`` and its direct and closed-form metrics, and shared
-    by every check that reads it.  So each parameter set's quotient is
-    solved once per call, and no result is kept for the next.  ``tol``
-    must be finite and > 0: an infinite one passes any spectrum, and a
-    negative one fails a correct one.
+    built whole, with its one ``spectra.analytic_spectra`` report, its
+    values from ``_dense`` and its direct and closed-form metrics, and
+    shared by every check that reads it.  So each parameter set's
+    quotient is solved once per call, and no result is kept for the
+    next.  ``tol`` must be finite and > 0: an infinite one passes any
+    spectrum, and a negative one fails a correct one.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be a finite number > 0, got {tol!r}")
@@ -329,7 +329,7 @@ def run_checks(
     # the grid builds through the ``core_satellite`` alias, which the
     # benchmark's tracer wraps apart from ``generalized_core_satellite``
     graphs = [*map(core_satellite, GRID), *map(generalized_core_satellite, sampled)]
-    reports = spectra.analytic_spectra_batch([*GRID, *sampled])
+    reports = [spectra.analytic_spectra(p) for p in (*GRID, *sampled)]
     # only the grid is enumerated
     dense = _dense(graphs[: len(GRID)], dense_limit, min(max_enum_n, oracle.DEFAULT_ENUM_LIMIT))
     dense += _dense(graphs[len(GRID):], dense_limit, 0)

@@ -17,25 +17,19 @@ GRID_PARAMS = [
 ]
 
 
-# where the closed forms build the spectrum that each public route gives:
-# the route itself, ``analytic_spectra`` and the batch of ``verify`` all
-# read it there, so a fault planted there reaches every one of them
-_SPECTRUM_BUILDERS = {
-    "adjacency_spectrum_gcs": "_adjacency_spectrum",  # (params, roots)
-    "laplacian_spectrum_gcs": "laplacian_spectrum_gcs",  # (params)
-}
-
-
 def add_one_to_a_multiplicity(monkeypatch, route: str) -> None:
-    """Make the spectrum of ``spectra.<route>`` count its top eigenvalue once more."""
-    builder = _SPECTRUM_BUILDERS[route]
-    real = getattr(spectra, builder)
+    """Make the spectrum of ``spectra.<route>`` count its top eigenvalue once more.
 
-    def one_too_many(*args):
-        (value, mult), *rest = real(*args).eigenpairs
+    ``analytic_spectra`` reaches both spectra through their module
+    names, so the fault reaches every report, ``verify``'s included.
+    """
+    real = getattr(spectra, route)
+
+    def one_too_many(params):
+        (value, mult), *rest = real(params).eigenpairs
         return spectra.SpectrumResult(((value, mult + 1), *rest))
 
-    monkeypatch.setattr(spectra, builder, one_too_many)
+    monkeypatch.setattr(spectra, route, one_too_many)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from coresat import (
     generalized_core_satellite,
     spectral_radius_bounds,
 )
-from coresat import spectra
 from coresat.oracle import (
     adjacency_matrix,
     eigenvalues_symmetric,
@@ -25,7 +23,6 @@ from coresat.oracle import (
 from coresat.spectra import (
     _snap_integers,
     adjacency_spectrum_gcs,
-    analytic_spectra_batch,
     laplacian_spectrum_gcs,
     max_spectrum_deviation,
     principal_eigenvector,
@@ -333,23 +330,6 @@ def test_each_projection_is_its_report_field():
             (spectral_indices(p), report.indices),
         ):
             assert repr(projection) == repr(field), p
-
-
-def test_a_batch_report_is_the_report_its_set_gets_alone():
-    # verify's 146 sets in one batch: 2 to 6 cells, one stacked solve per
-    # size.  Every float is bit for bit the one a set gets alone, and the
-    # one its quotient gives when solved as a single matrix
-    batch = [*GRID, *sample_generalized_params(), _NEAR_INTEGER]
-    assert len(batch) == 146
-    reports = analytic_spectra_batch(batch)
-    assert len(reports) == len(batch)
-    for p, report in zip(batch, reports):
-        alone = analytic_spectra(p)
-        assert report == alone, p
-        assert repr(dataclasses.astuple(report)) == repr(dataclasses.astuple(alone)), p
-        roots = eigenvalues_symmetric(symmetric_quotient(quotient(p)))
-        assert repr(report.adjacency) == repr(spectra._adjacency_spectrum(p, roots)), p
-    assert analytic_spectra_batch([]) == []
 
 
 @pytest.mark.xfail(

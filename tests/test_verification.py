@@ -142,10 +142,10 @@ def test_each_case_is_built_and_measured_once(monkeypatch):
 
 
 def test_each_quotient_is_solved_once_per_call(monkeypatch):
-    # counted where spectra calls the solver, matrix by matrix inside
-    # each stacked solve.  Every route of one call takes its roots from
-    # one solve, and nothing is kept for the next call: a cache across
-    # calls would make the second count lower
+    # counted where spectra calls the solver: one single-matrix solve per
+    # quotient.  Every route of one call takes its roots from one solve,
+    # and nothing is kept for the next call: a cache across calls would
+    # make the second count lower
     spectra = verification.spectra
     quotients, solves = [], []
 
@@ -166,11 +166,33 @@ def test_each_quotient_is_solved_once_per_call(monkeypatch):
         solves.clear()
         assert all(r.passed for r in run_checks())
         assert set(quotients) >= cases
-        # one stack per quotient size: 2 cells on the grid, 3 to 6 in the samples
-        sizes = [len(stack[0]) for stack in solves]
-        assert len(sizes) == len(set(sizes))
-        solved = sum(map(len, solves))
-        assert solved == len(quotients) == len(set(quotients))
+        # 2 cells on the grid, 3 to 6 in the samples, each matrix alone
+        assert all(matrix.ndim == 2 for matrix in solves)
+        assert len(solves) == len(quotients) == len(set(quotients)) == len(cases) == 146
+
+
+def test_each_report_reaches_both_spectra_through_their_module_names(monkeypatch):
+    # one ``analytic_spectra`` per parameter set, each calling the two
+    # module-level spectra once, so a wrapper on either name (as the
+    # benchmark's tracer sets) sees every closed-form spectrum of verify
+    spectra = verification.spectra
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(spectra, name)
+
+        def wrapper(params):
+            calls[name, params] += 1
+            return real(params)
+
+        monkeypatch.setattr(spectra, name, wrapper)
+
+    names = ("adjacency_spectrum_gcs", "laplacian_spectrum_gcs")
+    for name in names:
+        counted(name)
+    assert all(r.passed for r in run_checks())
+    cases = [*GRID, *sample_generalized_params(), verification._NEAR_INTEGER]
+    assert calls == Counter({(name, p): 1 for name in names for p in cases})
 
 
 def test_each_dense_laplacian_is_the_oracles_matrix(monkeypatch):
@@ -302,17 +324,15 @@ def test_eigenvector_residual_is_read_from_the_rows(monkeypatch):
     assert all(r.passed for r in by_name.values())
     assert by_name["bounds-eigenvector"].detail == f"{len(GRID) + 21} parameter sets"
 
-    real = verification.spectra.analytic_spectra_batch
+    real = verification.spectra.analytic_spectra
 
-    def off(batch):
-        reports = []
-        for report in real(batch):
-            pev = report.eigenvector
-            pev = dataclasses.replace(pev, core_value=pev.core_value * (1 + 1e-6))
-            reports.append(dataclasses.replace(report, eigenvector=pev))
-        return reports
+    def off(params):
+        report = real(params)
+        pev = report.eigenvector
+        pev = dataclasses.replace(pev, core_value=pev.core_value * (1 + 1e-6))
+        return dataclasses.replace(report, eigenvector=pev)
 
-    monkeypatch.setattr(verification.spectra, "analytic_spectra_batch", off)
+    monkeypatch.setattr(verification.spectra, "analytic_spectra", off)
     by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
     assert not by_name["bounds-eigenvector"].passed
     assert "residual" in by_name["bounds-eigenvector"].detail
@@ -339,18 +359,16 @@ def test_a_wrong_multiplicity_fails_its_check(route, failed, monkeypatch):
 def test_the_infection_threshold_is_checked_exactly(monkeypatch):
     # analytic_spectra defines the threshold as 1.0 / rho, so one that is
     # off by a factor of 1 + 1e-13 is a wrong one
-    real = verification.spectra.analytic_spectra_batch
+    real = verification.spectra.analytic_spectra
 
-    def off(batch):
-        reports = []
-        for report in real(batch):
-            idx = report.indices
-            scaled = idx.infection_threshold * (1 + 1e-13)
-            idx = dataclasses.replace(idx, infection_threshold=scaled)
-            reports.append(dataclasses.replace(report, indices=idx))
-        return reports
+    def off(params):
+        report = real(params)
+        idx = report.indices
+        scaled = idx.infection_threshold * (1 + 1e-13)
+        idx = dataclasses.replace(idx, infection_threshold=scaled)
+        return dataclasses.replace(report, indices=idx)
 
-    monkeypatch.setattr(verification.spectra, "analytic_spectra_batch", off)
+    monkeypatch.setattr(verification.spectra, "analytic_spectra", off)
     by_name = {r.name: r for r in run_checks(dense_limit=1, max_enum_n=1)}
     assert [name for name, r in by_name.items() if not r.passed] == ["spectral-indices"]
     assert by_name["spectral-indices"].detail == f"{GRID[0]}: threshold mismatch"
