@@ -9,16 +9,19 @@ the core clique on ``0..c-1`` and each satellite clique on a
 consecutive block after it, classes in ascending size order; every
 formula and spectrum in the package assumes this block layout.  The
 layout fixes every row, so the generator writes the rows directly, with
-no edge list.  ``Graph(n, edges)`` validates any other graph's edges;
-the graph operations build through it, and composed they are the
-independent route the generator is tested against.  ``twin_classes``
-is the one entry point to a graph's twin quotient; the scan for runs
-of twins under it is private.
+no edge list: each satellite node's row is its block's closed row
+``core + block`` without it, one C-level tuple per node.
+``Graph(n, edges)`` validates any other graph's edges; the graph
+operations build through it, and composed they are the independent
+route the generator is tested against.  ``twin_classes`` is the one
+entry point to a graph's twin quotient; the scan for runs of twins
+under it is private, and takes one whole run per step, comparing each
+node's row with the run's first.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, islice, repeat
 from operator import eq
 from typing import Iterable, Sequence
 
@@ -115,36 +118,58 @@ def _twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
 
     True twins have equal closed neighborhoods N[u] = N(u) + {u}, so a
     run of them is a clique; false twins have equal open neighborhoods
-    N(u), so a run of them is an independent set.  One pass compares
-    each row with the one before it.  If v is in the sorted row of
-    v - 1, v joins that run as a true twin when the two rows are equal
-    once v - 1 and v swap places; if not, v joins as a false twin when
-    the two rows are equal.  No run mixes the two kinds: if u, v were
-    true twins and v, w false twins, then u is in N(v) = N(w), so w is
-    in N[u] = N[v] and hence in N(v) = N(w), a self-loop; the other
-    order is the same with u and w swapped.  So a run is flagged a
-    clique when its second node joined as a true twin; a run of one
-    node is flagged False.  Only proven twins are merged; a graph
-    without consecutive twins gives n runs of one node.  ``twin_classes``
-    is its one caller, so a scan for twins in any labelling replaces it
-    there alone.
+    N(u), so a run of them is an independent set.  Both are equivalence
+    relations, so each node of a run is compared with the run's first
+    node r, and one loop step takes a whole run.  If r + 1 is in r's
+    sorted row and its row is as long, it is a true twin of r when its
+    row is r's with r in place of r + 1, and the run is a clique.  Only
+    if r + 2 is next in r's row is N[r] built, once, and the run grows
+    while the next node's row is N[r] without the entry that follows the
+    run (such a row holds r, so the node is in N[r] and is that entry).
+    So a run of two costs one row comparison and builds no N[r].  If
+    r + 1 is no true twin, the run grows while the next row equals r's;
+    such a run, and a run of one node, is flagged False.  The length
+    check keeps a hub with no true twin, such as a star's, from building
+    an n-long row.
+    No run mixes the two kinds: if u, v were true twins and v, w false
+    twins, then u is in N(v) = N(w), so w is in N[u] = N[v] and hence in
+    N(v) = N(w), a self-loop; the other order is the same with u and w
+    swapped.  Only proven twins are merged; a graph without consecutive
+    twins gives n runs of one node.  ``twin_classes`` is its one caller,
+    so a scan for twins in any labelling replaces it there alone.
     """
     adj = g.adj
-    firsts, sizes, cliques = ([0], [1], [False]) if adj else ([], [], [])
-    for v, (a, b) in enumerate(zip(adj, islice(adj, 1, None)), 1):
-        i = bisect_left(a, v)
-        if i < len(a) and a[i] == v:
-            # v - 1 is in b, so twin rows differ only at i: v in a, v - 1 in b
-            twin = clique = a[:i] == b[:i] and a[i + 1 :] == b[i + 1 :]
+    n = len(adj)
+    firsts, sizes, cliques = [], [], []
+    r = 0
+    while r < n:
+        a = adj[r]
+        v = r + 1
+        k = bisect_left(a, r)
+        # r + 1 is a true twin when its row is r's with r in place of r + 1
+        if (
+            k < len(a) and a[k] == v and len(adj[v]) == len(a)
+            and adj[v] == a[:k] + (r,) + a[k + 1 :]
+        ):
+            v += 1
+            if k + 1 < len(a) and a[k + 1] == v:
+                closed = a[:k] + (r,) + a[k:]
+                last = closed[-1]
+                k += 2
+                # closed holds r..v-1 just before index k; a row equal to
+                # closed without its entry k holds r, so v is that entry
+                while v <= last and adj[v] == closed[:k] + closed[k + 1 :]:
+                    v += 1
+                    k += 1
+            clique = True
         else:
-            twin, clique = a == b, False
-        if twin:
-            sizes[-1] += 1
-            cliques[-1] = clique
-        else:
-            firsts.append(v)
-            sizes.append(1)
-            cliques.append(False)
+            while v < n and adj[v] == a:
+                v += 1
+            clique = False
+        firsts.append(r)
+        sizes.append(v - r)
+        cliques.append(clique)
+        r = v
     return firsts, sizes, cliques
 
 
@@ -236,20 +261,27 @@ def generalized_core_satellite(params: GeneralizedParams) -> Graph:
 
     Satellite blocks appear in ascending class size, cliques of a class
     consecutive.  The sorted rows are written directly: core node ``u``
-    is adjacent to every other node, and a node of the satellite block
-    ``[a, b)`` to the core and to the rest of its block.  The rows are
-    slices of one tuple of the node ints, and the nodes of one-node
-    blocks (a star's leaves) all share the core's row.
+    is adjacent to every other node, and a node of a satellite block to
+    the core and to the rest of its block, so its row is the block's
+    closed row ``core + block`` without it.  ``combinations`` of the
+    closed row one node short drop its last node first, so the first s
+    of them, reversed, are the s rows of a block of s nodes, one C-level
+    tuple per node.  The nodes of one-node blocks (a star's leaves) all
+    share the core's row object.
     """
     nodes = tuple(range(params.n))
     core = nodes[: params.core]
     rows = [nodes[:u] + nodes[u + 1 :] for u in range(params.core)]
     start = params.core
     for cls in params.classes:
-        for _ in range(cls.count):
-            block = nodes[start : start + cls.size]
-            rows.extend(core + block[:j] + block[j + 1 :] for j in range(cls.size))
-            start += cls.size
+        s = cls.size
+        if s == 1:
+            rows.extend(repeat(core, cls.count))
+        else:
+            for a in range(start, start + s * cls.count, s):
+                closed = core + nodes[a : a + s]
+                rows.extend(reversed(tuple(islice(combinations(closed, len(closed) - 1), s))))
+        start += s * cls.count
     return Graph.__new__(Graph)._store(tuple(rows))
 
 

@@ -75,17 +75,19 @@ def relabel(g, perm):
 def planted_twin_graphs(draw):
     """Random graphs blown up into groups of true and false twins.
 
-    Each node of a random base graph becomes a group of 1 to 3 nodes: a
+    Each node of a random base graph becomes a group of 1 to 8 nodes: a
     clique (true twins) or an independent set (false twins), joined to
-    every node of the groups next to it.  Isolated nodes are appended,
-    and the nodes are relabelled at random or left in group order.
+    every node of the groups next to it.  Groups of up to 8 nodes give
+    runs as long as the default sweep's 7-node blocks and longer.
+    Isolated nodes are appended, and the nodes are relabelled at random
+    or left in group order.
     """
     base = draw(st.integers(min_value=0, max_value=6))
     pairs = list(itertools.combinations(range(base), 2))
     links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     groups, n = [], 0
     for _ in range(base):
-        size = draw(st.integers(min_value=1, max_value=3))
+        size = draw(st.integers(min_value=1, max_value=8))
         groups.append((range(n, n + size), draw(st.booleans())))
         n += size
     edges = [e for nodes, clique in groups if clique for e in itertools.combinations(nodes, 2)]

@@ -247,6 +247,21 @@ def test_generalized_block_layout():
     assert g.adj[3] == (0, 1, 4)
 
 
+@pytest.mark.parametrize(
+    "g, core, leaves",
+    [
+        (star(1000), 1, 1000),
+        (generalized_core_satellite(GeneralizedParams(3, [(1, 50), (4, 2)])), 3, 50),
+    ],
+    ids=["star-1000", "core-3-with-cliques"],
+)
+def test_one_node_satellites_share_one_row_object(g, core, leaves):
+    # a tuple per leaf would cost the star at the node limit a row each
+    rows = g.adj[core : core + leaves]
+    assert rows[0] == tuple(range(core))
+    assert all(row is rows[0] for row in rows)
+
+
 def test_generalized_canonicalization_merges_duplicates():
     p = GeneralizedParams(1, [(3, 2), (2, 1), (3, 4)])
     assert [(c.size, c.count) for c in p.classes] == [(2, 1), (3, 6)]

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from operator import mul
@@ -504,6 +505,72 @@ def _assert_runs_by_brute_force(g):
     for r, z, clique in zip(starts, sizes, cliques):
         links = sum(v in nbrs[u] for u, v in itertools.combinations(range(r, r + z), 2))
         assert links == (math.comb(z, 2) if clique else 0)
+
+
+@pytest.mark.parametrize(
+    "g, runs",
+    [
+        # clique runs of 8 around a hub, each ending past its closed row
+        (
+            generalized_core_satellite(GeneralizedParams(1, [(8, 2)])),
+            ([0, 1, 9], [1, 8, 8], [False, True, True]),
+        ),
+        # a pair run, which builds no closed row, then a clique run of 3
+        (
+            generalized_core_satellite(GeneralizedParams(1, [(2, 1), (3, 1)])),
+            ([0, 1, 3], [1, 2, 3], [False, True, True]),
+        ),
+        # node 3's row is as long as N[0] without 3, but has 5 for 4
+        (
+            Graph(6, [*itertools.combinations(range(4), 2), (0, 4), (1, 4), (2, 4), (3, 5)]),
+            ([0, 3, 4, 5], [3, 1, 1, 1], [True, False, False, False]),
+        ),
+        # nodes 0 and 1 are not adjacent, and their rows differ in one entry
+        (
+            Graph(5, [(0, 2), (1, 2), (0, 3), (1, 4)]),
+            ([0, 1, 2, 3, 4], [1] * 5, [False] * 5),
+        ),
+        # N[0] = (0, 1, 2, 4, 5) skips node 3, which cuts the clique run
+        (
+            Graph(
+                8,
+                [(0, 1), (0, 2), (1, 2), *((u, v) for u in range(4) for v in (4, 5)), (3, 6), (3, 7)],
+            ),
+            ([0, 3, 4, 6], [3, 1, 2, 2], [True, False, False, False]),
+        ),
+        # K_{3,3} on {0, 4, 5} and {1, 2, 3}: node 1 is in 0's row and as
+        # long, but no true twin, and then starts a false-twin run
+        (
+            Graph(6, [(u, v) for u in (0, 4, 5) for v in (1, 2, 3)]),
+            ([0, 1, 4], [1, 3, 2], [False, False, False]),
+        ),
+    ],
+    ids=[
+        "clique-run-of-8",
+        "pair-then-triple",
+        "same-length-one-entry-off",
+        "false-twin-near-miss",
+        "next-node-missing-from-closed-row",
+        "false-twins-after-a-clique-candidate",
+    ],
+)
+def test_twin_runs_on_long_runs_and_near_misses(g, runs):
+    assert _twin_runs(g) == runs
+    _assert_runs_by_brute_force(g)
+
+
+def test_twin_runs_build_no_long_row_for_a_hub_without_true_twins():
+    # the hub's first leaf is in its row but one entry long, so no
+    # n-long row is built to compare them
+    g = star(100_000)
+    tracemalloc.start()
+    try:
+        runs = _twin_runs(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs == ([0, 1], [1, 100_000], [False, False])
+    assert peak < 64 * 1024
 
 
 @settings(max_examples=300)
