@@ -29,13 +29,13 @@ __all__ = ["main"]
 GENERATE_NODE_LIMIT = 10**6
 # checked from the parameters before any graph is built; building and
 # writing a graph of this many edges peaks below 0.2 GB.  `metrics --core 1
-# --satellites 1:999999` takes 0.26-0.28 s and 77 MiB, one child process
+# --satellites 1:999999` takes 0.26-0.31 s and 77 MiB, one child process
 # with its peak RSS from os.wait4 (2-core Intel Xeon, Python 3.11.7)
 GENERATE_EDGE_LIMIT = 10**6
 # the summed m over a sweep's rows, checked before the first row is
 # built.  A sweep holds one row's graph at a time, so this bounds its
 # time, not its memory: `sweep --pmax 231`, whose rows sum to 9,981,510
-# edges, takes 1.33-1.34 s and peaks at 19 MiB (2 cores, Python 3.11).
+# edges, takes 0.81-0.89 s and peaks at 19 MiB (2 cores, Python 3.11).
 # The default sweep's 300 rows sum to 1,884,400 edges
 SWEEP_EDGE_LIMIT = 10**7
 
@@ -174,7 +174,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     numerics = (None, None)
     if args.method != "analytic":
         # at the node limit, `--core 1 --satellites 1:999999` is two
-        # classes; with the JSON it takes 2.2-2.4 s and peaks at 305 MiB,
+        # classes; with the JSON it takes 2.3-2.4 s and peaks at 305 MiB,
         # measured as for GENERATE_EDGE_LIMIT
         _check_size(params)
         numerics = oracle.twin_reduced_spectra(generalized_core_satellite(params))

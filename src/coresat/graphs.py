@@ -9,20 +9,23 @@ the core clique on ``0..c-1`` and each satellite clique on a
 consecutive block after it, classes in ascending size order; every
 formula and spectrum in the package assumes this block layout.  The
 layout fixes every row, so the generator writes the rows directly, with
-no edge list: each satellite node's row is its block's closed row
-``core + block`` without it, one C-level tuple per node.
+no edge list and no Python step per block: each satellite class is
+built a column of its blocks at a time, and each row is the core plus
+its block's other nodes, one C-level tuple per node.
 ``Graph(n, edges)`` validates any other graph's edges; the graph
 operations build through it, and composed they are the independent
 route the generator is tested against.  ``twin_classes`` is the one
-entry point to a graph's twin quotient; the scan for runs of twins
-under it is private, and takes one whole run per step, comparing each
-node's row with the run's first.
+entry point to a graph's twin quotient.  Under it, one private pass
+finds the runs of consecutive twins, one whole run per step, and puts
+each into its class in the same step: runs of one size and kind are
+one class exactly when their rows outside the run are equal, and the
+scan already holds that row.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, compress, islice, repeat
-from operator import eq
+from itertools import chain, combinations, islice, repeat
+from operator import add, eq
 from typing import Iterable, Sequence
 
 from .exceptions import InvalidParameterError
@@ -113,105 +116,104 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _twin_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
-    """First nodes, sizes and clique flags of the runs of consecutive twins, in O(m).
+def _twin_scan(g: Graph) -> dict[tuple[int, bool, tuple[int, ...]], list[int]]:
+    """The runs of consecutive twins, put into their classes as they are found, in O(m).
 
     True twins have equal closed neighborhoods N[u] = N(u) + {u}, so a
     run of them is a clique; false twins have equal open neighborhoods
     N(u), so a run of them is an independent set.  Both are equivalence
     relations, so each node of a run is compared with the run's first
     node r, and one loop step takes a whole run.  If r + 1 is in r's
-    sorted row and its row is as long, it is a true twin of r when its
-    row is r's with r in place of r + 1, and the run is a clique.  Only
-    if r + 2 is next in r's row is N[r] built, once, and the run grows
-    while the next node's row is N[r] without the entry that follows the
-    run (such a row holds r, so the node is in N[r] and is that entry).
-    So a run of two costs one row comparison and builds no N[r].  If
-    r + 1 is no true twin, the run grows while the next row equals r's;
-    such a run, and a run of one node, is flagged False.  The length
-    check keeps a hub with no true twin, such as a star's, from building
-    an n-long row.
+    sorted row at index k and its row is as long, the run grows while
+    the next node v is next in r's row and its row is N[r] without v.
+    That row is kept in one list, r's row with r .. v - 1 in place of
+    r + 1 .. v, and one item assignment moves it on to the next node,
+    so each node costs one tuple and one comparison.  If r + 1 is no
+    true twin, the run grows while the next row equals r's; such a run,
+    and a run of one node, is flagged False.  The length check keeps a
+    hub with no true twin, such as a star's, from copying an n-long
+    row.
     No run mixes the two kinds: if u, v were true twins and v, w false
     twins, then u is in N(v) = N(w), so w is in N[u] = N[v] and hence in
     N(v) = N(w), a self-loop; the other order is the same with u and w
     swapped.  Only proven twins are merged; a graph without consecutive
-    twins gives n runs of one node.  ``twin_classes`` is its one caller,
-    so a scan for twins in any labelling replaces it there alone.
+    twins gives n runs of one node.
+    Twins agree on every node outside their run, so two runs of one
+    size and kind are in one class exactly when their first nodes' rows
+    without the run's own nodes are equal (``twin_classes`` says why).
+    In the step that finds a run, its first node is appended to the list
+    of its class, keyed by the run size, the clique flag and that row:
+    r's row itself for an independent run, r's row with r + 1 .. r + z - 1
+    cut out for a clique run of z.  The dict keeps the classes in the
+    order of their first runs.  ``twin_classes`` is the scan's one
+    caller, so a scan for twins in any labelling replaces it there alone.
     """
     adj = g.adj
     n = len(adj)
-    firsts, sizes, cliques = [], [], []
+    classes: dict[tuple[int, bool, tuple[int, ...]], list[int]] = {}
     r = 0
     while r < n:
         a = adj[r]
         v = r + 1
-        k = bisect_left(a, r)
-        # r + 1 is a true twin when its row is r's with r in place of r + 1
-        if (
-            k < len(a) and a[k] == v and len(adj[v]) == len(a)
-            and adj[v] == a[:k] + (r,) + a[k + 1 :]
-        ):
-            v += 1
-            if k + 1 < len(a) and a[k + 1] == v:
-                closed = a[:k] + (r,) + a[k:]
-                last = closed[-1]
-                k += 2
-                # closed holds r..v-1 just before index k; a row equal to
-                # closed without its entry k holds r, so v is that entry
-                while v <= last and adj[v] == closed[:k] + closed[k + 1 :]:
-                    v += 1
-                    k += 1
-            clique = True
+        k = i = bisect_left(a, r)
+        if k < len(a) and a[k] == v and len(adj[v]) == len(a):
+            # N[r] without v, the node a[i] in r's row
+            closed = list(a)
+            closed[k] = r
+            while adj[v] == tuple(closed):
+                v += 1
+                i += 1
+                if i == len(a) or a[i] != v:
+                    break
+                closed[i] = v - 1
+        if v - r > 1:
+            key = (v - r, True, a[:k] + a[i:])
         else:
             while v < n and adj[v] == a:
                 v += 1
-            clique = False
-        firsts.append(r)
-        sizes.append(v - r)
-        cliques.append(clique)
+            key = (v - r, False, a)
+        runs = classes.get(key)
+        if runs is None:
+            classes[key] = [r]
+        else:
+            runs.append(r)
         r = v
-    return firsts, sizes, cliques
+    return classes
 
 
 def twin_classes(g: Graph) -> tuple[list[int], list[int], list[int], list[dict[int, int]]]:
     """First nodes, run sizes, run counts and the divisor matrix B of the classes of runs.
 
     This is the one place that builds the twin quotient, and the only
-    one that knows its unit, the run of ``_twin_runs``.  Twins agree on
+    one that knows its unit, the run of ``_twin_scan``.  Twins agree on
     every node outside their run, so a run next to a run's first node r
-    lies wholly in r's sorted row, and its first node is there too; the
-    rest of r's own run is never a first node.  So the row's entries
-    that are first nodes are exactly the runs next to r's run, read in
-    O(m) over all runs.  The runs with the same size z, kind and runs
-    next to them form a class, in the order of their first runs.  Runs
-    of one class share their neighbor runs, so a run next to one is next
-    to all, and no two are adjacent, which would put a run next to
-    itself.  So the union of a class is an equitable cell, and B[i][j]
-    counts the neighbors in class j of each node of class i: the class-j
-    runs next to its run times z_j, and on the diagonal the z - 1 mates
-    of a clique run.  Each row is one plain dict, as ``spectra.quotient``
-    gives it, keyed in the order of its first run's row: each class-j
-    run next to that run adds z_j to entry j as it is counted.  Nothing
-    is stored for an independent run's diagonal, so a run is a clique
+    lies wholly in r's row: the row without the run's own nodes, the
+    class key's row, is the union of the runs next to r's run.  So runs
+    of one size and kind with equal rows outside them have the same
+    runs next to them, and the scan groups them into one class in the
+    pass that finds them.  Runs of one class share their neighbor runs,
+    so a run next to one is next to all, and no two are adjacent, which
+    would put a run next to itself.  So the union of a class is an
+    equitable cell, and B[i][j] counts the neighbors in class j of each
+    node of class i: the class-j runs next to its run times z_j, and on
+    the diagonal the z - 1 mates of a clique run.  Each row is built
+    once per class, from its key's row: the row's entries that are first
+    nodes are exactly the runs next to the class, and each adds z_j to
+    entry j as it is read, so the row is one plain dict, as
+    ``spectra.quotient`` gives it, keyed in row order.  Nothing is
+    stored for an independent run's diagonal, so a run is a clique
     exactly when B[i][i] > 0.  A core-satellite graph of t satellite
     sizes gives t + 1 classes and the paper's B: B00 = c - 1,
     B0i = eta_i * s_i, Bi0 = c and Bii = s_i - 1 (a K_n gives
     [{0: n - 1}]).
     """
-    firsts, sizes, cliques = _twin_runs(g)
-    starts = frozenset(firsts)
-    # each class's first nodes of its runs, keyed by size, kind and the runs next to them
-    classes: dict[tuple[int, bool, tuple[int, ...]], list[int]] = {}
-    for r, z, clique in zip(firsts, sizes, cliques):
-        row = g.adj[r]
-        near = tuple(compress(row, map(starts.__contains__, row)))
-        classes.setdefault((z, clique, near), []).append(r)
+    classes = _twin_scan(g)
     of_run = {r: i for i, runs in enumerate(classes.values()) for r in runs}
     zs = [z for z, _, _ in classes]
     quotient = []
-    for i, (z, clique, near) in enumerate(classes):
+    for i, (z, clique, outside) in enumerate(classes):
         row: dict[int, int] = {}
-        for j in map(of_run.__getitem__, near):
+        for j in map(of_run.__getitem__, filter(of_run.__contains__, outside)):
             row[j] = row.get(j, 0) + zs[j]
         if clique:
             row[i] = z - 1
@@ -262,12 +264,15 @@ def generalized_core_satellite(params: GeneralizedParams) -> Graph:
     Satellite blocks appear in ascending class size, cliques of a class
     consecutive.  The sorted rows are written directly: core node ``u``
     is adjacent to every other node, and a node of a satellite block to
-    the core and to the rest of its block, so its row is the block's
-    closed row ``core + block`` without it.  ``combinations`` of the
-    closed row one node short drop its last node first, so the first s
-    of them, reversed, are the s rows of a block of s nodes, one C-level
-    tuple per node.  The nodes of one-node blocks (a star's leaves) all
-    share the core's row object.
+    the core and to the rest of its block, so its row is the core and
+    the block's other nodes.  A class is built a column at a time, with
+    no Python step per block: column o is node o of every block, a
+    stride slice of the node tuple, and node i of every block gets
+    ``core`` plus the block's entries in the other columns, zipped.
+    Zipping the s row streams back together puts the rows in node
+    order.  Every entry is the node tuple's own int object.  The nodes
+    of one-node blocks (a star's leaves) all share the core's row
+    object.
     """
     nodes = tuple(range(params.n))
     core = nodes[: params.core]
@@ -275,13 +280,15 @@ def generalized_core_satellite(params: GeneralizedParams) -> Graph:
     start = params.core
     for cls in params.classes:
         s = cls.size
+        end = start + s * cls.count
         if s == 1:
             rows.extend(repeat(core, cls.count))
         else:
-            for a in range(start, start + s * cls.count, s):
-                closed = core + nodes[a : a + s]
-                rows.extend(reversed(tuple(islice(combinations(closed, len(closed) - 1), s))))
-        start += s * cls.count
+            cols = [nodes[o:end:s] for o in range(start, start + s)]
+            # the rows of node i of every block, for each i
+            streams = (map(add, repeat(core), zip(*cols[:i], *cols[i + 1 :])) for i in range(s))
+            rows.extend(chain.from_iterable(zip(*streams)))
+        start = end
     return Graph.__new__(Graph)._store(tuple(rows))
 
 

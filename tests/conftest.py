@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from coresat import GeneralizedParams, Graph, generalized_core_satellite, spectra
+from coresat.graphs import _twin_scan
 
 # the standard verification grid: c, s in 1..5, eta in 2..6
 GRID_PARAMS = [
@@ -64,6 +65,18 @@ def labelled_graphs(max_n: int):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             yield Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
+def scan_runs(g: Graph) -> tuple[list[int], list[int], list[bool]]:
+    """The runs that ``graphs._twin_scan`` finds in ``g``, in node order.
+
+    The scan files each run's first node under its class; read back,
+    each run is its first node, its size and its clique flag.
+    """
+    runs = sorted(
+        (r, z, clique) for (z, clique, _), firsts in _twin_scan(g).items() for r in firsts
+    )
+    return [r for r, _, _ in runs], [z for _, z, _ in runs], [clique for _, _, clique in runs]
 
 
 def relabel(g, perm):

@@ -262,6 +262,18 @@ def test_one_node_satellites_share_one_row_object(g, core, leaves):
     assert all(row is rows[0] for row in rows)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [GeneralizedParams(3, [(3, 200), (5, 100)]), GeneralizedParams(3, [(3, 1)])],
+    ids=["1103-nodes", "6-nodes"],
+)
+def test_generated_rows_share_one_int_object_per_node(p):
+    # the rows hold the node tuple's own ints; ints above 256 made afresh
+    # for each row would cost a large graph one object per entry
+    g = generalized_core_satellite(p)
+    assert len({id(v) for row in g.adj for v in row}) == g.n
+
+
 def test_generalized_canonicalization_merges_duplicates():
     p = GeneralizedParams(1, [(3, 2), (2, 1), (3, 4)])
     assert [(c.size, c.count) for c in p.classes] == [(2, 1), (3, 6)]

@@ -22,6 +22,7 @@ from conftest import (
     planted_twin_graphs,
     relabel,
     relabelled_family_graphs,
+    scan_runs,
 )
 from coresat import (
     GeneralizedParams,
@@ -34,7 +35,7 @@ from coresat import (
     star,
 )
 from coresat import metrics as metrics_mod
-from coresat.graphs import _twin_runs, complete_graph, twin_classes
+from coresat.graphs import _twin_scan, complete_graph, twin_classes
 from coresat.metrics import (
     DIRECT_BITSET_LIMIT,
     _SHIFT_ROW_LIMIT,
@@ -486,11 +487,12 @@ def test_kernel_on_wide_rows_matches_set_counts_and_exact_ratios(g):
 
 
 def _assert_runs_by_brute_force(g):
-    """``_twin_runs(g)`` are the maximal runs of consecutive twins.
+    """The scan's runs of ``g`` are its maximal runs of consecutive twins.
 
     They are found here from neighbor sets: true twins (equal closed
     sets) in a clique run, false twins (equal open sets) in an
-    independent one.
+    independent one.  Each run is filed under its size, its kind and
+    its first node's row without the run's own nodes.
     """
     nbrs = tuple(map(frozenset, g.adj))
     closed = [row | {u} for u, row in enumerate(nbrs)]
@@ -501,10 +503,13 @@ def _assert_runs_by_brute_force(g):
     ]
     sizes = [b - a for a, b in zip(starts, starts[1:] + [g.n])]
     cliques = [z > 1 and closed[r] == closed[r + 1] for r, z in zip(starts, sizes)]
-    assert _twin_runs(g) == (starts, sizes, cliques)
+    assert scan_runs(g) == (starts, sizes, cliques)
     for r, z, clique in zip(starts, sizes, cliques):
         links = sum(v in nbrs[u] for u, v in itertools.combinations(range(r, r + z), 2))
         assert links == (math.comb(z, 2) if clique else 0)
+    for (z, clique, outside), firsts in _twin_scan(g).items():
+        for r in firsts:
+            assert outside == tuple(sorted(nbrs[r] - set(range(r, r + z))))
 
 
 @pytest.mark.parametrize(
@@ -555,7 +560,7 @@ def _assert_runs_by_brute_force(g):
     ],
 )
 def test_twin_runs_on_long_runs_and_near_misses(g, runs):
-    assert _twin_runs(g) == runs
+    assert scan_runs(g) == runs
     _assert_runs_by_brute_force(g)
 
 
@@ -565,11 +570,13 @@ def test_twin_runs_build_no_long_row_for_a_hub_without_true_twins():
     g = star(100_000)
     tracemalloc.start()
     try:
-        runs = _twin_runs(g)
+        classes = _twin_scan(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert runs == ([0, 1], [1, 100_000], [False, False])
+    assert scan_runs(g) == ([0, 1], [1, 100_000], [False, False])
+    # the hub's class is keyed by its own row, not a copy of it
+    assert next(iter(classes))[2] is g.adj[0]
     assert peak < 64 * 1024
 
 
@@ -638,7 +645,7 @@ def twin_free_wide_graphs(draw):
     n = draw(st.integers(min_value=18, max_value=22))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     g = Graph(n, [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.8])
-    assume(len(_twin_runs(g)[0]) == n and max(map(len, g.adj)) > _SHIFT_ROW_LIMIT)
+    assume(len(scan_runs(g)[0]) == n and max(map(len, g.adj)) > _SHIFT_ROW_LIMIT)
     return g
 
 
@@ -646,7 +653,7 @@ def test_lookalike_runs_differ_only_in_the_runs_next_to_them():
     # clique runs {0, 1} and {2, 3}: the same size and kind, but only the
     # first is next to node 5, so they are two classes
     g = Graph(6, [(0, 1), (2, 3), (0, 4), (1, 4), (0, 5), (1, 5), (2, 4), (3, 4)])
-    assert _twin_runs(g) == ([0, 2, 4, 5], [2, 2, 1, 1], [True, True, False, False])
+    assert scan_runs(g) == ([0, 2, 4, 5], [2, 2, 1, 1], [True, True, False, False])
     # B's rows name the runs next to each: {4, 5} next to {0, 1}, only 4 next to {2, 3}
     assert twin_classes(g) == (
         [0, 2, 4, 5],
@@ -677,7 +684,7 @@ def _assert_classes_by_node_sets(g):
     """
     firsts, sizes, counts, quotient = twin_classes(g)
     run_of, keys = {}, []
-    for r, z, clique in zip(*_twin_runs(g)):
+    for r, z, clique in zip(*scan_runs(g)):
         run = range(r, r + z)
         run_of.update(dict.fromkeys(run, r))
         keys.append((r, (z, clique, frozenset(g.adj[r]) - set(run))))
@@ -749,22 +756,22 @@ def test_sweep_graph_report_survives_relabelling():
     perm = list(range(g.n))
     random.Random(1510).shuffle(perm)
     shuffled = relabel(g, perm)
-    assert len(_twin_runs(shuffled)[0]) == 1503
+    assert len(scan_runs(shuffled)[0]) == 1503
     assert compute_metrics(shuffled) == compute_metrics(g)
 
 
 def test_twin_class_counts():
     # the core and each satellite clique: 1 + 300 clique runs
-    firsts, _, cliques = _twin_runs(generalized_core_satellite(SWEEP_LARGEST))
+    firsts, _, cliques = scan_runs(generalized_core_satellite(SWEEP_LARGEST))
     assert len(firsts) == 301 and all(cliques)
     for n in (2, 7):
-        assert _twin_runs(complete_graph(n)) == ([0], [n], [True])
-    assert _twin_runs(complete_graph(1)) == ([0], [1], [False])
+        assert scan_runs(complete_graph(n)) == ([0], [n], [True])
+    assert scan_runs(complete_graph(1)) == ([0], [1], [False])
     for n in (3, 4, 9):
         path = Graph(n, [(u, u + 1) for u in range(n - 1)])
-        assert _twin_runs(path) == (list(range(n)), [1] * n, [False] * n)
+        assert scan_runs(path) == (list(range(n)), [1] * n, [False] * n)
     # the hub, then the leaves as one run of false twins
     for b in (2, 5):
-        assert _twin_runs(star(b)) == ([0, 1], [1, b], [False, False])
-    assert _twin_runs(Graph(3, [])) == ([0], [3], [False])
-    assert _twin_runs(Graph(0, [])) == ([], [], [])
+        assert scan_runs(star(b)) == ([0, 1], [1, b], [False, False])
+    assert scan_runs(Graph(3, [])) == ([0], [3], [False])
+    assert scan_runs(Graph(0, [])) == ([], [], [])
